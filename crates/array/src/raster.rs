@@ -76,6 +76,24 @@ impl Raster {
         Ok(Raster { depth, geo, array, mask: None })
     }
 
+    /// Attaches a validity mask: one bit per pixel in row-major order,
+    /// least-significant bit first, `1` = valid (the layout [`Raster::clip`]
+    /// produces). The mask must hold exactly `⌈width·height / 8⌉` bytes.
+    pub fn with_mask(mut self, mask: Vec<u8>) -> Result<Self> {
+        let expected = (self.width() * self.height()).div_ceil(8);
+        if mask.len() != expected {
+            return Err(ArrayError::DataSizeMismatch { expected, got: mask.len() });
+        }
+        self.mask = Some(mask);
+        Ok(self)
+    }
+
+    /// The validity mask in the layout of [`Raster::with_mask`]; `None`
+    /// when every pixel is valid.
+    pub fn mask(&self) -> Option<&[u8]> {
+        self.mask.as_deref()
+    }
+
     /// Pixel columns.
     #[inline]
     pub fn width(&self) -> usize {
@@ -427,6 +445,21 @@ mod tests {
         assert!(!c.is_valid(4, 0));
         // The origin corner is inside.
         assert!(c.is_valid(0, 4));
+    }
+
+    #[test]
+    fn mask_roundtrips_through_accessor_and_constructor() {
+        let r = gradient();
+        let tri =
+            Polygon::new(vec![Point::new(0.0, 0.0), Point::new(50.0, 0.0), Point::new(0.0, 50.0)])
+                .unwrap();
+        let c = r.clip(&tri).unwrap();
+        let mask = c.mask().expect("polygon clip is masked").to_vec();
+        let bare = Raster::from_array(c.array().clone(), c.depth(), c.geo()).unwrap();
+        assert_ne!(bare, c, "equality must see the mask");
+        assert_eq!(bare.with_mask(mask).unwrap(), c);
+        let bare = Raster::from_array(c.array().clone(), c.depth(), c.geo()).unwrap();
+        assert!(bare.with_mask(vec![0xff]).is_err(), "wrong mask length");
     }
 
     #[test]

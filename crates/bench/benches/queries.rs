@@ -29,7 +29,7 @@ fn bench_queries(c: &mut Criterion) {
     g.bench_function("q6_spatial_selection", |b| {
         b.iter(|| queries::q6(&db, &us).unwrap().rows.len())
     });
-    g.bench_function("q8_indexed_nl_join", |b| {
+    g.bench_function("q8_indexed_nl_spatial_join", |b| {
         b.iter(|| queries::q8(&db, "Louisville", 8.0).unwrap().rows.len())
     });
     g.bench_function("q9_raster_polygon_join", |b| {

@@ -1,4 +1,4 @@
-//! Figure 2.3 pipeline: chunking an array into tiles (+ adaptive per-tile
+//! Figure 2.3: chunking an array into tiles (+ adaptive per-tile
 //! compression) and tile-granular region reads vs whole-array assembly.
 
 use paradise_array::{ElemType, NdArray, TileMap};

@@ -22,7 +22,7 @@ use paradise_exec::metrics::QueryMetrics;
 use paradise_exec::ops::basic::sort_by_col;
 use paradise_exec::ops::closest::{closest_join, ClosestResult};
 use paradise_exec::ops::spatial_join::parallel_spatial_join;
-use paradise_exec::phase::{route, run_phase, run_sequential};
+use paradise_exec::phase::{exchange, run_phase, run_sequential};
 use paradise_exec::raster_store;
 use paradise_exec::table::unpack_oid;
 use paradise_exec::value::{Date, RasterValue, StoredRaster, Value};
@@ -77,12 +77,25 @@ fn finish(
     QueryResult { columns: columns.iter().map(|s| s.to_string()).collect(), rows, metrics }
 }
 
-/// Ships per-node result rows to the query coordinator over the cluster's
-/// active transport, charging network traffic for every row (the QC is its
-/// own process, Figure 2.1). Over `Transport::Tcp` the rows really cross
-/// sockets; accounting is identical either way.
+/// Ships per-node rows to the query coordinator over the cluster's active
+/// transport, charging network traffic for every row (the QC is its own
+/// endpoint, Figure 2.1). Rows arrive in node order, then emission order.
 fn collect_rows(db: &Paradise, per_node: Vec<Vec<Tuple>>) -> Result<Vec<Tuple>> {
-    db.cluster().collect_to_coordinator(per_node)
+    let qc = db.cluster().coordinator_id();
+    let outbox =
+        per_node.into_iter().map(|rows| rows.into_iter().map(|t| (qc, t)).collect()).collect();
+    Ok(exchange(db.cluster(), outbox)?.swap_remove(qc))
+}
+
+/// Sends `rows` from the query coordinator to every node (a replicated
+/// small outer, §2.4) and returns each node's copy, in `rows` order.
+fn broadcast(db: &Paradise, rows: Vec<Tuple>) -> Result<Vec<Vec<Tuple>>> {
+    let n = db.cluster().num_nodes();
+    let mut outbox: Vec<Vec<(NodeId, Tuple)>> = (0..n).map(|_| Vec::new()).collect();
+    outbox.push(rows.iter().flat_map(|t| (0..n).map(move |node| (node, t.clone()))).collect());
+    let mut inbox = exchange(db.cluster(), outbox)?;
+    inbox.truncate(n);
+    Ok(inbox)
 }
 
 fn stored_raster(t: &Tuple, col: usize) -> Result<&StoredRaster> {
@@ -174,22 +187,15 @@ pub fn q3(
         // Parallel plan: each node sums the pixels of the clip-region tiles
         // it stores, shipping compact per-tile pieces; the coordinator
         // pastes the pieces — its work is proportional to the pixels
-        // contributed, independent of the node count.
+        // contributed, independent of the node count. A piece is one tuple:
+        // `row0, col0, rows, cols`, then `rows × cols` sums, all `Int`.
         let sr0 = &srs[0];
         let Some((r0, r1, c0, c1)) = raster_store::pixel_region(sr0, &clip.bbox()) else {
             return Ok(finish(db, net0, m, &["average"], Vec::new(), t0));
         };
         let (h, w) = ((r1 - r0) as usize, (c1 - c0) as usize);
-        /// One node's contribution: a sub-rectangle of per-pixel sums.
-        struct Piece {
-            row0: u32,
-            col0: u32,
-            rows: u32,
-            cols: u32,
-            sums: Vec<u64>,
-        }
         let partials = run_phase(db.cluster(), &mut m, "local partial sums", |node| {
-            let mut pieces: Vec<Piece> = Vec::new();
+            let mut pieces: Vec<Tuple> = Vec::new();
             for sr in &srs {
                 for idx in sr.tiles_for_region(r0, r1, c0, c1) {
                     if sr.tiles[idx].node as usize != node {
@@ -214,26 +220,26 @@ pub fn q3(
                             sums[(rr - a_r) as usize * pcols + (cc - a_c) as usize] += v;
                         }
                     }
-                    db.cluster().net.ship(16 + sums.len() * 8);
-                    pieces.push(Piece {
-                        row0: a_r - r0,
-                        col0: a_c - c0,
-                        rows: prows as u32,
-                        cols: pcols as u32,
-                        sums,
-                    });
+                    let header = [a_r - r0, a_c - c0, prows as u32, pcols as u32];
+                    let mut piece: Vec<Value> =
+                        header.iter().map(|&v| Value::Int(i64::from(v))).collect();
+                    piece.extend(sums.into_iter().map(|v| Value::Int(v as i64)));
+                    pieces.push(Tuple::new(piece));
                 }
             }
             Ok(pieces)
         })?;
+        let pieces = collect_rows(db, partials)?;
         run_sequential(&mut m, || {
             let mut sums = vec![0u64; h * w];
             let mut counts = vec![0u32; h * w];
-            for piece in partials.iter().flatten() {
-                for pr in 0..piece.rows as usize {
-                    for pc in 0..piece.cols as usize {
-                        let off = (piece.row0 as usize + pr) * w + piece.col0 as usize + pc;
-                        sums[off] += piece.sums[pr * piece.cols as usize + pc];
+            for piece in &pieces {
+                let int = |i: usize| -> Result<usize> { Ok(piece.get(i)?.as_int()? as usize) };
+                let (row0, col0, rows, cols) = (int(0)?, int(1)?, int(2)?, int(3)?);
+                for pr in 0..rows {
+                    for pc in 0..cols {
+                        let off = (row0 + pr) * w + col0 + pc;
+                        sums[off] += int(4 + pr * cols + pc)? as u64;
                         counts[off] += 1;
                     }
                 }
@@ -425,26 +431,27 @@ pub fn q8(db: &Paradise, city_name: &str, box_len: f64) -> Result<QueryResult> {
     let cities = run_phase(db.cluster(), &mut m, "select cities", |node| {
         pp.btree_probe(db.cluster(), node, PP_NAME, &Value::Str(city_name.to_string()))
     })?;
-    let boxes: Vec<paradise_geom::Rect> = run_sequential(&mut m, || {
+    let cities = collect_rows(db, cities)?;
+    let boxes: Vec<Tuple> = run_sequential(&mut m, || {
         let mut out = Vec::new();
-        for t in cities.into_iter().flatten() {
+        for t in &cities {
             let p = t
                 .get(PP_LOC)?
                 .as_shape()?
                 .as_point()
                 .ok_or(ExecError::Type { expected: "point", got: "shape".into() })?;
-            // Replicating the small outer to every node is network traffic.
-            for _ in 0..db.cluster().num_nodes() {
-                db.cluster().net.ship(t.wire_size());
-            }
-            out.push(p.make_box(box_len));
+            out.push(Tuple::new(vec![Value::Shape(Shape::Rect(p.make_box(box_len)))]));
         }
         Ok(out)
     })?;
+    let boxes = broadcast(db, boxes)?;
     let per_node = run_phase(db.cluster(), &mut m, "indexed NL spatial join", |node| {
         let idx = lc.rtree_index(db.cluster(), node, LC_SHAPE)?;
         let mut rows = Vec::new();
-        for b in &boxes {
+        for t in &boxes[node] {
+            let Shape::Rect(b) = t.get(0)?.as_shape()? else {
+                return Err(ExecError::Type { expected: "box", got: "shape".into() });
+            };
             for (rect, packed) in idx.search(b) {
                 if !owns_ref_point(db, node, &rect, b) {
                     continue;
@@ -462,37 +469,39 @@ pub fn q8(db: &Paradise, city_name: &str, box_len: f64) -> Result<QueryResult> {
     Ok(finish(db, net0, m, &["shape", "type"], rows, t0))
 }
 
-/// Selects the oil-field polygons and de-duplicates the spatial replicas
-/// (shared by Q9/Q14).
-fn oil_polygons(db: &Paradise, m: &mut QueryMetrics, oil_type: i64) -> Result<Vec<Polygon>> {
+/// Selects the oil-field polygons, de-duplicates the spatial replicas at
+/// the query coordinator and broadcasts them to every node (shared by
+/// Q9/Q14). Returns each node's copy, one `[shape]` tuple per polygon.
+fn broadcast_oil_polygons(
+    db: &Paradise,
+    m: &mut QueryMetrics,
+    oil_type: i64,
+) -> Result<Vec<Vec<Tuple>>> {
     let lc = db.table("landCover")?;
     let per_node = run_phase(db.cluster(), m, "select oil fields", |node| {
-        let mut out: Vec<(String, Polygon)> = Vec::new();
+        let mut out = Vec::new();
         lc.scan_fragment(db.cluster(), node, |_, t| {
-            if t.get(LC_TYPE)?.as_int()? == oil_type {
-                if let Shape::Polygon(p) = t.get(LC_SHAPE)?.as_shape()? {
-                    out.push((t.get(LC_ID)?.as_str()?.to_string(), p.clone()));
-                }
+            if t.get(LC_TYPE)?.as_int()? == oil_type
+                && matches!(t.get(LC_SHAPE)?.as_shape()?, Shape::Polygon(_))
+            {
+                out.push(Tuple::new(vec![t.get(LC_ID)?.clone(), t.get(LC_SHAPE)?.clone()]));
             }
             Ok(())
         })?;
         Ok(out)
     })?;
-    run_sequential(m, || {
+    let fields = collect_rows(db, per_node)?;
+    let polys = run_sequential(m, || {
         let mut seen = std::collections::HashSet::new();
         let mut polys = Vec::new();
-        for (node, list) in per_node.into_iter().enumerate() {
-            for (id, p) in list {
-                if node != 0 {
-                    db.cluster().net.ship(64 + p.num_points() * 16);
-                }
-                if seen.insert(id) {
-                    polys.push(p);
-                }
+        for mut t in fields {
+            if seen.insert(t.get(0)?.as_str()?.to_string()) {
+                polys.push(Tuple::new(vec![t.values.swap_remove(1)]));
             }
         }
         Ok(polys)
-    })
+    })?;
+    broadcast(db, polys)
 }
 
 /// **Q9** — clip one raster (date + channel) by every oil-field polygon:
@@ -526,16 +535,7 @@ fn q9_q14_impl(
     let mut m = QueryMetrics::default();
     let net0 = db.cluster().net.snapshot();
     let raster = db.table("raster")?;
-    let polys = oil_polygons(db, &mut m, oil_type)?;
-    // Ship the polygons to every node (replicated small outer).
-    run_sequential(&mut m, || {
-        for p in &polys {
-            for _ in 0..db.cluster().num_nodes() {
-                db.cluster().net.ship(64 + p.num_points() * 16);
-            }
-        }
-        Ok(())
-    })?;
+    let polys = broadcast_oil_polygons(db, &mut m, oil_type)?;
     let per_node = run_phase(db.cluster(), &mut m, "clip rasters by polygons", |node| {
         let mut rows = Vec::new();
         raster.scan_fragment(db.cluster(), node, |_, t| {
@@ -552,10 +552,14 @@ fn q9_q14_impl(
                 return Ok(());
             }
             let sr = stored_raster(&t, RASTER_DATA)?;
-            for p in &polys {
+            for poly in &polys[node] {
+                let shape = poly.get(0)?;
+                let Shape::Polygon(p) = shape.as_shape()? else {
+                    return Err(ExecError::Type { expected: "polygon", got: "shape".into() });
+                };
                 if let Some((clipped, _)) = raster_store::clip_stored(db.cluster(), node, sr, p)? {
                     rows.push(Tuple::new(vec![
-                        Value::Shape(Shape::Polygon(p.clone())),
+                        shape.clone(),
                         Value::Raster(RasterValue::Mem(Arc::new(clipped))),
                     ]));
                 }
@@ -622,10 +626,11 @@ pub fn q11(db: &Paradise, point: Point) -> Result<QueryResult> {
     let mut m = QueryMetrics::default();
     let net0 = db.cluster().net.snapshot();
     let roads = db.table("roads")?;
-    // Phase 1: local "closest" aggregate per road type.
+    // Phase 1: local "closest" aggregate per road type; each partial leaves
+    // for the QC as the road tuple plus its `Float` distance.
     let partials = run_phase(db.cluster(), &mut m, "local closest per type", |node| {
-        let mut best: std::collections::HashMap<i64, (f64, Tuple)> =
-            std::collections::HashMap::new();
+        let mut best: std::collections::BTreeMap<i64, (f64, Tuple)> =
+            std::collections::BTreeMap::new();
         roads.scan_fragment(db.cluster(), node, |_, t| {
             let ty = t.get(LINE_TYPE)?.as_int()?;
             let d = t.get(LINE_SHAPE)?.as_shape()?.distance_to_point(&point);
@@ -635,21 +640,25 @@ pub fn q11(db: &Paradise, point: Point) -> Result<QueryResult> {
             }
             Ok(())
         })?;
-        Ok(best)
+        Ok(best
+            .into_values()
+            .map(|(d, mut t)| {
+                t.values.push(Value::Float(d));
+                t
+            })
+            .collect::<Vec<_>>())
     })?;
+    let partials = collect_rows(db, partials)?;
     // Phase 2: the single global aggregate operator.
     let rows = run_sequential(&mut m, || {
         let mut merged: std::collections::HashMap<i64, (f64, Tuple)> =
             std::collections::HashMap::new();
-        for (node, partial) in partials.into_iter().enumerate() {
-            for (ty, (d, t)) in partial {
-                if node != 0 {
-                    db.cluster().net.ship(t.wire_size() + 16);
-                }
-                let replace = merged.get(&ty).is_none_or(|(bd, _)| d < *bd);
-                if replace {
-                    merged.insert(ty, (d, t));
-                }
+        for mut t in partials {
+            let d = t.values.pop().ok_or(ExecError::Codec("empty closest partial"))?.as_float()?;
+            let ty = t.get(LINE_TYPE)?.as_int()?;
+            let replace = merged.get(&ty).is_none_or(|(bd, _)| d < *bd);
+            if replace {
+                merged.insert(ty, (d, t));
             }
         }
         let mut types: Vec<i64> = merged.keys().copied().collect();
@@ -722,26 +731,4 @@ pub fn q13(db: &Paradise) -> Result<QueryResult> {
 pub fn q3_prime(db: &Paradise, date: Date, declustered_rasters: bool) -> Result<QueryResult> {
     let whole = Polygon::from_rect(&db.cluster().grid().universe());
     q3(db, date, &whole, declustered_rasters)
-}
-
-/// Repartition-based relational helper exposed for completeness: hash
-/// repartitions a table on a column and returns per-node batches (phase 1
-/// of a parallel relational join when inputs are not co-partitioned).
-pub fn hash_repartition(
-    db: &Paradise,
-    m: &mut QueryMetrics,
-    table: &paradise_exec::TableDef,
-    col: usize,
-) -> Result<Vec<Vec<Tuple>>> {
-    let n = db.cluster().num_nodes();
-    let outbox = run_phase(db.cluster(), m, "hash repartition", |node| {
-        let mut msgs = Vec::new();
-        table.scan_fragment(db.cluster(), node, |_, t| {
-            let dest = (paradise_exec::decluster::hash_value(t.get(col)?) as usize) % n;
-            msgs.push((dest, t));
-            Ok(())
-        })?;
-        Ok(msgs)
-    })?;
-    route(db.cluster(), outbox)
 }

@@ -7,11 +7,11 @@
 //! database disks per node are collapsed into one volume per node; within-
 //! node disk striping does not change any of the parallel algorithms.
 //!
-//! Cross-node traffic (repartitioning, replication, pulls) is accounted in
-//! [`NetStats`], which the experiments read.
+//! Cross-node traffic — tuples moved by [`crate::phase::exchange`] and
+//! remote tile pulls — is accounted in [`NetStats`], which the experiments
+//! read.
 
 use crate::stream::{self, RemoteRx, RemoteTx, TupleRx, TupleTx};
-use crate::tuple::Tuple;
 use crate::value::TileRef;
 use crate::{ExecError, Result};
 use paradise_geom::{Grid, Point, Rect, TileId};
@@ -122,9 +122,9 @@ impl ClusterConfig {
 /// Cross-node traffic counters.
 #[derive(Debug, Default)]
 pub struct NetStats {
-    /// Bytes shipped between distinct nodes.
+    /// Bytes shipped between distinct endpoints (nodes or the QC).
     pub bytes: AtomicU64,
-    /// Tuples shipped between distinct nodes.
+    /// Tuples shipped between distinct endpoints (nodes or the QC).
     pub tuples: AtomicU64,
     /// Remote tile pulls.
     pub pulls: AtomicU64,
@@ -167,7 +167,7 @@ impl NetStats {
         }
     }
 
-    /// Records one cross-node tuple shipment.
+    /// Records one tuple shipped between distinct endpoints.
     pub fn ship(&self, bytes: usize) {
         self.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
         self.tuples.fetch_add(1, Ordering::Relaxed);
@@ -227,7 +227,7 @@ impl Cluster {
         let net = Arc::new(NetStats::default());
         let obs = Arc::new(MetricsRegistry::new());
         let trace = Arc::new(TraceSink::new());
-        register_cluster_metrics(&obs, &nodes, &net);
+        register_cluster_metrics(&obs, &net);
         for n in &nodes {
             trace.set_lane_name(n.id as u32, &format!("node {}", n.id));
         }
@@ -346,11 +346,10 @@ impl Cluster {
         }
     }
 
-    /// Opens a cross-node stream `src → dst` with the given flow-control
-    /// window, over whichever transport the cluster runs. Every tuple
-    /// crossing distinct nodes is charged to [`NetStats`] at the
-    /// [`TupleTx::send`] choke point, so `Local` and `Tcp` account
-    /// identically for identical plans.
+    /// Opens a stream between endpoints `src → dst` (a node or the QC,
+    /// [`Cluster::coordinator_id`]) with the given flow-control window,
+    /// over whichever transport the cluster runs. Every tuple crossing
+    /// distinct endpoints is charged to [`NetStats`] at [`TupleTx::send`].
     pub fn stream(&self, window: usize, src: NodeId, dst: NodeId) -> Result<(TupleTx, TupleRx)> {
         self.streams_opened.inc();
         match &self.transport {
@@ -358,82 +357,6 @@ impl Cluster {
             Transport::Tcp(t) => {
                 let (tx, rx) = t.open(window, src, dst)?;
                 Ok(stream::remote_stream(tx, rx, src, dst, self.net.clone()))
-            }
-        }
-    }
-
-    /// Ships per-node result rows to the query coordinator over the active
-    /// transport, preserving node order then emission order — the QC is
-    /// its own endpoint, so every row is network traffic.
-    pub fn collect_to_coordinator(&self, per_node: Vec<Vec<Tuple>>) -> Result<Vec<Tuple>> {
-        let qc = self.coordinator_id();
-        match &self.transport {
-            Transport::Local => {
-                // Fast path: charge each row and concatenate.
-                let mut out = Vec::new();
-                for rows in per_node {
-                    for t in rows {
-                        self.net.ship(t.wire_size());
-                        out.push(t);
-                    }
-                }
-                Ok(out)
-            }
-            Transport::Tcp(_) => {
-                // Real path: one stream per node, drained in node order.
-                let mut receivers = Vec::new();
-                let mut senders = Vec::new();
-                for (node, rows) in per_node.into_iter().enumerate() {
-                    if rows.is_empty() {
-                        continue;
-                    }
-                    let (tx, rx) = self.stream(stream::DEFAULT_WINDOW, node, qc)?;
-                    senders.push(std::thread::spawn(move || -> Result<()> {
-                        // `exec.collect_send` injects a poisoned node
-                        // during result collection.
-                        if let Err(msg) = paradise_util::failpoint::check("exec.collect_send") {
-                            return Err(ExecError::Other(format!(
-                                "injected fault at exec.collect_send (node {node}): {msg}"
-                            )));
-                        }
-                        for t in rows {
-                            tx.send(t)?;
-                        }
-                        Ok(())
-                    }));
-                    receivers.push(rx);
-                }
-                // Drain everything first (senders block on flow control),
-                // then fail on any sender or link error — a lossy link must
-                // produce an error, never a silently truncated result set.
-                let mut out = Vec::new();
-                let mut link_err: Option<String> = None;
-                for mut rx in receivers {
-                    while let Some(t) = rx.recv() {
-                        out.push(t);
-                    }
-                    if link_err.is_none() {
-                        link_err = rx.link_error();
-                    }
-                }
-                let mut send_err: Option<ExecError> = None;
-                for s in senders {
-                    match s.join() {
-                        Ok(Ok(())) => {}
-                        Ok(Err(e)) => send_err = send_err.or(Some(e)),
-                        Err(_) => {
-                            send_err = send_err
-                                .or(Some(ExecError::Other("collect sender panicked".into())))
-                        }
-                    }
-                }
-                if let Some(e) = send_err {
-                    return Err(e);
-                }
-                if let Some(msg) = link_err {
-                    return Err(ExecError::Other(format!("collect stream failed: {msg}")));
-                }
-                Ok(out)
             }
         }
     }
@@ -568,39 +491,11 @@ fn register_node_metrics(obs: &MetricsRegistry, store: &Arc<Store>) {
     obs.register_collector("buffer.capacity", move || capacity);
 }
 
-/// Publishes the per-node storage atomics (prefixed `node<i>.*`, for the
-/// QC-side aggregate view and `EXPLAIN ANALYZE`) and the cluster-wide
-/// [`NetStats`] into the cluster registry as lazy collectors — the hot
-/// paths keep their own counters and pay nothing extra.
-fn register_cluster_metrics(obs: &MetricsRegistry, nodes: &[Arc<Node>], net: &Arc<NetStats>) {
-    for node in nodes {
-        let id = node.id;
-        macro_rules! pool_stat {
-            ($field:ident) => {{
-                let store = node.store.clone();
-                obs.register_collector(
-                    &format!("node{id}.buffer.{}", stringify!($field)),
-                    move || store.pool().stats().$field,
-                );
-            }};
-        }
-        pool_stat!(hits);
-        pool_stat!(misses);
-        pool_stat!(writebacks);
-        pool_stat!(evictions);
-        macro_rules! wal_stat {
-            ($field:ident) => {{
-                let store = node.store.clone();
-                obs.register_collector(
-                    &format!("node{id}.wal.{}", stringify!($field)),
-                    move || store.wal_stats().$field,
-                );
-            }};
-        }
-        wal_stat!(commits);
-        wal_stat!(pages);
-        wal_stat!(bytes);
-    }
+/// Publishes the cluster-wide [`NetStats`] into the QC registry as lazy
+/// collectors — the hot paths keep their own counters and pay nothing
+/// extra. Per-node storage metrics live in each node's own registry
+/// (see [`register_node_metrics`]); [`Cluster::all_samples`] labels them.
+fn register_cluster_metrics(obs: &MetricsRegistry, net: &Arc<NetStats>) {
     macro_rules! net_stat {
         ($field:ident) => {{
             let net = net.clone();
@@ -667,17 +562,25 @@ mod tests {
     #[test]
     fn registry_surfaces_storage_and_net_counters() {
         let cluster = Cluster::create(&ClusterConfig::for_test(2, "obs")).unwrap();
-        // Touch node 0's store so buffer counters move.
+        // Touch node 0's store so its storage counters move.
         let f = cluster.node(0).store.create_file("t").unwrap();
         f.insert(b"x").unwrap();
         cluster.node(0).store.commit().unwrap();
         cluster.net.ship(64);
         let snap = cluster.obs().snapshot();
-        assert!(snap.contains_key("node0.buffer.hits"), "keys: {:?}", snap.keys());
-        assert!(snap.contains_key("node1.wal.commits"));
         assert_eq!(snap["net.bytes"], 64);
         assert_eq!(snap["net.tuples"], 1);
-        assert!(snap["node0.wal.commits"] >= 1, "commit not visible: {snap:?}");
+        // Storage metrics are registered once, in each node's own registry;
+        // all_samples labels them by node.
+        assert!(!snap.keys().any(|k| k.contains("buffer.") || k.contains("wal.")), "{snap:?}");
+        let groups = cluster.all_samples();
+        let commits = |node: &str| {
+            let (_, samples) = groups.iter().find(|(label, _)| label == node).unwrap();
+            samples.iter().find(|s| s.name == "wal.commits").map(|s| s.value)
+        };
+        assert!(commits("0").unwrap() >= 1, "commit not visible: {groups:?}");
+        assert!(commits("1").is_some());
+        assert_eq!(commits("qc"), None);
         // stream() publishes into the registry too.
         let before = snap["exec.streams_opened"];
         let _ = cluster.stream(4, 0, 1).unwrap();

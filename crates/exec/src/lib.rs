@@ -4,20 +4,21 @@
 //! shared-nothing cluster of data-server nodes, tuple streams, declustering
 //! (round-robin / hash / spatial with replication), the relational and
 //! spatial operator library (selection, projection, sort, nested-loops /
-//! indexed / Grace-hash joins, PBSM spatial join, two-phase extensible
+//! Grace-hash joins, PBSM spatial join, two-phase extensible
 //! aggregation), the tile-granular raster store with the pull model for
 //! large attributes, and the spatial-semi-join + join-with-aggregate
 //! machinery behind the `closest` spatial aggregate (Figure 3.1).
 //!
 //! ## Timing model
 //!
-//! Nodes are simulated within one process. Operators run either through
-//! channel-connected push streams ([`stream`]) or through the *measured
-//! phase driver* ([`phase`]) that executes each node's fragment work
-//! sequentially while recording per-node busy time; a query's simulated
-//! parallel time is `Σ_phases max_node(busy) + sequential time`, the
-//! shared-nothing cost model of the paper. Repartitioning and pulls account
-//! network bytes either way.
+//! Nodes are simulated within one process. Operators run under the
+//! *measured phase driver* ([`phase`]), which executes each node's fragment
+//! work sequentially while recording per-node busy time; a query's
+//! simulated parallel time is `Σ_phases max_node(busy) + sequential time`,
+//! the shared-nothing cost model of the paper. Between phases, tuples cross
+//! node boundaries only through [`phase::exchange`] (over flow-controlled
+//! [`stream`]s), which, with remote tile pulls, accounts all network
+//! traffic.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -27,7 +28,6 @@ pub mod decluster;
 pub mod metrics;
 pub mod ops;
 pub mod phase;
-pub mod pipeline;
 pub mod raster_store;
 pub mod schema;
 pub mod stream;

@@ -3,10 +3,11 @@
 
 use crate::cluster::Cluster;
 use crate::metrics::QueryMetrics;
-use crate::phase::{route, run_phase, run_sequential};
+use crate::phase::{exchange, run_phase, run_sequential};
 use crate::table::TableDef;
 use crate::tuple::Tuple;
-use crate::{NodeId, Result};
+use crate::value::Value;
+use crate::{ExecError, NodeId, Result};
 use paradise_geom::{Circle, Point, Rect};
 use paradise_storage::RTree;
 
@@ -199,10 +200,12 @@ pub fn closest_join(
             Ok(msgs)
         })?
     };
-    let inbox = route(cluster, outbox)?;
+    let inbox = exchange(cluster, outbox)?;
 
-    // Step 4b: join-with-aggregate per node (expanding circle probes).
-    let per_node: Vec<Vec<(Tuple, usize, f64)>> = {
+    // Step 4b: join-with-aggregate per node (expanding circle probes). Each
+    // match leaves for the QC as one (outer, inner, distance) row.
+    let qc = cluster.coordinator_id();
+    let per_node: Vec<Vec<(NodeId, Tuple)>> = {
         let (trees, frags) = (&trees, &frags);
         let mut inbox_iter = inbox.into_iter();
         run_phase(cluster, metrics, "join with aggregate", move |node| {
@@ -223,32 +226,35 @@ pub fn closest_join(
                     || (0..frags[node].len() as u64).collect(),
                 )?;
                 if let Some((payload, d)) = found {
-                    out.push((t, payload as usize, d));
+                    let mut row = t.values;
+                    row.extend(frags[node][payload as usize].values.iter().cloned());
+                    row.push(Value::Float(d));
+                    out.push((qc, Tuple::new(row)));
                 }
             }
             Ok(out)
         })?
     };
 
+    let rows = exchange(cluster, per_node)?.swap_remove(qc);
+
     // Final sequential global aggregate: min distance per outer point.
+    let inner_arity = inner.schema.len();
     run_sequential(metrics, || {
         use std::collections::HashMap;
         let mut best: HashMap<Vec<u8>, ClosestResult> = HashMap::new();
-        for (node, rows) in per_node.into_iter().enumerate() {
-            for (outer, inner_idx, d) in rows {
-                // Results crossing back to the coordinator are network
-                // traffic when they come from another node.
-                if node != 0 {
-                    cluster.net.ship(outer.wire_size() + 16);
-                }
-                let key = outer.encode();
-                let replace = best.get(&key).is_none_or(|r| d < r.distance);
-                if replace {
-                    best.insert(
-                        key,
-                        ClosestResult { outer, inner: frags[node][inner_idx].clone(), distance: d },
-                    );
-                }
+        for mut outer in rows {
+            let d = outer.values.pop().ok_or(ExecError::Codec("empty closest row"))?.as_float()?;
+            let split = outer
+                .values
+                .len()
+                .checked_sub(inner_arity)
+                .ok_or(ExecError::Codec("short closest row"))?;
+            let inner = Tuple::new(outer.values.split_off(split));
+            let key = outer.encode();
+            let replace = best.get(&key).is_none_or(|r| d < r.distance);
+            if replace {
+                best.insert(key, ClosestResult { outer, inner, distance: d });
             }
         }
         let mut out: Vec<ClosestResult> = best.into_values().collect();

@@ -1,5 +1,5 @@
-//! Relational join algorithms (paper §2.4): nested loops, indexed nested
-//! loops, and dynamic-memory Grace hash join.
+//! Relational join algorithms (paper §2.4): nested loops and
+//! dynamic-memory Grace hash join.
 
 use crate::decluster::hash_value;
 use crate::ops::basic::concat;
@@ -27,23 +27,6 @@ pub fn nested_loops_join(
             if pred(l, r)? {
                 out.push(concat(l, r));
             }
-        }
-    }
-    Ok(out)
-}
-
-/// Indexed nested-loops join: for every outer tuple, `probe` consults an
-/// index (B+-tree or R*-tree) and returns the matching inner tuples. The
-/// optimizer replicates small outers to use this when an index exists on
-/// the inner join column (§2.4).
-pub fn indexed_nl_join(
-    outer: &[Tuple],
-    mut probe: impl FnMut(&Tuple) -> Result<Vec<Tuple>>,
-) -> Result<Vec<Tuple>> {
-    let mut out = Vec::new();
-    for o in outer {
-        for inner in probe(o)? {
-            out.push(concat(o, &inner));
         }
     }
     Ok(out)
@@ -170,17 +153,5 @@ mod tests {
         assert_eq!(out.len(), 4);
         assert!(hash_join(&[], 0, &right, 0, 1024).unwrap().is_empty());
         assert!(hash_join(&left, 0, &[], 0, 1024).unwrap().is_empty());
-    }
-
-    #[test]
-    fn indexed_join_uses_probe() {
-        let outer = vec![kv(1, "o1"), kv(2, "o2")];
-        let out = indexed_nl_join(&outer, |o| {
-            let k = o.get(0)?.as_int()?;
-            Ok(if k == 2 { vec![kv(k, "hit")] } else { vec![] })
-        })
-        .unwrap();
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].get(1).unwrap(), &Value::Str("o2".into()));
     }
 }

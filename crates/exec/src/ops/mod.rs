@@ -1,8 +1,8 @@
 //! The operator library (paper §2.4, §2.7).
 //!
 //! Operators work on materialised per-fragment tuple batches; the phase
-//! driver ([`crate::phase`]) runs them per node and the stream layer
-//! ([`crate::stream`]) pipelines them when the threaded driver is used.
+//! driver ([`crate::phase`]) runs them per node and
+//! [`crate::phase::exchange`] moves their outputs between nodes.
 
 pub mod aggregate;
 pub mod basic;

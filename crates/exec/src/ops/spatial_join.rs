@@ -1,9 +1,10 @@
 //! Spatial joins: PBSM locally, tile-partitioned + replicated in parallel
 //! (paper §2.4, §2.7.2).
 //!
-//! The parallel algorithm is the paper's two-phase scheme: (1) redecluster
+//! The parallel algorithm is the paper's two-phase scheme: (1) decluster
 //! both inputs on the shared spatial grid — shapes spanning several tiles
-//! are *replicated*; (2) every node joins the tuples of the tiles it owns
+//! are *replicated* (here at load time, [`crate::Decluster::Spatial`], so a
+//! query never repartitions); (2) every node joins the tuples of the tiles it owns
 //! with a Partition Based Spatial-Merge \[Pate96\] filter + refine pass.
 //! Replication can produce duplicate result pairs (the Wisconsin river ×
 //! US-90 example); they are eliminated with the PBSM *reference-point*
@@ -25,7 +26,7 @@
 use crate::cluster::Cluster;
 use crate::metrics::QueryMetrics;
 use crate::ops::basic::concat;
-use crate::phase::{route, run_phase};
+use crate::phase::run_phase;
 use crate::table::TableDef;
 use crate::tuple::Tuple;
 use crate::workers::TILE_MORSEL;
@@ -244,40 +245,6 @@ pub fn local_tile_join_quadratic(
     Ok(out)
 }
 
-/// Phase 1 of the parallel spatial join: redeclusters a table's tuples onto
-/// the shared grid (replicating spanning shapes), returning each node's
-/// received batch. Skip this for tables already spatially declustered —
-/// "if either of the input tables are already declustered on their joining
-/// attributes, then the first phase can be eliminated for that table".
-pub fn spatial_repartition(
-    cluster: &Cluster,
-    metrics: &mut QueryMetrics,
-    table: &TableDef,
-    col: usize,
-    phase_name: &str,
-) -> Result<Vec<Vec<Tuple>>> {
-    let outbox = run_phase(cluster, metrics, phase_name, |node| {
-        let mut msgs: Vec<(NodeId, Tuple)> = Vec::new();
-        table.scan_fragment(cluster, node, |_, t| {
-            let b = t.get(col)?.as_shape()?.bbox();
-            let mut dests: Vec<NodeId> = cluster
-                .grid()
-                .tile_ids_for_rect(&b)
-                .into_iter()
-                .map(|tile| cluster.node_for_tile(tile))
-                .collect();
-            dests.sort_unstable();
-            dests.dedup();
-            for d in dests {
-                msgs.push((d, t.clone()));
-            }
-            Ok(())
-        })?;
-        Ok(msgs)
-    })?;
-    route(cluster, outbox)
-}
-
 /// The full parallel spatial join of two spatially-declustered tables:
 /// every node joins its own fragments (phase 2 only — co-located inputs).
 pub fn parallel_spatial_join(
@@ -416,33 +383,5 @@ mod tests {
         }
         assert_eq!(total, 1);
         assert_eq!(owners.len(), 1);
-    }
-
-    #[test]
-    fn spatial_repartition_replicates_and_ships() {
-        let c = cluster(4, "sj4");
-        // A hash-declustered table being redeclustered spatially (phase 1).
-        let t = TableDef::new(
-            "roads_hash",
-            Schema::new(vec![
-                Field::new("id", DataType::Str),
-                Field::new("shape", DataType::Polyline),
-            ]),
-            Decluster::Hash { col: 0 },
-        );
-        let rows: Vec<Tuple> = (0..40)
-            .map(|i| {
-                let x = f64::from(i) * 7.0 - 140.0;
-                line(&format!("r{i}"), &[(x, -20.0), (x + 5.0, 20.0)])
-            })
-            .collect();
-        t.load(&c, rows).unwrap();
-        let mut m = QueryMetrics::default();
-        let base = c.net.snapshot();
-        let parts = spatial_repartition(&c, &mut m, &t, 1, "repartition roads").unwrap();
-        let received: usize = parts.iter().map(|v| v.len()).sum();
-        assert!(received >= 40, "every tuple must arrive somewhere");
-        assert!(c.net.since(base).tuples > 0, "repartitioning crosses nodes");
-        assert_eq!(m.phases.len(), 1);
     }
 }

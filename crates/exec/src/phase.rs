@@ -1,17 +1,18 @@
 //! The measured phase driver.
 //!
 //! A query is a sequence of *phases*. Within a phase every node processes
-//! its fragment independently (shared-nothing); between phases tuples are
-//! routed to other nodes (repartitioning / replication / collection). The
+//! its fragment independently (shared-nothing); between phases
+//! [`exchange`] moves tuples between endpoints (repartitioning, broadcast
+//! from the query coordinator, collection at the coordinator). The
 //! driver executes node fragments one after another on the host, measuring
 //! each node's busy time; [`crate::metrics::QueryMetrics::simulated_time`]
 //! then reconstructs the parallel execution time as the per-phase critical
 //! path — the paper's cost model with one CPU per node.
 
-use crate::cluster::Cluster;
+use crate::cluster::{Cluster, Transport};
 use crate::metrics::{PhaseTimes, QueryMetrics};
 use crate::tuple::Tuple;
-use crate::{NodeId, Result};
+use crate::{ExecError, NodeId, Result};
 use std::time::Instant;
 
 /// Output cardinality of a phase's per-node result, for automatic
@@ -102,57 +103,77 @@ pub fn run_sequential<O>(
     Ok(out)
 }
 
-/// Routes per-node outboxes to per-node inboxes over the cluster's
-/// transport, accounting network bytes for every tuple that crosses a
-/// node boundary. `outbox[src]` is the list of `(dest, tuple)` pairs node
-/// `src` emitted.
+/// Moves tuples between cluster endpoints — the one way a tuple crosses a
+/// node boundary. Endpoints are the data-server nodes `0..n` plus the query
+/// coordinator `n` ([`Cluster::coordinator_id`]), so the same call
+/// repartitions (node → node), broadcasts (QC → nodes) and collects
+/// (nodes → QC). `outbox[src]` lists the `(dest, tuple)` pairs endpoint
+/// `src` emits; it may be shorter than `n + 1` when the QC sends nothing.
+/// Returns one inbox per endpoint (`n + 1` of them), each holding its
+/// tuples in source order, then emission order, under every transport.
 ///
-/// Under [`crate::cluster::Transport::Local`] tuples move by ownership;
-/// under `Tcp` each cross-node `(src, dst)` batch travels through a real
-/// flow-controlled wire stream. Both paths charge identical traffic at
-/// the [`crate::stream::TupleTx::send`] choke point.
-pub fn route(cluster: &Cluster, outbox: Vec<Vec<(NodeId, Tuple)>>) -> Result<Vec<Vec<Tuple>>> {
-    let n = cluster.num_nodes();
-    let mut inbox: Vec<Vec<Tuple>> = (0..n).map(|_| Vec::new()).collect();
-    if matches!(cluster.transport(), crate::cluster::Transport::Local) {
-        for (src, msgs) in outbox.into_iter().enumerate() {
-            for (dest, tuple) in msgs {
-                if dest != src {
-                    cluster.net.ship(tuple.wire_size());
+/// Under [`Transport::Local`] tuples move by ownership; under `Tcp` each
+/// `(src, dst)` batch between distinct endpoints travels through its own
+/// flow-controlled wire stream. Both charge every tuple that crosses an
+/// endpoint boundary, and only those, to [`crate::cluster::NetStats`].
+pub fn exchange(cluster: &Cluster, outbox: Vec<Vec<(NodeId, Tuple)>>) -> Result<Vec<Vec<Tuple>>> {
+    let endpoints = cluster.coordinator_id() + 1;
+    if outbox.len() > endpoints {
+        return Err(ExecError::Other(format!(
+            "exchange: {} sources for {endpoints} endpoints",
+            outbox.len()
+        )));
+    }
+    // batches[src][dst], in emission order.
+    let mut batches: Vec<Vec<Vec<Tuple>>> = Vec::with_capacity(outbox.len());
+    for msgs in outbox {
+        let mut per_dst: Vec<Vec<Tuple>> = (0..endpoints).map(|_| Vec::new()).collect();
+        for (dst, tuple) in msgs {
+            per_dst
+                .get_mut(dst)
+                .ok_or_else(|| ExecError::Other(format!("exchange: no endpoint {dst}")))?
+                .push(tuple);
+        }
+        batches.push(per_dst);
+    }
+    let local = matches!(cluster.transport(), Transport::Local);
+    if !local {
+        ship_over_wire(cluster, &mut batches)?;
+    }
+    let mut inbox: Vec<Vec<Tuple>> = (0..endpoints).map(|_| Vec::new()).collect();
+    for (src, per_dst) in batches.into_iter().enumerate() {
+        for (dst, batch) in per_dst.into_iter().enumerate() {
+            if local && dst != src {
+                for t in &batch {
+                    cluster.net.ship(t.wire_size());
                 }
-                inbox[dest].push(tuple);
             }
-        }
-        return Ok(inbox);
-    }
-    // Wire transport: local tuples short-circuit, cross-node batches go
-    // over per-(src,dst) streams drained concurrently with the senders.
-    let mut cross: Vec<Vec<Vec<Tuple>>> =
-        (0..n).map(|_| (0..n).map(|_| Vec::new()).collect()).collect();
-    for (src, msgs) in outbox.into_iter().enumerate() {
-        for (dest, tuple) in msgs {
-            if dest == src {
-                inbox[dest].push(tuple);
-            } else {
-                cross[src][dest].push(tuple);
-            }
+            inbox[dst].extend(batch);
         }
     }
+    Ok(inbox)
+}
+
+/// The `Tcp` body of [`exchange`]: sends every non-empty batch between
+/// distinct endpoints over its own stream and replaces it with what the
+/// receiver got. Same-endpoint batches stay where they are.
+fn ship_over_wire(cluster: &Cluster, batches: &mut [Vec<Vec<Tuple>>]) -> Result<()> {
     let mut senders = Vec::new();
     let mut receivers = Vec::new();
-    for (src, per_dst) in cross.into_iter().enumerate() {
-        for (dst, batch) in per_dst.into_iter().enumerate() {
-            if batch.is_empty() {
+    for (src, per_dst) in batches.iter_mut().enumerate() {
+        for (dst, batch) in per_dst.iter_mut().enumerate() {
+            if dst == src || batch.is_empty() {
                 continue;
             }
+            let batch = std::mem::take(batch);
             let (tx, rx) = cluster.stream(crate::stream::DEFAULT_WINDOW, src, dst)?;
             senders.push(std::thread::spawn(move || -> Result<()> {
-                // `exec.route_send` injects a poisoned sender: the node's
-                // routing thread dies and the whole phase must fail
-                // cleanly rather than deliver a partial repartition.
+                // `exec.route_send` injects a poisoned sender: the
+                // endpoint's sending thread dies and the whole exchange
+                // must fail cleanly rather than deliver a partial inbox.
                 if let Err(msg) = paradise_util::failpoint::check("exec.route_send") {
-                    return Err(crate::ExecError::Other(format!(
-                        "injected fault at exec.route_send (node {src}): {msg}"
+                    return Err(ExecError::Other(format!(
+                        "injected fault at exec.route_send (endpoint {src}): {msg}"
                     )));
                 }
                 for t in batch {
@@ -160,41 +181,38 @@ pub fn route(cluster: &Cluster, outbox: Vec<Vec<(NodeId, Tuple)>>) -> Result<Vec
                 }
                 Ok(())
             }));
-            receivers.push((dst, rx));
+            receivers.push((src, dst, rx));
         }
     }
     // Drain every receiver before joining senders (senders block on flow
     // control until their stream drains), then surface the first failure.
     // A link error without a sender error means tuples were lost in
-    // flight — that MUST fail the phase: a silently short inbox would
+    // flight — that MUST fail the exchange: a silently short inbox would
     // produce wrong results rather than an error.
     let mut link_err: Option<String> = None;
-    for (dst, mut rx) in receivers {
+    for (src, dst, mut rx) in receivers {
         while let Some(t) = rx.recv() {
-            inbox[dst].push(t);
+            batches[src][dst].push(t);
         }
         if link_err.is_none() {
             link_err = rx.link_error();
         }
     }
-    let mut send_err: Option<crate::ExecError> = None;
+    let mut send_err: Option<ExecError> = None;
     for s in senders {
-        match s.join() {
-            Ok(Ok(())) => {}
-            Ok(Err(e)) => send_err = send_err.or(Some(e)),
-            Err(_) => {
-                send_err =
-                    send_err.or(Some(crate::ExecError::Other("route sender panicked".into())))
-            }
-        }
+        let err = match s.join() {
+            Ok(r) => r.err(),
+            Err(_) => Some(ExecError::Other("exchange sender panicked".into())),
+        };
+        send_err = send_err.or(err);
     }
     if let Some(e) = send_err {
         return Err(e);
     }
     if let Some(msg) = link_err {
-        return Err(crate::ExecError::Other(format!("route stream failed: {msg}")));
+        return Err(ExecError::Other(format!("exchange stream failed: {msg}")));
     }
-    Ok(inbox)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -244,22 +262,24 @@ mod tests {
 
     #[test]
     fn route_accounts_cross_node_traffic_only() {
-        let cluster = Cluster::create(&ClusterConfig::for_test(2, "route")).unwrap();
+        let cluster = Cluster::create(&ClusterConfig::for_test(2, "exchange")).unwrap();
+        let qc = cluster.coordinator_id();
         let t = |v: i64| Tuple::new(vec![Value::Int(v)]);
         let base = cluster.net.snapshot();
-        let inbox = route(
+        let inbox = exchange(
             &cluster,
             vec![
-                vec![(0, t(1)), (1, t(2))], // node 0: one local, one remote
-                vec![(0, t(3))],            // node 1: one remote
+                vec![(0, t(1)), (1, t(2)), (qc, t(4))], // node 0: one local, two remote
+                vec![(0, t(3)), (qc, t(5))],            // node 1: two remote
+                vec![(1, t(6))],                        // QC: a broadcast
             ],
         )
         .unwrap();
-        assert_eq!(inbox[0].len(), 2);
-        assert_eq!(inbox[1].len(), 1);
+        assert_eq!(inbox, vec![vec![t(1), t(3)], vec![t(2), t(6)], vec![t(4), t(5)]]);
         let d = cluster.net.since(base);
-        assert_eq!(d.tuples, 2, "only cross-node tuples are network traffic");
-        assert!(d.bytes > 0);
+        assert_eq!(d.tuples, 5, "only tuples crossing an endpoint are network traffic");
+        assert_eq!(d.bytes, 5 * t(0).wire_size() as u64);
+        assert!(exchange(&cluster, vec![vec![(qc + 1, t(7))]]).is_err(), "no such endpoint");
     }
 
     #[test]

@@ -1,35 +1,22 @@
-//! Tuple streams: the push-model plumbing of §2.3.
+//! Tuple streams: the flow-controlled links of §2.3.
 //!
 //! *"Every Paradise operator takes its input from an input stream and
 //! places its result tuples on an output stream. … Network streams also
 //! provide a flow-control mechanism that is used to regulate the execution
-//! rates of the different operators in the pipeline. Network streams can be
-//! further specialized into split streams which are used to demultiplex an
-//! output stream into multiple output streams based on a function being
-//! applied to each tuple."*
+//! rates of the different operators."*
 //!
-//! * [`mem_stream`] — same-node operator link (a bounded channel; the bound
-//!   is the flow-control window);
-//! * [`network_stream`] — cross-node link; every tuple's wire size is
-//!   charged to the cluster's [`NetStats`];
-//! * [`SplitStream`] — demultiplexes by a split function (hash /
-//!   round-robin / spatial tiles) and *replicates* a tuple to several
-//!   outputs when the split function returns several destinations
-//!   (spanning shapes, Figure 2.4);
-//! * [`FileStream`] — reads/writes a stream from/to a heap file.
+//! A stream is a [`TupleTx`]/[`TupleRx`] pair with a bounded window of
+//! tuples in flight. It comes in two physical flavours behind the same
+//! interface: an in-process bounded channel ([`network_stream`]) and
+//! *remote* endpoints supplied by a wire transport ([`remote_stream`],
+//! used by `paradise-net` to run a stream over TCP with credit-based flow
+//! control). [`crate::cluster::Cluster::stream`] picks the flavour;
+//! [`crate::phase::exchange`] is the one operator that opens streams.
 //!
-//! All stream kinds share the [`TupleTx`]/[`TupleRx`] interface, so an
-//! operator is "totally isolated from the type of stream it reads or
-//! writes" — the scheduler picks the concrete kind, as in the paper.
-//!
-//! Streams come in two physical flavours behind the same interface:
-//! in-process bounded channels (the [`mem_stream`]/[`network_stream`]
-//! constructors) and *remote* endpoints supplied by a wire transport
-//! ([`remote_stream`], used by `paradise-net` to run a stream over TCP
-//! with credit-based flow control). Network accounting happens here, in
-//! [`TupleTx::send`] — the single choke point every transported tuple
-//! passes through — so `Local` and `Tcp` transports report identical
-//! traffic for identical plans.
+//! Network accounting happens here, in [`TupleTx::send`] — the choke point
+//! every wire-transported tuple passes through — and in the `Local` body
+//! of `exchange`, so `Local` and `Tcp` transports report identical traffic
+//! for identical plans.
 
 use crate::cluster::{NetStats, NodeId};
 use crate::tuple::Tuple;
@@ -144,12 +131,6 @@ impl Iterator for TupleRx {
     }
 }
 
-/// A same-node stream with a flow-control window of `window` tuples.
-pub fn mem_stream(window: usize) -> (TupleTx, TupleRx) {
-    let (tx, rx) = sync_channel(window.max(1));
-    (TupleTx { inner: TxInner::Chan(tx), net: None }, TupleRx { inner: RxInner::Chan(rx) })
-}
-
 /// A cross-node stream: tuples crossing `src → dst` are charged to `net`.
 pub fn network_stream(
     window: usize,
@@ -181,89 +162,6 @@ pub fn remote_stream(
     )
 }
 
-/// Destination selector of a split stream. Returning more than one index
-/// replicates the tuple (spatial declustering of spanning shapes).
-pub type SplitFn = Box<dyn Fn(&Tuple) -> Vec<usize> + Send>;
-
-/// Demultiplexes one logical output onto several streams.
-pub struct SplitStream {
-    outs: Vec<TupleTx>,
-    split: SplitFn,
-}
-
-impl SplitStream {
-    /// Creates a split stream over `outs`.
-    pub fn new(outs: Vec<TupleTx>, split: SplitFn) -> Self {
-        SplitStream { outs, split }
-    }
-
-    /// Routes (and possibly replicates) one tuple.
-    pub fn push(&self, t: Tuple) -> Result<()> {
-        let dests = (self.split)(&t);
-        match dests.len() {
-            0 => Ok(()),
-            1 => self.outs[dests[0]].send(t),
-            _ => {
-                for &d in &dests {
-                    self.outs[d].send(t.clone())?;
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Number of output streams.
-    pub fn fan_out(&self) -> usize {
-        self.outs.len()
-    }
-}
-
-/// A split function that hashes column `col` (round-robin for NULLs).
-pub fn hash_split(col: usize, fan_out: usize) -> SplitFn {
-    let counter = std::sync::atomic::AtomicUsize::new(0);
-    Box::new(move |t: &Tuple| {
-        let h = match t.values.get(col) {
-            Some(v) => crate::decluster::hash_value(v),
-            None => 0,
-        };
-        if h == 0 && t.values.get(col).map(|v| v.kind()) == Some("null") {
-            let c = counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            vec![c % fan_out]
-        } else {
-            vec![(h as usize) % fan_out]
-        }
-    })
-}
-
-/// File streams: the leaf (scan) and sink (materialise) ends of a pipeline.
-pub struct FileStream;
-
-impl FileStream {
-    /// Streams every tuple of a heap file into `tx` (a scan leaf).
-    pub fn read_all(file: &paradise_storage::HeapFile, tx: &TupleTx) -> Result<()> {
-        file.for_each(|_, bytes| {
-            let t = Tuple::decode(&bytes).map_err(|_| {
-                paradise_storage::StorageError::Corrupt("undecodable tuple in heap file")
-            })?;
-            tx.send(t)
-                .map_err(|_| paradise_storage::StorageError::Corrupt("stream closed mid-scan"))?;
-            Ok(())
-        })?;
-        Ok(())
-    }
-
-    /// Drains `rx` into a heap file (a materialising sink). Returns the
-    /// number of tuples written.
-    pub fn write_all(file: &paradise_storage::HeapFile, rx: TupleRx) -> Result<usize> {
-        let mut n = 0;
-        for t in rx {
-            file.insert(&t.encode())?;
-            n += 1;
-        }
-        Ok(n)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,9 +171,14 @@ mod tests {
         Tuple::new(vec![Value::Int(v)])
     }
 
+    /// A same-node stream: no traffic is charged, only flow control.
+    fn local_stream(window: usize) -> (TupleTx, TupleRx) {
+        network_stream(window, 0, 0, Arc::new(NetStats::default()))
+    }
+
     #[test]
-    fn mem_stream_roundtrip() {
-        let (tx, rx) = mem_stream(8);
+    fn same_node_stream_roundtrip() {
+        let (tx, rx) = local_stream(8);
         std::thread::spawn(move || {
             for i in 0..100 {
                 tx.send(t(i)).unwrap();
@@ -290,7 +193,7 @@ mod tests {
     fn flow_control_blocks_fast_producer() {
         // Window of 2: producer cannot run ahead; the test completes only
         // if the consumer draining unblocks the producer (flow control).
-        let (tx, rx) = mem_stream(2);
+        let (tx, rx) = local_stream(2);
         let producer = std::thread::spawn(move || {
             for i in 0..50 {
                 tx.send(t(i)).unwrap();
@@ -319,117 +222,5 @@ mod tests {
         drop(tx);
         let _ = rx.collect();
         assert_eq!(net2.snapshot().tuples, 0);
-    }
-
-    #[test]
-    fn split_stream_routes_by_hash() {
-        // Windows must cover the worst-case skew (all 100 one way), since
-        // nothing drains until the producer finishes.
-        let (tx0, rx0) = mem_stream(128);
-        let (tx1, rx1) = mem_stream(128);
-        let split = SplitStream::new(vec![tx0, tx1], hash_split(0, 2));
-        for i in 0..100 {
-            split.push(t(i)).unwrap();
-        }
-        drop(split);
-        let a = rx0.collect();
-        let b = rx1.collect();
-        assert_eq!(a.len() + b.len(), 100);
-        assert!(!a.is_empty() && !b.is_empty(), "hash split should use both");
-        // Determinism: same value always goes the same way.
-        let (tx0, rx0) = mem_stream(16);
-        let (tx1, rx1) = mem_stream(16);
-        let split = SplitStream::new(vec![tx0, tx1], hash_split(0, 2));
-        for _ in 0..10 {
-            split.push(t(42)).unwrap();
-        }
-        drop(split);
-        let a = rx0.collect().len();
-        let b = rx1.collect().len();
-        assert!(a == 10 || b == 10);
-    }
-
-    #[test]
-    fn split_stream_backpressure_with_stalled_consumer_does_not_deadlock() {
-        // Fan-out of two with the tiniest window (1) and consumers that
-        // stall before draining: the producer must block on the full
-        // window — backpressure, not unbounded buffering — and complete
-        // once the consumers drain. Completion of this test *is* the
-        // no-deadlock proof; the assertions pin down loss and ordering.
-        let (tx0, rx0) = mem_stream(1);
-        let (tx1, rx1) = mem_stream(1);
-        let split = SplitStream::new(
-            vec![tx0, tx1],
-            Box::new(|t: &Tuple| match t.values.first() {
-                Some(Value::Int(v)) => vec![(*v as usize) % 2],
-                _ => vec![0],
-            }),
-        );
-        let producer = std::thread::spawn(move || {
-            for i in 0..200 {
-                split.push(t(i)).unwrap();
-            }
-        });
-        // Both consumers stall: the producer can be at most ~2 tuples in
-        // (one queued per window) and must still be running.
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        assert!(!producer.is_finished(), "window of 1 should have blocked the producer");
-        let c0 = std::thread::spawn(move || rx0.collect());
-        let c1 = std::thread::spawn(move || rx1.collect());
-        producer.join().unwrap();
-        let evens = c0.join().unwrap();
-        let odds = c1.join().unwrap();
-        assert_eq!(evens.len(), 100);
-        assert_eq!(odds.len(), 100);
-        // Per-output FIFO order survives the blocking.
-        for (k, row) in evens.iter().enumerate() {
-            assert_eq!(*row, t(2 * k as i64));
-        }
-        for (k, row) in odds.iter().enumerate() {
-            assert_eq!(*row, t(2 * k as i64 + 1));
-        }
-    }
-
-    #[test]
-    fn split_stream_replicates_multi_destination() {
-        let (tx0, rx0) = mem_stream(8);
-        let (tx1, rx1) = mem_stream(8);
-        let (tx2, rx2) = mem_stream(8);
-        // Every tuple goes to outputs 0 and 2 (like a spanning polygon).
-        let split = SplitStream::new(vec![tx0, tx1, tx2], Box::new(|_| vec![0, 2]));
-        split.push(t(1)).unwrap();
-        drop(split);
-        assert_eq!(rx0.collect().len(), 1);
-        assert_eq!(rx1.collect().len(), 0);
-        assert_eq!(rx2.collect().len(), 1);
-    }
-
-    #[test]
-    fn file_stream_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("paradise-fstream-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let vol = Arc::new(paradise_storage::Volume::create(dir.join("fs.vol")).unwrap());
-        let pool = Arc::new(paradise_storage::BufferPool::new(vol, 64));
-        let file = paradise_storage::HeapFile::create(pool).unwrap();
-
-        let (tx, rx) = mem_stream(16);
-        let writer = std::thread::spawn(move || {
-            for i in 0..40 {
-                tx.send(t(i)).unwrap();
-            }
-        });
-        let n = FileStream::write_all(&file, rx).unwrap();
-        writer.join().unwrap();
-        assert_eq!(n, 40);
-
-        // Drain concurrently: read_all blocks on the flow-control window
-        // when the scan outpaces the consumer.
-        let (tx, rx) = mem_stream(16);
-        let reader = std::thread::spawn(move || rx.collect());
-        FileStream::read_all(&file, &tx).unwrap();
-        drop(tx);
-        let got = reader.join().unwrap();
-        assert_eq!(got.len(), 40);
-        assert_eq!(got[7], t(7));
     }
 }

@@ -244,7 +244,9 @@ impl Value {
             Value::Int(_) | Value::Float(_) | Value::Date(_) => 9,
             Value::Str(s) => 5 + s.len(),
             Value::Shape(s) => 5 + s.num_points() * 16,
-            Value::Raster(RasterValue::Mem(r)) => 32 + r.byte_len(),
+            Value::Raster(RasterValue::Mem(r)) => {
+                32 + r.byte_len() + r.mask().map_or(0, <[u8]>::len)
+            }
             Value::Raster(RasterValue::Stored(s)) => 48 + s.tiles.len() * 16,
         }
     }
@@ -293,7 +295,8 @@ impl Value {
                 }
             }
             Value::Raster(RasterValue::Mem(r)) => {
-                out.push(7);
+                // Tag 8 is tag 7 followed by the clip mask.
+                out.push(if r.mask().is_some() { 8 } else { 7 });
                 out.push(match r.depth() {
                     BitDepth::Eight => 8,
                     BitDepth::Sixteen => 16,
@@ -303,6 +306,9 @@ impl Value {
                 out.extend_from_slice(&(r.width() as u32).to_le_bytes());
                 out.extend_from_slice(&(r.height() as u32).to_le_bytes());
                 out.extend_from_slice(r.array().data());
+                if let Some(mask) = r.mask() {
+                    out.extend_from_slice(mask);
+                }
             }
         }
     }
@@ -350,7 +356,7 @@ impl Value {
                     tiles: Arc::new(tiles),
                 }))
             }
-            7 => {
+            7 | 8 => {
                 let depth = decode_depth(take(buf, pos, 1)?[0])?;
                 let geo = decode_rect(buf, pos)?;
                 let w = u32::from_le_bytes(take(buf, pos, 4)?.try_into().unwrap()) as usize;
@@ -359,10 +365,13 @@ impl Value {
                 let data = take(buf, pos, len)?.to_vec();
                 let arr = paradise_array::NdArray::new(vec![h, w], depth.elem_type(), data)
                     .map_err(|_| ExecError::Codec("bad raster payload"))?;
-                Value::Raster(RasterValue::Mem(Arc::new(
-                    Raster::from_array(arr, depth, geo)
-                        .map_err(|_| ExecError::Codec("bad raster"))?,
-                )))
+                let mut r = Raster::from_array(arr, depth, geo)
+                    .map_err(|_| ExecError::Codec("bad raster"))?;
+                if tag == 8 {
+                    let mask = take(buf, pos, (w * h).div_ceil(8))?.to_vec();
+                    r = r.with_mask(mask).map_err(|_| ExecError::Codec("bad raster mask"))?;
+                }
+                Value::Raster(RasterValue::Mem(Arc::new(r)))
             }
             _ => return Err(ExecError::Codec("unknown value tag")),
         })
@@ -589,7 +598,21 @@ mod tests {
         let geo = Rect::from_corners(Point::new(0.0, 0.0), Point::new(10.0, 10.0)).unwrap();
         let mut r = Raster::new(4, 3, BitDepth::Eight, geo).unwrap();
         r.set_pixel(2, 1, 99).unwrap();
-        roundtrip(Value::Raster(RasterValue::Mem(Arc::new(r))));
+        roundtrip(Value::Raster(RasterValue::Mem(Arc::new(r.clone()))));
+        // A polygon clip's mask survives the round trip (`Raster`'s
+        // equality includes it) and is charged as wire bytes.
+        let tri =
+            Polygon::new(vec![Point::new(0.0, 0.0), Point::new(10.0, 0.0), Point::new(0.0, 10.0)])
+                .unwrap();
+        let clipped = r.clip(&tri).unwrap();
+        assert!(clipped.mask().is_some());
+        let masked = Value::Raster(RasterValue::Mem(Arc::new(clipped)));
+        assert_eq!(
+            masked.wire_size(),
+            Value::Raster(RasterValue::Mem(Arc::new(r))).wire_size() + 2,
+            "4x3 pixels need two mask bytes"
+        );
+        roundtrip(masked);
     }
 
     #[test]

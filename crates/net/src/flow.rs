@@ -1,7 +1,7 @@
 //! Credit-based flow control.
 //!
 //! A wire stream mirrors the semantics of the engine's bounded channels
-//! (`mem_stream`/`network_stream` with a window of `W` tuples): at most
+//! (`network_stream` with a window of `W` tuples): at most
 //! `W` tuples are in flight between sender and receiver, and a sender
 //! whose receiver stalls blocks — identical backpressure behaviour on
 //! both transports.

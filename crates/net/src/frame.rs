@@ -46,15 +46,6 @@ pub enum Frame {
     PullTile([u8; 10]),
     /// Successful pull response: the raw (possibly compressed) tile bytes.
     TileData(Vec<u8>),
-    /// Start a remote scan operator: the data server streams every tuple
-    /// of heap file `file` back over this connection (credit-controlled),
-    /// then sends [`Frame::Eos`].
-    Scan {
-        /// Fragment heap-file name on the serving node.
-        file: String,
-        /// Flow-control window granted to the server.
-        window: u32,
-    },
     /// Request failed on the serving side.
     Error(String),
     /// QC → DS: send back a snapshot of this node's metrics registry
@@ -70,7 +61,7 @@ const TAG_EOS: u8 = 3;
 const TAG_CREDIT: u8 = 4;
 const TAG_PULL: u8 = 5;
 const TAG_TILE: u8 = 6;
-const TAG_SCAN: u8 = 7;
+// Tag 7 is retired (it carried a removed request); do not reuse it.
 const TAG_ERROR: u8 = 8;
 const TAG_STATS_PULL: u8 = 9;
 const TAG_STATS_REPLY: u8 = 10;
@@ -162,11 +153,6 @@ impl Frame {
                 body.push(TAG_TILE);
                 body.extend_from_slice(bytes);
             }
-            Frame::Scan { file, window } => {
-                body.push(TAG_SCAN);
-                body.extend_from_slice(&window.to_le_bytes());
-                body.extend_from_slice(file.as_bytes());
-            }
             Frame::Error(msg) => {
                 body.push(TAG_ERROR);
                 body.extend_from_slice(msg.as_bytes());
@@ -210,16 +196,6 @@ impl Frame {
                 Frame::PullTile(oid)
             }
             TAG_TILE => Frame::TileData(payload.to_vec()),
-            TAG_SCAN => {
-                if payload.len() < 4 {
-                    return Err(ExecError::Codec("bad Scan payload"));
-                }
-                Frame::Scan {
-                    window: u32::from_le_bytes(payload[0..4].try_into().unwrap()),
-                    file: String::from_utf8(payload[4..].to_vec())
-                        .map_err(|_| ExecError::Codec("bad Scan file name"))?,
-                }
-            }
             TAG_ERROR => Frame::Error(String::from_utf8_lossy(payload).into_owned()),
             TAG_STATS_PULL => {
                 if !payload.is_empty() {
@@ -374,7 +350,6 @@ mod tests {
         roundtrip(Frame::Credit(9000));
         roundtrip(Frame::PullTile([7; 10]));
         roundtrip(Frame::TileData(vec![0; 4096]));
-        roundtrip(Frame::Scan { file: "__frag_roads".into(), window: 64 });
         roundtrip(Frame::Error("tile file missing".into()));
         roundtrip(Frame::StatsPull);
         roundtrip(Frame::StatsReply(Vec::new()));

@@ -10,14 +10,14 @@
 //! the TCP implementation:
 //!
 //! * [`frame`] — length-prefixed binary frames (tuples, credits, tile
-//!   pulls, remote scans);
+//!   and stats pulls);
 //! * [`flow`] — credit-based flow control mirroring the bounded-channel
 //!   windows of local streams, so backpressure behaves identically on
 //!   both transports;
 //! * [`conn`] — connect/read timeouts and bounded exponential-backoff
 //!   retry;
 //! * [`server`] — the data-server accept loop (tuple streams, §2.5.2 tile
-//!   pulls, remote fragment scans);
+//!   pulls, stats pulls);
 //! * [`transport`] — [`TcpTransport`], the [`paradise_exec::WireTransport`]
 //!   implementation a cluster installs with
 //!   `cluster.set_transport(Transport::Tcp(t))`.

@@ -3,18 +3,16 @@
 //! Paper §2.2/Figure 2.1: each node runs a Data Server process; the Query
 //! Coordinator talks to all of them. Here one [`DataServer`] listens per
 //! cluster endpoint (every DS node plus one store-less listener for the
-//! QC) and serves three kinds of connection:
+//! QC) and serves two kinds of connection:
 //!
 //! * **tuple streams** — a peer opens with [`Frame::OpenStream`] and
 //!   pushes credit-controlled tuples into the registered [`Inbox`];
 //! * **tile pulls** — [`Frame::PullTile`] requests are answered from the
-//!   node's raster tile file (§2.5.2); a connection serves many pulls;
-//! * **remote scans** — [`Frame::Scan`] starts a scan operator on the
-//!   serving node, streaming a fragment's tuples back under the client's
-//!   credit window.
+//!   node's raster tile file (§2.5.2), and [`Frame::StatsPull`] requests
+//!   from the node's metrics registry; a connection serves many of both.
 
 use crate::conn::NetConfig;
-use crate::flow::{CreditGate, Inbox};
+use crate::flow::Inbox;
 use crate::frame::{read_frame, write_frame, Frame, ReadOutcome};
 use paradise_exec::raster_store::TILE_FILE;
 use paradise_exec::{ExecError, Result, Tuple};
@@ -140,10 +138,6 @@ fn handle(
                     return;
                 }
             }
-            Ok(ReadOutcome::Frame(Frame::Scan { file, window })) => {
-                serve_scan(conn, store.as_deref(), &cfg, &file, window);
-                return;
-            }
             Ok(ReadOutcome::Frame(Frame::StatsPull)) => {
                 // Stats connections are pooled like pull connections: one
                 // socket can interleave tile pulls and stats pulls.
@@ -253,55 +247,4 @@ fn serve_pull(conn: &mut TcpStream, store: Option<&Store>, oid_bytes: &[u8; 10])
             write_frame(conn, &Frame::Error(e.to_string())).map(|_| ())
         }
     }
-}
-
-/// Runs a scan operator for a remote peer: every record of the fragment's
-/// heap file goes back as a tuple frame, gated by the client's credits.
-fn serve_scan(
-    mut conn: TcpStream,
-    store: Option<&Store>,
-    cfg: &NetConfig,
-    file: &str,
-    window: u32,
-) {
-    let Some(file) = store.and_then(|s| s.file(file)) else {
-        let _ = write_frame(&mut conn, &Frame::Error(format!("no fragment file {file:?}")));
-        return;
-    };
-    let gate = Arc::new(CreditGate::with_events(u64::from(window), cfg.events.clone()));
-    // Reverse direction: the client returns credits as it consumes.
-    let Ok(mut back) = conn.try_clone() else {
-        let _ = write_frame(&mut conn, &Frame::Error("credit channel failed".into()));
-        return;
-    };
-    let gate2 = gate.clone();
-    std::thread::spawn(move || loop {
-        match read_frame(&mut back) {
-            Ok(ReadOutcome::Frame(Frame::Credit(n))) => gate2.grant(u64::from(n)),
-            Ok(ReadOutcome::Idle) => {}
-            Ok(ReadOutcome::Frame(_)) | Ok(ReadOutcome::Closed) | Err(_) => {
-                gate2.close("scan client went away");
-                return;
-            }
-        }
-    });
-    let mut failure: Option<ExecError> = None;
-    let walk = file.for_each(|_, bytes| {
-        let step = gate
-            .acquire(cfg.send_timeout)
-            .and_then(|()| write_frame(&mut conn, &Frame::Tuple(bytes)).map(|_| ()));
-        if let Err(e) = step {
-            failure = Some(e);
-            return Err(paradise_storage::StorageError::Corrupt("remote scan aborted"));
-        }
-        Ok(())
-    });
-    if let Some(e) = failure {
-        let _ = write_frame(&mut conn, &Frame::Error(e.to_string()));
-    } else if let Err(e) = walk {
-        let _ = write_frame(&mut conn, &Frame::Error(e.to_string()));
-    } else {
-        let _ = write_frame(&mut conn, &Frame::Eos);
-    }
-    let _ = conn.shutdown(std::net::Shutdown::Both);
 }

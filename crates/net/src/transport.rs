@@ -33,6 +33,9 @@ pub struct WireStats {
     pub bytes_sent: AtomicU64,
     /// Frames written to sockets.
     pub frames_sent: AtomicU64,
+    /// Tuple frames written to sockets — every tuple that crossed an
+    /// endpoint boundary over TCP.
+    pub tuples_sent: AtomicU64,
 }
 
 /// The sending endpoint of one TCP tuple stream.
@@ -51,6 +54,7 @@ impl RemoteTx for TcpTx {
         let n = write_frame(&mut *conn, &Frame::Tuple(t.encode()))?;
         self.stats.bytes_sent.fetch_add(n as u64, Ordering::Relaxed);
         self.stats.frames_sent.fetch_add(1, Ordering::Relaxed);
+        self.stats.tuples_sent.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 }
@@ -87,75 +91,6 @@ impl Drop for InboxRx {
         // A receiver dropped before EOS must release the connection
         // reader, which may be blocked pushing into a full inbox.
         self.inbox.close_receiver();
-    }
-}
-
-/// Reads tuple frames straight off a socket (remote-scan results),
-/// returning one credit per consumed tuple.
-struct ScanRx {
-    conn: TcpStream,
-    done: bool,
-    error: Option<String>,
-    idle_limit: u32,
-}
-
-impl RemoteRx for ScanRx {
-    fn recv(&mut self) -> Option<Tuple> {
-        if self.done {
-            return None;
-        }
-        let mut idles = 0;
-        loop {
-            match read_frame(&mut self.conn) {
-                Ok(ReadOutcome::Frame(Frame::Tuple(bytes))) => match Tuple::decode(&bytes) {
-                    Ok(t) => {
-                        let _ = write_frame(&mut self.conn, &Frame::Credit(1));
-                        return Some(t);
-                    }
-                    Err(e) => {
-                        self.error = Some(format!("tuple decode: {e}"));
-                        self.done = true;
-                        return None;
-                    }
-                },
-                Ok(ReadOutcome::Frame(Frame::Eos)) => {
-                    self.done = true;
-                    return None;
-                }
-                Ok(ReadOutcome::Frame(Frame::Error(msg))) => {
-                    self.error = Some(msg);
-                    self.done = true;
-                    return None;
-                }
-                Ok(ReadOutcome::Frame(_)) => {
-                    self.error = Some("unexpected frame in scan stream".into());
-                    self.done = true;
-                    return None;
-                }
-                Ok(ReadOutcome::Idle) => {
-                    idles += 1;
-                    if idles > self.idle_limit {
-                        self.error = Some("remote scan timed out".into());
-                        self.done = true;
-                        return None;
-                    }
-                }
-                Ok(ReadOutcome::Closed) => {
-                    self.error = Some("server closed scan before EOS".into());
-                    self.done = true;
-                    return None;
-                }
-                Err(e) => {
-                    self.error = Some(e.to_string());
-                    self.done = true;
-                    return None;
-                }
-            }
-        }
-    }
-
-    fn link_error(&self) -> Option<String> {
-        self.error.clone()
     }
 }
 
@@ -215,8 +150,9 @@ impl TcpTransport {
     }
 
     /// Publishes the wire-level counters into a metrics registry as lazy
-    /// collectors (`net.wire.bytes_sent`, `net.wire.frames_sent`), so an
-    /// `EXPLAIN ANALYZE` profile can prove traffic really crossed sockets.
+    /// collectors (`net.wire.bytes_sent`, `net.wire.frames_sent`,
+    /// `net.wire.tuples_sent`), so an `EXPLAIN ANALYZE` profile can prove
+    /// traffic really crossed sockets.
     pub fn register_metrics(&self, obs: &paradise_obs::MetricsRegistry) {
         let stats = self.stats.clone();
         obs.register_collector("net.wire.bytes_sent", move || {
@@ -225,6 +161,10 @@ impl TcpTransport {
         let stats = self.stats.clone();
         obs.register_collector("net.wire.frames_sent", move || {
             stats.frames_sent.load(Ordering::Relaxed)
+        });
+        let stats = self.stats.clone();
+        obs.register_collector("net.wire.tuples_sent", move || {
+            stats.tuples_sent.load(Ordering::Relaxed)
         });
     }
 
@@ -242,25 +182,6 @@ impl TcpTransport {
 
     fn endpoint_addr(&self, id: NodeId) -> Result<SocketAddr> {
         self.addr(id).ok_or_else(|| ExecError::Other(format!("no endpoint {id} in this cluster")))
-    }
-
-    /// Starts a scan operator on `owner`'s data server and returns the
-    /// result stream (§2.3's remote scan leaf: the fragment's tuples come
-    /// back over the wire under a credit window).
-    pub fn remote_scan(
-        &self,
-        owner: NodeId,
-        file: &str,
-        window: usize,
-    ) -> Result<Box<dyn RemoteRx>> {
-        self.ensure_up()?;
-        let mut conn = connect_with_retry(self.endpoint_addr(owner)?, &self.cfg)?;
-        let window = u32::try_from(window.max(1)).unwrap_or(u32::MAX);
-        let n = write_frame(&mut conn, &Frame::Scan { file: file.to_string(), window })?;
-        self.stats.bytes_sent.fetch_add(n as u64, Ordering::Relaxed);
-        self.stats.frames_sent.fetch_add(1, Ordering::Relaxed);
-        // Allow generous idling: an upstream-stalled scan is not an error.
-        Ok(Box::new(ScanRx { conn, done: false, error: None, idle_limit: 600 }))
     }
 
     fn pooled_pull_conn(&self, owner: NodeId) -> Result<TcpStream> {

@@ -260,7 +260,8 @@ impl WorkerPool {
         result.map(|()| out)
     }
 
-    /// Real scoped threads with dynamic morsel claiming.
+    /// Real scoped threads with dynamic morsel claiming. The calling
+    /// thread is worker 0, so only `threads - 1` threads are spawned.
     fn run_threads<O, E, F>(
         &self,
         threads: usize,
@@ -277,27 +278,26 @@ impl WorkerPool {
         // plus its total busy time.
         type WorkerOut<O, E> = (Vec<(usize, Result<O, E>)>, Duration);
         let next = AtomicUsize::new(0);
+        let work = || -> WorkerOut<O, E> {
+            let mut local = Vec::new();
+            let mut busy = Duration::ZERO;
+            loop {
+                let m = next.fetch_add(1, Ordering::Relaxed);
+                if m >= num_morsels {
+                    break;
+                }
+                let t0 = Instant::now();
+                let r = f(morsel_range(m));
+                busy += t0.elapsed();
+                local.push((m, r));
+            }
+            (local, busy)
+        };
         let per_worker: Vec<WorkerOut<O, E>> = thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local = Vec::new();
-                        let mut busy = Duration::ZERO;
-                        loop {
-                            let m = next.fetch_add(1, Ordering::Relaxed);
-                            if m >= num_morsels {
-                                break;
-                            }
-                            let t0 = Instant::now();
-                            let r = f(morsel_range(m));
-                            busy += t0.elapsed();
-                            local.push((m, r));
-                        }
-                        (local, busy)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("pool worker panicked")).collect()
+            let handles: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
+            let mut outs = vec![work()];
+            outs.extend(handles.into_iter().map(|h| h.join().expect("pool worker panicked")));
+            outs
         });
 
         let mut busy_per_worker = vec![Duration::ZERO; self.workers];

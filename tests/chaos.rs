@@ -299,22 +299,23 @@ fn poisoned_sender_fails_phase_cleanly_and_cluster_stays_usable() {
     let base = encoded_rows(&queries::q6(&db, &us).expect("baseline"));
 
     // Result collection: one poisoned node fails the whole query…
-    let armed = failpoint::armed("exec.collect_send", Policy::error_once("node poisoned"));
+    let armed = failpoint::armed("exec.route_send", Policy::error_once("node poisoned"));
     let err = queries::q6(&db, &us).expect_err("poisoned collect must fail the query");
-    assert!(err.to_string().contains("exec.collect_send"), "unexpected error: {err}");
+    assert!(err.to_string().contains("exec.route_send"), "unexpected error: {err}");
     drop(armed);
     // …and the database is immediately usable again.
     assert_eq!(encoded_rows(&queries::q6(&db, &us).expect("after poison")), base);
 
-    // Repartition: same contract on the route() exchange.
+    // Repartition: same contract on a node-to-node exchange.
     let outbox = |n: i64| vec![vec![(1usize, test_tuple(n))], vec![(0usize, test_tuple(n + 1))]];
     let armed = failpoint::armed("exec.route_send", Policy::error("node poisoned"));
-    let err = paradise::exec::phase::route(db.cluster(), outbox(1))
-        .expect_err("poisoned route must fail the phase");
+    let err = paradise::exec::phase::exchange(db.cluster(), outbox(1))
+        .expect_err("poisoned exchange must fail the phase");
     assert!(err.to_string().contains("exec.route_send"), "unexpected error: {err}");
     drop(armed);
-    let inbox = paradise::exec::phase::route(db.cluster(), outbox(10)).expect("route after poison");
-    assert_eq!(inbox[0].len() + inbox[1].len(), 2, "route works again once disarmed");
+    let inbox =
+        paradise::exec::phase::exchange(db.cluster(), outbox(10)).expect("exchange after poison");
+    assert_eq!(inbox[0].len() + inbox[1].len(), 2, "exchange works again once disarmed");
 }
 
 // ---------------------------------------------------------------------

@@ -219,7 +219,7 @@ fn random_frame(rng: &mut Rng) -> paradise::net::frame::Frame {
     use paradise::net::frame::Frame;
     let name: String =
         (0..rng.gen_range(1usize..20)).map(|_| (b'a' + (rng.index(26) as u8)) as char).collect();
-    match rng.index(10) {
+    match rng.index(9) {
         0 => Frame::OpenStream { stream: rng.next_u64(), window: rng.next_u64() as u32 },
         1 => {
             let n = rng.gen_range(0usize..256);
@@ -236,9 +236,8 @@ fn random_frame(rng: &mut Rng) -> paradise::net::frame::Frame {
             let n = rng.gen_range(0usize..512);
             Frame::TileData(rng.bytes(n))
         }
-        6 => Frame::Scan { file: name, window: rng.next_u64() as u32 },
-        7 => Frame::Error(name),
-        8 => Frame::StatsPull,
+        6 => Frame::Error(name),
+        7 => Frame::StatsPull,
         _ => Frame::StatsReply((0..rng.gen_range(0usize..8)).map(|_| random_sample(rng)).collect()),
     }
 }

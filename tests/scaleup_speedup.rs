@@ -2,6 +2,10 @@
 //! speedup (fixed data, more nodes → less simulated time for the heavy
 //! queries) and scaleup (data grown with nodes → roughly flat time), plus
 //! the §3.1.3 data-scaleup invariants.
+//!
+//! Every test here serialises on one mutex: the speedup check compares
+//! measured busy times, which other tests loading data on the same CPUs
+//! would distort.
 
 use paradise::queries;
 use paradise::{Paradise, ParadiseConfig};
@@ -9,6 +13,14 @@ use paradise_datagen::tables::{
     drainage_table, land_cover_table, populated_places_table, raster_table, roads_table, World,
     WorldSpec,
 };
+use std::sync::{Mutex, MutexGuard, OnceLock};
+
+/// Serialises the tests of this file (poison-tolerant, so one failed test
+/// does not wedge the rest).
+fn serial() -> MutexGuard<'static, ()> {
+    static GATE: OnceLock<Mutex<()>> = OnceLock::new();
+    GATE.get_or_init(|| Mutex::new(())).lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn load(nodes: usize, scale: usize, tag: &str) -> Paradise {
     let world = World::generate(WorldSpec::paper_ratio(3, scale, 3000));
@@ -39,6 +51,7 @@ fn sim3(mut f: impl FnMut() -> f64) -> f64 {
 
 #[test]
 fn q13_speeds_up_with_more_nodes() {
+    let _g = serial();
     // The paper's heaviest query (Q13) "uniformly showed good speedup".
     let db2 = load(2, 1, "sp");
     let db8 = load(8, 1, "sp");
@@ -50,6 +63,7 @@ fn q13_speeds_up_with_more_nodes() {
 
 #[test]
 fn q2_scales_up_roughly_flat() {
+    let _g = serial();
     // Scaleup: double the nodes AND the data — per-node work stays put.
     let a = load(2, 1, "su");
     let b = load(4, 2, "su");
@@ -76,6 +90,7 @@ fn q2_scales_up_roughly_flat() {
 
 #[test]
 fn data_scaleup_matches_table_31_shape() {
+    let _g = serial();
     // Table 3.1's columns: tuple counts double for the vector tables,
     // raster tuple count stays fixed while raster bytes double.
     let w1 = World::generate(WorldSpec::paper_ratio(1, 1, 4000));
@@ -102,6 +117,7 @@ fn data_scaleup_matches_table_31_shape() {
 
 #[test]
 fn spatial_skew_exists_but_many_partitions_smooth_it() {
+    let _g = serial();
     // §2.7.1: with few partitions the land/ocean skew is dramatic; with
     // thousands of tiles the per-NODE load evens out.
     let world = World::generate(WorldSpec::paper_ratio(8, 1, 4000));

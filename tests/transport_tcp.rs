@@ -8,12 +8,15 @@
 //! killing a data server.
 
 use paradise::exec::cluster::{Cluster, ClusterConfig, Transport};
+use paradise::exec::value::Date;
 use paradise::exec::value::Value;
 use paradise::exec::{Tuple, WireTransport};
+use paradise::geom::Point;
 use paradise::net::{NetConfig, TcpTransport};
 use paradise::{queries, Paradise, ParadiseConfig, TransportKind};
 use paradise_datagen::tables::{
-    self, land_cover_table, populated_places_table, raster_table, World, WorldSpec, QUERY_CHANNEL,
+    self, drainage_table, land_cover_table, populated_places_table, raster_table, roads_table,
+    World, WorldSpec, LARGE_CITY, OIL_FIELD, QUERY_CHANNEL,
 };
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -24,8 +27,9 @@ fn fresh_dir(tag: &str) -> PathBuf {
     d
 }
 
-/// Benchmark-shaped database: rasters (Q2) and landCover with an R-tree
-/// (Q6), loaded from the same deterministic tiny world either side.
+/// Benchmark-shaped database: all five Sequoia tables with the name index
+/// and the landCover R-tree, loaded from the same deterministic tiny world
+/// either side.
 fn build_db(tag: &str, world: &World, kind: TransportKind) -> Paradise {
     let mut db = Paradise::create(
         ParadiseConfig::new(fresh_dir(tag), 2)
@@ -36,10 +40,15 @@ fn build_db(tag: &str, world: &World, kind: TransportKind) -> Paradise {
     .expect("create cluster");
     db.define_table(raster_table().with_tile_bytes(4096));
     db.define_table(populated_places_table());
+    db.define_table(roads_table());
+    db.define_table(drainage_table());
     db.define_table(land_cover_table());
     db.load_table("raster", world.rasters.iter().cloned()).expect("load rasters");
     db.load_table("populatedPlaces", world.populated_places.iter().cloned()).expect("load places");
+    db.load_table("roads", world.roads.iter().cloned()).expect("load roads");
+    db.load_table("drainage", world.drainage.iter().cloned()).expect("load drainage");
     db.load_table("landCover", world.land_cover.iter().cloned()).expect("load landCover");
+    db.create_btree_index("populatedPlaces", queries::PP_NAME).expect("name index");
     db.create_rtree_index("landCover", queries::LC_SHAPE).expect("landCover rtree");
     db.commit().expect("commit");
     db
@@ -49,27 +58,38 @@ fn encoded_rows(rows: &[Tuple]) -> Vec<Vec<u8>> {
     rows.iter().map(Tuple::encode).collect()
 }
 
-/// Q2 and Q6 (raster clip + spatial index scan — the benchmark shapes that
-/// stress tuple shipping and remote tile pulls) must return byte-identical
-/// rows and identical network accounting under both transports.
+type Query<'a> = (&'static str, Box<dyn Fn(&Paradise) -> paradise::QueryResult + 'a>);
+
+/// Q2, Q6, Q9 and Q14 (raster clip, spatial index scan, polygon-clipped
+/// rasters — the benchmark shapes that stress tuple shipping and remote
+/// tile pulls) must return identical rows and identical network accounting
+/// under both transports.
 #[test]
 fn q2_q6_identical_results_and_accounting_across_transports() {
     let world = World::generate(WorldSpec::tiny(7));
     let us = tables::us_polygon();
+    let d = tables::query_date();
     let local = build_db("local", &world, TransportKind::Local);
     let tcp = build_db("tcp", &world, TransportKind::Tcp);
 
-    for (name, run) in [
+    let runs: Vec<Query> = vec![
+        ("q2", Box::new(|db| queries::q2(db, QUERY_CHANNEL, &us).expect("q2"))),
+        ("q6", Box::new(|db| queries::q6(db, &us).expect("q6"))),
+        ("q9", Box::new(move |db| queries::q9(db, d, QUERY_CHANNEL, OIL_FIELD).expect("q9"))),
         (
-            "q2",
-            &(|db: &Paradise| queries::q2(db, QUERY_CHANNEL, &us).expect("q2"))
-                as &dyn Fn(&Paradise) -> paradise::QueryResult,
+            "q14",
+            Box::new(move |db| {
+                queries::q14(db, d, Date(d.0 + 270), QUERY_CHANNEL, OIL_FIELD).expect("q14")
+            }),
         ),
-        ("q6", &|db: &Paradise| queries::q6(db, &us).expect("q6")),
-    ] {
+    ];
+    for (name, run) in &runs {
         let a = run(&local);
         let b = run(&tcp);
         assert_eq!(a.columns, b.columns, "{name}: column mismatch");
+        // Structural equality sees what the encoding carries and more: a
+        // raster's clip mask is part of `Raster`'s equality.
+        assert!(a.rows == b.rows, "{name}: rows differ between Local and Tcp");
         assert_eq!(
             encoded_rows(&a.rows),
             encoded_rows(&b.rows),
@@ -253,4 +273,42 @@ fn catalog_metrics_over_tcp_reflects_wire_stats() {
         .expect("wire counter row");
     let v = val(wire_row, 2);
     assert!(v >= before && v <= after, "wire row {v} outside [{before}, {after}]");
+}
+
+/// Every tuple a query charges as network traffic really crossed a socket
+/// under Tcp: `net_tuples` equals the change in the transport's count of
+/// tuple frames written, for each Sequoia query that moves tuples between
+/// endpoints (collection, broadcast from the QC, repartitioning).
+#[test]
+fn charged_tuples_are_the_tuples_framed_onto_sockets() {
+    let world = World::generate(WorldSpec::tiny(13));
+    let db = build_db("honest", &world, TransportKind::Tcp);
+    let us = tables::us_polygon();
+    let d = tables::query_date();
+    let runs: Vec<Query> = vec![
+        ("q2", Box::new(|db| queries::q2(db, QUERY_CHANNEL, &us).expect("q2"))),
+        ("q3", Box::new(|db| queries::q3(db, d, &us, false).expect("q3"))),
+        ("q3 declustered", Box::new(|db| queries::q3(db, d, &us, true).expect("q3"))),
+        ("q6", Box::new(|db| queries::q6(db, &us).expect("q6"))),
+        ("q8", Box::new(|db| queries::q8(db, "Louisville", 8.0).expect("q8"))),
+        ("q9", Box::new(move |db| queries::q9(db, d, QUERY_CHANNEL, OIL_FIELD).expect("q9"))),
+        ("q11", Box::new(|db| queries::q11(db, Point::new(-89.4, 43.1)).expect("q11"))),
+        ("q12", Box::new(|db| queries::q12(db, LARGE_CITY, true).expect("q12"))),
+        ("q12 broadcast", Box::new(|db| queries::q12(db, LARGE_CITY, false).expect("q12"))),
+        (
+            "q14",
+            Box::new(move |db| {
+                queries::q14(db, d, Date(d.0 + 270), QUERY_CHANNEL, OIL_FIELD).expect("q14")
+            }),
+        ),
+    ];
+    let sent = || db.obs().get("net.wire.tuples_sent").expect("wire tuple counter");
+    for (name, run) in &runs {
+        let before = sent();
+        let r = run(&db);
+        let framed = sent() - before;
+        assert_eq!(r.metrics.net_tuples, framed, "{name}: charged vs framed tuples");
+        // Plain Q3 moves only raster tiles (pulls), never tuples.
+        assert!(framed > 0 || *name == "q3", "{name}: no tuple crossed a socket");
+    }
 }
