@@ -456,10 +456,10 @@ impl Drop for Cluster {
     }
 }
 
-/// Publishes one node's pre-existing storage atomics (buffer pool, WAL)
-/// into the node's *own* registry under unprefixed names — this is the
-/// snapshot that travels over the wire in a `StatsReply`; the QC attaches
-/// the `node=<id>` label when it aggregates.
+/// Publishes one node's pre-existing storage atomics (buffer pool, WAL,
+/// R*-tree decodes) into the node's *own* registry under unprefixed names —
+/// this is the snapshot that travels over the wire in a `StatsReply`; the
+/// QC attaches the `node=<id>` label when it aggregates.
 fn register_node_metrics(obs: &MetricsRegistry, store: &Arc<Store>) {
     macro_rules! pool_stat {
         ($field:ident) => {{
@@ -484,6 +484,8 @@ fn register_node_metrics(obs: &MetricsRegistry, store: &Arc<Store>) {
     wal_stat!(commits);
     wal_stat!(pages);
     wal_stat!(bytes);
+    let decodes = store.clone();
+    obs.register_collector("rtree.decodes", move || decodes.rtree_decodes());
     // The live cached-frame level, tracked with gauge deltas inside the
     // pool (no recompute-and-set race), plus the static capacity.
     obs.register_gauge("buffer.frames_cached", store.pool().frames_gauge());

@@ -238,24 +238,20 @@ impl TableDef {
                 Ok(())
             })?;
             let tree = RTree::bulk_load(entries);
-            let file = cluster.node(node).store.create_file(&self.rtree_index_file(col))?;
-            file.insert(&tree.to_bytes())?;
+            cluster.node(node).store.put_rtree(&self.rtree_index_file(col), &tree)?;
         }
         Ok(())
     }
 
-    /// Loads one node's persisted R*-tree index on `col`, wired to the
-    /// cluster's `rtree.node_visits` metric so index selectivity shows up
-    /// in the registry.
+    /// Opens one node's persisted R*-tree index on `col`: a handle to the
+    /// tree the node's store decoded (see [`paradise_storage::Store::rtree`]),
+    /// wired to the cluster's `rtree.node_visits` metric so index
+    /// selectivity shows up in the registry.
     pub fn rtree_index(&self, cluster: &Cluster, node: NodeId, col: usize) -> Result<RTree> {
-        let file =
-            cluster.node(node).store.file(&self.rtree_index_file(col)).ok_or_else(|| {
+        let mut tree =
+            cluster.node(node).store.rtree(&self.rtree_index_file(col))?.ok_or_else(|| {
                 ExecError::NotFound(format!("rtree index on {}.{col}", self.name))
             })?;
-        let rows = file.scan()?;
-        let bytes =
-            rows.first().ok_or_else(|| ExecError::NotFound("empty rtree index file".into()))?;
-        let mut tree = RTree::from_bytes(&bytes.1)?;
         tree.set_visit_counter(cluster.obs().counter("rtree.node_visits"));
         Ok(tree)
     }
@@ -450,6 +446,58 @@ mod tests {
         }
         // x = 2i - 60 in [-10, 10] => i in [25, 35] => 11 points
         assert_eq!(hits, 11);
+    }
+
+    #[test]
+    fn rebuilt_rtree_index_holds_every_stored_row() {
+        // Regression: a rebuild used to append a second blob to the index
+        // file while `rtree_index` kept reading the first one.
+        let c = cluster(2, "t8");
+        let t = TableDef::new("pp", cities_schema(), Decluster::RoundRobin);
+        t.load(&c, (0..10).map(|i| city(i, f64::from(i as i32), 0.0, "x"))).unwrap();
+        t.build_rtree_index(&c, 2).unwrap();
+        t.load(&c, (10..60).map(|i| city(i, f64::from(i as i32), 0.0, "x"))).unwrap();
+        t.build_rtree_index(&c, 2).unwrap();
+        let indexed: u64 =
+            (0..2).map(|node| t.rtree_index(&c, node, 2).unwrap().len() as u64).sum();
+        assert_eq!(indexed, t.stored_count(&c));
+        assert_eq!(indexed, 60);
+    }
+
+    #[test]
+    fn rtree_index_is_decoded_once_per_flush() {
+        let c = cluster(1, "t9");
+        let t = TableDef::new("pp", cities_schema(), Decluster::RoundRobin);
+        t.load(&c, (0..500).map(|i| city(i, f64::from(i as i32) / 10.0, 0.0, "x"))).unwrap();
+        t.build_rtree_index(&c, 2).unwrap();
+        c.commit_all().unwrap();
+        let node = c.node(0);
+        let stat = |name: &str| node.obs.get(name).unwrap();
+        let pages_read = || stat("buffer.hits") + stat("buffer.misses");
+        // Cold: after a flush the blob's pages are read and decoded again.
+        c.flush_caches().unwrap();
+        let (misses0, decodes0) = (stat("buffer.misses"), stat("rtree.decodes"));
+        let cold = t.rtree_index(&c, 0, 2).unwrap();
+        assert!(stat("buffer.misses") > misses0, "cold open read no page");
+        assert_eq!(stat("rtree.decodes"), decodes0 + 1);
+        // Warm: a second open shares the decoded tree and touches no page.
+        let (pages0, decodes1) = (pages_read(), stat("rtree.decodes"));
+        let warm = t.rtree_index(&c, 0, 2).unwrap();
+        assert_eq!(pages_read(), pages0, "warm open read a page");
+        assert_eq!(stat("rtree.decodes"), decodes1);
+        assert_eq!(warm.len(), cold.len());
+        // The shared tree still reports node visits per search.
+        let visits = c.obs().counter("rtree.node_visits");
+        let before = visits.get();
+        let window = Rect::from_corners(Point::new(0.0, -1.0), Point::new(1.0, 1.0)).unwrap();
+        assert_eq!(warm.search(&window).len(), 11);
+        assert!(visits.get() > before);
+        // The next flush makes the open cold again.
+        c.flush_caches().unwrap();
+        let misses1 = stat("buffer.misses");
+        t.rtree_index(&c, 0, 2).unwrap();
+        assert!(stat("buffer.misses") > misses1);
+        assert_eq!(stat("rtree.decodes"), decodes1 + 1);
     }
 
     #[test]

@@ -7,6 +7,15 @@
 //! serializes to a byte string so it can be persisted as a large object —
 //! on-the-fly indexes are rebuilt per query exactly as in the paper.
 //!
+//! The root sits behind an `Arc`, so `clone()` is O(1) and hands out
+//! another handle to the same nodes; `insert` copies on write. A persisted
+//! tree is decoded once by [`crate::Store::rtree`] and shared by every
+//! statement that opens it until the next `flush_cache`, `drop_entry` or
+//! `put_rtree` of its file (or a reopen of the store) — the in-memory
+//! counterpart of SHORE keeping the index pages in the buffer pool. Q12's
+//! on-the-fly trees are built, probed and dropped within one query and
+//! never pass through that cache.
+//!
 //! Implemented: R* ChooseSubtree (overlap-minimising at the leaf level),
 //! R* split (margin-driven axis choice, overlap-driven distribution),
 //! forced reinsertion (30% of entries, once per level per insertion), STR
@@ -18,6 +27,7 @@ use paradise_geom::{Circle, Point, Rect};
 use paradise_obs::Counter;
 use std::cmp::Ordering as CmpOrd;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 /// Maximum entries per node.
 const MAX_ENTRIES: usize = 16;
@@ -44,14 +54,18 @@ impl Node {
 }
 
 /// An in-memory R*-tree mapping rectangles to `u64` payloads.
+///
+/// Cloning is O(1): clones share the nodes and copy them on the first
+/// `insert` into a shared tree.
 #[derive(Debug, Clone)]
 pub struct RTree {
-    root: Node,
+    root: Arc<Node>,
     height: usize, // 1 = root is a leaf
     len: usize,
     /// Optional observability hook: counts tree nodes touched by searches.
-    /// `Counter` clones share the underlying atomic, so cloned trees keep
-    /// publishing into the same metric.
+    /// It belongs to this handle, not to the shared nodes: a clone starts
+    /// with the same `Counter` (clones share the atomic) and may replace it
+    /// without affecting other handles.
     visits: Option<Counter>,
 }
 
@@ -64,7 +78,7 @@ impl Default for RTree {
 impl RTree {
     /// An empty tree.
     pub fn new() -> Self {
-        RTree { root: Node::Leaf(Vec::new()), height: 1, len: 0, visits: None }
+        RTree { root: Arc::new(Node::Leaf(Vec::new())), height: 1, len: 0, visits: None }
     }
 
     /// Attach a counter that is bumped once per tree node touched by
@@ -98,7 +112,8 @@ impl RTree {
         }
     }
 
-    /// Inserts `(rect, value)`.
+    /// Inserts `(rect, value)`. A tree whose nodes other handles share is
+    /// copied first, so those handles never see the insert.
     pub fn insert(&mut self, rect: Rect, value: u64) {
         self.len += 1;
         // Forced reinsertion: entries evicted from an overflowing node are
@@ -107,16 +122,15 @@ impl RTree {
         let mut allow_reinsert = true;
         while let Some((r, v)) = pending.pop() {
             let mut reinserted = Vec::new();
+            let root = Arc::make_mut(&mut self.root);
             if let Some((left, right)) =
-                Self::insert_rec(&mut self.root, self.height, r, v, allow_reinsert, &mut reinserted)
+                Self::insert_rec(root, self.height, r, v, allow_reinsert, &mut reinserted)
             {
                 // Root split: grow the tree.
-                let old = std::mem::replace(&mut self.root, Node::Inner(Vec::new()));
-                let _ = old; // replaced below
-                self.root = Node::Inner(vec![
+                self.root = Arc::new(Node::Inner(vec![
                     (left.bbox(), Box::new(left)),
                     (right.bbox(), Box::new(right)),
-                ]);
+                ]));
                 self.height += 1;
             }
             pending.extend(reinserted);
@@ -343,7 +357,7 @@ impl RTree {
             level = next;
             height += 1;
         }
-        RTree { root: level.pop().expect("non-empty"), height, len, visits: None }
+        RTree { root: Arc::new(level.pop().expect("non-empty")), height, len, visits: None }
     }
 
     /// Serializes the tree to bytes (persistable as a large object).
@@ -427,7 +441,7 @@ impl RTree {
         let len = u64::from_le_bytes(bytes[0..8].try_into().unwrap()) as usize;
         let height = u16::from_le_bytes(bytes[8..10].try_into().unwrap()) as usize;
         let mut pos = 10;
-        let root = rec(bytes, &mut pos)?;
+        let root = Arc::new(rec(bytes, &mut pos)?);
         Ok(RTree { root, height, len, visits: None })
     }
 }
@@ -714,6 +728,33 @@ mod tests {
         let before = visits.get();
         t2.search(&r(0.0, 0.0, 1.0, 1.0));
         assert!(visits.get() > before);
+        // ...until a handle attaches its own: the other keeps the old one.
+        let mut t3 = t.clone();
+        let own = Counter::new();
+        t3.set_visit_counter(own.clone());
+        let before = visits.get();
+        t3.search(&r(0.0, 0.0, 1.0, 1.0));
+        assert_eq!(visits.get(), before);
+        assert!(own.get() > 0);
+    }
+
+    #[test]
+    fn insert_into_clone_leaves_original_unchanged() {
+        let data = rnd_rects(300);
+        let original = RTree::bulk_load(data.clone());
+        let mut copy = original.clone();
+        let far = r(5000.0, 5000.0, 5001.0, 5001.0);
+        for i in 0..40 {
+            copy.insert(far, 10_000 + i); // forces splits down the shared path
+        }
+        assert_eq!(copy.len(), 340);
+        assert_eq!(copy.search(&far).len(), 40);
+        assert_eq!(original.len(), 300);
+        assert!(original.search(&far).is_empty());
+        let everything = r(-1e9, -1e9, 1e9, 1e9);
+        let mut ids: Vec<u64> = original.search(&everything).iter().map(|(_, v)| *v).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, (0..300).collect::<Vec<u64>>());
     }
 
     #[test]

@@ -1,20 +1,27 @@
 //! The per-disk storage manager facade.
 //!
 //! A [`Store`] bundles one volume, its buffer pool, its write-ahead log and
-//! a small persistent directory of named heap files and B+-trees. Every
-//! simulated Paradise node owns one `Store` per disk (paper §3.2: four
+//! a small persistent directory of named heap files, B+-trees and R*-trees.
+//! Every simulated Paradise node owns one `Store` per disk (paper §3.2: four
 //! database disks per node).
+//!
+//! An R*-tree is persisted as one serialized blob in a heap file of its
+//! own ([`Store::put_rtree`]). [`Store::rtree`] decodes that blob on first
+//! use and then hands out O(1) handles to the decoded tree until the entry
+//! is replaced or dropped, the cache is flushed or the store is reopened.
 
 use crate::btree::{BTree, BTreeMeta};
 use crate::buffer::BufferPool;
 use crate::heap::{HeapFile, HeapMeta};
 use crate::page::{PageId, SlotId};
+use crate::rtree::RTree;
 use crate::volume::Volume;
 use crate::wal::Wal;
 use crate::{Result, StorageError};
 use paradise_util::sync::Mutex;
 use std::collections::HashMap;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Object identifier: (page, slot) within a store's volume — SHORE's OID.
@@ -59,6 +66,11 @@ pub struct Store {
     wal: Wal,
     dir_page: PageId,
     entries: Mutex<HashMap<String, Entry>>,
+    /// Decoded R*-trees by file name, filled lazily by [`Store::rtree`].
+    /// Lock order: `rtrees` before `entries`.
+    rtrees: Mutex<HashMap<String, RTree>>,
+    /// Blobs decoded by [`Store::rtree`] (cache misses).
+    rtree_decodes: AtomicU64,
 }
 
 impl Store {
@@ -73,7 +85,15 @@ impl Store {
             let g = pool.get_new(dir_page)?;
             g.write().insert(&encode_dir(&[])?)?;
         }
-        let store = Store { vol, pool, wal, dir_page, entries: Mutex::new(HashMap::new()) };
+        let store = Store {
+            vol,
+            pool,
+            wal,
+            dir_page,
+            entries: Mutex::new(HashMap::new()),
+            rtrees: Mutex::default(),
+            rtree_decodes: AtomicU64::new(0),
+        };
         store.commit()?;
         Ok(store)
     }
@@ -100,7 +120,15 @@ impl Store {
                 entries.insert(name, e);
             }
         }
-        Ok(Store { vol, pool, wal, dir_page, entries: Mutex::new(entries) })
+        Ok(Store {
+            vol,
+            pool,
+            wal,
+            dir_page,
+            entries: Mutex::new(entries),
+            rtrees: Mutex::default(),
+            rtree_decodes: AtomicU64::new(0),
+        })
     }
 
     /// The buffer pool.
@@ -156,6 +184,44 @@ impl Store {
         }
     }
 
+    /// Persists `tree` as the R*-tree named `name`, replacing any existing
+    /// entry of that name: the old file is dropped, a new one created and
+    /// the serialized tree written to it as one blob.
+    pub fn put_rtree(&self, name: &str, tree: &RTree) -> Result<()> {
+        let mut rtrees = self.rtrees.lock();
+        rtrees.remove(name);
+        self.drop_file(name)?;
+        self.create_file(name)?.insert(&tree.to_bytes())?;
+        Ok(())
+    }
+
+    /// A handle to the R*-tree named `name`, or `None` if there is no such
+    /// file. The blob is read and decoded only on the first call after the
+    /// store was opened, [`Store::flush_cache`] ran or the entry was
+    /// replaced ([`Store::put_rtree`]) or dropped ([`Store::drop_entry`]);
+    /// later calls clone the decoded tree in O(1).
+    pub fn rtree(&self, name: &str) -> Result<Option<RTree>> {
+        let mut rtrees = self.rtrees.lock();
+        if let Some(tree) = rtrees.get(name) {
+            return Ok(Some(tree.clone()));
+        }
+        let Some(file) = self.file(name) else {
+            return Ok(None);
+        };
+        let rows = file.scan()?;
+        let (_, blob) = rows.first().ok_or(StorageError::Corrupt("empty rtree file"))?;
+        let tree = RTree::from_bytes(blob)?;
+        self.rtree_decodes.fetch_add(1, Ordering::Relaxed);
+        rtrees.insert(name.to_string(), tree.clone());
+        Ok(Some(tree))
+    }
+
+    /// How many R*-tree blobs [`Store::rtree`] has decoded (for the
+    /// metrics registry).
+    pub fn rtree_decodes(&self) -> u64 {
+        self.rtree_decodes.load(Ordering::Relaxed)
+    }
+
     /// Drops a named file or index, returning its extents to the volume —
     /// how temporary tables and their LOB files disappear (§2.5.2).
     ///
@@ -163,6 +229,14 @@ impl Store {
     /// back): a stale dirty frame flushed later would overwrite the free
     /// list link the volume threads through each freed extent's first page.
     pub fn drop_entry(&self, name: &str) -> Result<()> {
+        let mut rtrees = self.rtrees.lock();
+        rtrees.remove(name);
+        self.drop_file(name)
+    }
+
+    /// [`Store::drop_entry`] without touching the decoded R*-trees; callers
+    /// hold the `rtrees` lock.
+    fn drop_file(&self, name: &str) -> Result<()> {
         let e = self.entries.lock().remove(name);
         let extents = match &e {
             Some(Entry::Heap(f)) => f.meta().extents,
@@ -216,9 +290,11 @@ impl Store {
         self.wal.truncate()
     }
 
-    /// Flushes and empties the buffer pool (the benchmark's between-query
-    /// cache flush).
+    /// Flushes and empties the buffer pool and forgets every decoded
+    /// R*-tree (the benchmark's between-query cache flush): the next
+    /// [`Store::rtree`] reads and decodes its blob again.
     pub fn flush_cache(&self) -> Result<()> {
+        self.rtrees.lock().clear();
         self.pool.flush_and_clear()
     }
 }
@@ -455,5 +531,55 @@ mod tests {
         let t = store.btree("idx").unwrap();
         assert_eq!(t.get(b"key1").unwrap(), Some(11));
         assert_eq!(t.get(b"key2").unwrap(), Some(22));
+    }
+
+    fn rtree_of(n: usize) -> RTree {
+        use paradise_geom::{Point, Rect};
+        let entries = (0..n)
+            .map(|i| {
+                let p = Point::new(i as f64, i as f64);
+                (Rect::from_corners(p, p).unwrap(), i as u64)
+            })
+            .collect();
+        RTree::bulk_load(entries)
+    }
+
+    #[test]
+    fn put_rtree_replaces_and_rtree_decodes_once() {
+        let store = Store::create(base("s8"), 64).unwrap();
+        assert!(store.rtree("rt").unwrap().is_none());
+        store.put_rtree("rt", &rtree_of(10)).unwrap();
+        assert_eq!(store.rtree_decodes(), 0, "filled lazily, not at build time");
+        assert_eq!(store.rtree("rt").unwrap().unwrap().len(), 10);
+        assert_eq!(store.rtree("rt").unwrap().unwrap().len(), 10);
+        assert_eq!(store.rtree_decodes(), 1);
+        // A rebuild replaces the file and the decoded tree.
+        store.put_rtree("rt", &rtree_of(60)).unwrap();
+        assert_eq!(store.file("rt").unwrap().count(), 1, "one blob per index file");
+        assert_eq!(store.rtree("rt").unwrap().unwrap().len(), 60);
+        assert_eq!(store.rtree_decodes(), 2);
+        // A cache flush forgets the decoded tree.
+        store.flush_cache().unwrap();
+        assert_eq!(store.rtree("rt").unwrap().unwrap().len(), 60);
+        assert_eq!(store.rtree_decodes(), 3);
+        // So does a drop.
+        store.drop_entry("rt").unwrap();
+        assert!(store.rtree("rt").unwrap().is_none());
+        assert!(store.names().is_empty());
+    }
+
+    #[test]
+    fn rtree_survives_reopen() {
+        let b = base("s9");
+        {
+            let store = Store::create(&b, 64).unwrap();
+            store.put_rtree("rt", &rtree_of(25)).unwrap();
+            store.commit().unwrap();
+            assert_eq!(store.rtree("rt").unwrap().unwrap().len(), 25);
+        }
+        let store = Store::open(&b, 64).unwrap();
+        assert_eq!(store.rtree_decodes(), 0);
+        assert_eq!(store.rtree("rt").unwrap().unwrap().len(), 25);
+        assert_eq!(store.rtree_decodes(), 1);
     }
 }
