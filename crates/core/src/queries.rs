@@ -26,7 +26,7 @@ use paradise_exec::phase::{exchange, run_phase, run_sequential};
 use paradise_exec::raster_store;
 use paradise_exec::table::unpack_oid;
 use paradise_exec::value::{Date, RasterValue, StoredRaster, Value};
-use paradise_exec::{ExecError, NodeId, Tuple};
+use paradise_exec::{ExecError, NodeId, Row, Tuple};
 use paradise_geom::{Circle, Point, Polygon, Shape};
 use std::sync::Arc;
 use std::time::Instant;
@@ -98,8 +98,8 @@ fn broadcast(db: &Paradise, rows: Vec<Tuple>) -> Result<Vec<Vec<Tuple>>> {
     Ok(inbox)
 }
 
-fn stored_raster(t: &Tuple, col: usize) -> Result<&StoredRaster> {
-    match t.get(col)? {
+fn stored_raster(row: &Row, col: usize) -> Result<StoredRaster> {
+    match row.get(col)? {
         Value::Raster(RasterValue::Stored(sr)) => Ok(sr),
         other => Err(ExecError::Type { expected: "stored raster", got: other.kind().to_string() }),
     }
@@ -115,14 +115,14 @@ pub fn q2(db: &Paradise, channel: i64, clip: &Polygon) -> Result<QueryResult> {
     let raster = db.table("raster")?;
     let per_node = run_phase(db.cluster(), &mut m, "scan + clip rasters", |node| {
         let mut rows = Vec::new();
-        raster.scan_fragment(db.cluster(), node, |_, t| {
-            if t.get(RASTER_CHANNEL)?.as_int()? != channel {
+        raster.scan_fragment(db.cluster(), node, |_, row| {
+            if row.int(RASTER_CHANNEL)? != channel {
                 return Ok(());
             }
-            let sr = stored_raster(&t, RASTER_DATA)?;
-            if let Some((clipped, _)) = raster_store::clip_stored(db.cluster(), node, sr, clip)? {
+            let sr = stored_raster(row, RASTER_DATA)?;
+            if let Some((clipped, _)) = raster_store::clip_stored(db.cluster(), node, &sr, clip)? {
                 rows.push(Tuple::new(vec![
-                    t.get(RASTER_DATE)?.clone(),
+                    row.get(RASTER_DATE)?,
                     Value::Raster(RasterValue::Mem(Arc::new(clipped))),
                 ]));
             }
@@ -158,9 +158,9 @@ pub fn q3(
     // Locate the matching rasters (metadata only — cheap).
     let located = run_phase(db.cluster(), &mut m, "locate rasters", |node| {
         let mut srs: Vec<StoredRaster> = Vec::new();
-        raster.scan_fragment(db.cluster(), node, |_, t| {
-            if t.get(RASTER_DATE)?.as_date()? == date {
-                srs.push(stored_raster(&t, RASTER_DATA)?.clone());
+        raster.scan_fragment(db.cluster(), node, |_, row| {
+            if row.date(RASTER_DATE)? == date {
+                srs.push(stored_raster(row, RASTER_DATA)?);
             }
             Ok(())
         })?;
@@ -277,17 +277,16 @@ pub fn q4(
     let raster = db.table("raster")?;
     let per_node = run_phase(db.cluster(), &mut m, "select + clip + lower_res", |node| {
         let mut rows = Vec::new();
-        raster.scan_fragment(db.cluster(), node, |_, t| {
-            if t.get(RASTER_DATE)?.as_date()? != date || t.get(RASTER_CHANNEL)?.as_int()? != channel
-            {
+        raster.scan_fragment(db.cluster(), node, |_, row| {
+            if row.date(RASTER_DATE)? != date || row.int(RASTER_CHANNEL)? != channel {
                 return Ok(());
             }
-            let sr = stored_raster(&t, RASTER_DATA)?;
-            if let Some((clipped, _)) = raster_store::clip_stored(db.cluster(), node, sr, clip)? {
+            let sr = stored_raster(row, RASTER_DATA)?;
+            if let Some((clipped, _)) = raster_store::clip_stored(db.cluster(), node, &sr, clip)? {
                 let low = clipped.lower_res(factor)?;
                 rows.push(Tuple::new(vec![
-                    t.get(RASTER_DATE)?.clone(),
-                    t.get(RASTER_CHANNEL)?.clone(),
+                    Value::Date(date),
+                    Value::Int(channel),
                     Value::Raster(RasterValue::Mem(Arc::new(low))),
                 ]));
             }
@@ -480,11 +479,13 @@ fn broadcast_oil_polygons(
     let lc = db.table("landCover")?;
     let per_node = run_phase(db.cluster(), m, "select oil fields", |node| {
         let mut out = Vec::new();
-        lc.scan_fragment(db.cluster(), node, |_, t| {
-            if t.get(LC_TYPE)?.as_int()? == oil_type
-                && matches!(t.get(LC_SHAPE)?.as_shape()?, Shape::Polygon(_))
-            {
-                out.push(Tuple::new(vec![t.get(LC_ID)?.clone(), t.get(LC_SHAPE)?.clone()]));
+        lc.scan_fragment(db.cluster(), node, |_, row| {
+            if row.int(LC_TYPE)? != oil_type {
+                return Ok(());
+            }
+            let shape = row.get(LC_SHAPE)?;
+            if matches!(shape.as_shape()?, Shape::Polygon(_)) {
+                out.push(Tuple::new(vec![row.get(LC_ID)?, shape]));
             }
             Ok(())
         })?;
@@ -538,11 +539,11 @@ fn q9_q14_impl(
     let polys = broadcast_oil_polygons(db, &mut m, oil_type)?;
     let per_node = run_phase(db.cluster(), &mut m, "clip rasters by polygons", |node| {
         let mut rows = Vec::new();
-        raster.scan_fragment(db.cluster(), node, |_, t| {
-            if t.get(RASTER_CHANNEL)?.as_int()? != channel {
+        raster.scan_fragment(db.cluster(), node, |_, row| {
+            if row.int(RASTER_CHANNEL)? != channel {
                 return Ok(());
             }
-            let d = t.get(RASTER_DATE)?.as_date()?;
+            let d = row.date(RASTER_DATE)?;
             let matches = match (exact, range) {
                 (Some(e), _) => d == e,
                 (None, Some((lo, hi))) => d >= lo && d <= hi,
@@ -551,13 +552,13 @@ fn q9_q14_impl(
             if !matches {
                 return Ok(());
             }
-            let sr = stored_raster(&t, RASTER_DATA)?;
+            let sr = stored_raster(row, RASTER_DATA)?;
             for poly in &polys[node] {
                 let shape = poly.get(0)?;
                 let Shape::Polygon(p) = shape.as_shape()? else {
                     return Err(ExecError::Type { expected: "polygon", got: "shape".into() });
                 };
-                if let Some((clipped, _)) = raster_store::clip_stored(db.cluster(), node, sr, p)? {
+                if let Some((clipped, _)) = raster_store::clip_stored(db.cluster(), node, &sr, p)? {
                     rows.push(Tuple::new(vec![
                         shape.clone(),
                         Value::Raster(RasterValue::Mem(Arc::new(clipped))),
@@ -587,9 +588,9 @@ pub fn q10(db: &Paradise, clip: &Polygon, threshold: f64) -> Result<QueryResult>
         let store = &db.cluster().node(node).store;
         store.create_file(&op_file)?;
         let mut rows = Vec::new();
-        raster.scan_fragment(db.cluster(), node, |_, t| {
-            let sr = stored_raster(&t, RASTER_DATA)?;
-            let Some((clipped, _)) = raster_store::clip_stored(db.cluster(), node, sr, clip)?
+        raster.scan_fragment(db.cluster(), node, |_, row| {
+            let sr = stored_raster(row, RASTER_DATA)?;
+            let Some((clipped, _)) = raster_store::clip_stored(db.cluster(), node, &sr, clip)?
             else {
                 return Ok(());
             };
@@ -600,8 +601,8 @@ pub fn q10(db: &Paradise, clip: &Polygon, threshold: f64) -> Result<QueryResult>
             let _ = oid;
             if clipped.average().unwrap_or(0.0) > threshold {
                 rows.push(Tuple::new(vec![
-                    t.get(RASTER_DATE)?.clone(),
-                    t.get(RASTER_CHANNEL)?.clone(),
+                    row.get(RASTER_DATE)?,
+                    row.get(RASTER_CHANNEL)?,
                     Value::Raster(RasterValue::Mem(Arc::new(clipped))),
                 ]));
             }
@@ -627,16 +628,19 @@ pub fn q11(db: &Paradise, point: Point) -> Result<QueryResult> {
     let net0 = db.cluster().net.snapshot();
     let roads = db.table("roads")?;
     // Phase 1: local "closest" aggregate per road type; each partial leaves
-    // for the QC as the road tuple plus its `Float` distance.
+    // for the QC as the road tuple plus its `Float` distance. Each row is
+    // tested on its type and in-place shape distance; only a row that beats
+    // its type's best so far (strict `<`: the first in scan order wins a
+    // tie) is decoded.
     let partials = run_phase(db.cluster(), &mut m, "local closest per type", |node| {
         let mut best: std::collections::BTreeMap<i64, (f64, Tuple)> =
             std::collections::BTreeMap::new();
-        roads.scan_fragment(db.cluster(), node, |_, t| {
-            let ty = t.get(LINE_TYPE)?.as_int()?;
-            let d = t.get(LINE_SHAPE)?.as_shape()?.distance_to_point(&point);
+        roads.scan_fragment(db.cluster(), node, |_, row| {
+            let ty = row.int(LINE_TYPE)?;
+            let d = row.shape(LINE_SHAPE)?.distance_to_point(&point);
             let replace = best.get(&ty).is_none_or(|(bd, _)| d < *bd);
             if replace {
-                best.insert(ty, (d, t));
+                best.insert(ty, (d, row.to_tuple()?));
             }
             Ok(())
         })?;
@@ -687,9 +691,9 @@ pub fn q12(db: &Paradise, large_city_type: i64, use_semi_join: bool) -> Result<Q
     // Select the large cities from the (spatially declustered) places.
     let cities = run_phase(db.cluster(), &mut m, "select large cities", |node| {
         let mut out = Vec::new();
-        pp.scan_fragment(db.cluster(), node, |_, t| {
-            if t.get(PP_TYPE)?.as_int()? == large_city_type {
-                out.push(t);
+        pp.scan_fragment(db.cluster(), node, |_, row| {
+            if row.int(PP_TYPE)? == large_city_type {
+                out.push(row.to_tuple()?);
             }
             Ok(())
         })?;

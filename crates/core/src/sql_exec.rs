@@ -225,6 +225,43 @@ fn find_clip_polygon(stmt: &SelectStmt) -> Option<Result<Polygon>> {
     exprs.into_iter().find_map(search).map(const_polygon)
 }
 
+/// Fails unless `plan` evaluates every WHERE conjunct (`evaluated`): a
+/// matched benchmark shape must not drop a predicate silently.
+fn check_conjuncts(stmt: &SelectStmt, plan: &str, evaluated: impl Fn(&Expr) -> bool) -> Result<()> {
+    match stmt.conjuncts().into_iter().find(|c| !evaluated(c)) {
+        Some(c) => Err(err(format!("the {plan} plan does not evaluate the WHERE conjunct `{c}`"))),
+        None => Ok(()),
+    }
+}
+
+/// `e` is the column `table.column` (qualified, case-insensitive).
+fn is_column(e: &Expr, table: &str, column: &str) -> bool {
+    matches!(e, Expr::Column { table: Some(t), column: c }
+        if t.eq_ignore_ascii_case(table) && c.eq_ignore_ascii_case(column))
+}
+
+/// `e` is `a overlaps b` or `b overlaps a` for the columns `a` and `b`.
+fn is_overlaps(e: &Expr, a: (&str, &str), b: (&str, &str)) -> bool {
+    let Expr::Binary { op: BinOp::Overlaps, lhs, rhs } = e else {
+        return false;
+    };
+    let col = |e: &Expr, (t, c): (&str, &str)| is_column(e, t, c);
+    (col(lhs, a) && col(rhs, b)) || (col(lhs, b) && col(rhs, a))
+}
+
+/// The `N` of a `populatedPlaces.type = N` conjunct (either operand order).
+fn city_type_eq(e: &Expr) -> Option<i64> {
+    let Expr::Binary { op: BinOp::Eq, lhs, rhs } = e else {
+        return None;
+    };
+    match (lhs.as_ref(), rhs.as_ref()) {
+        (c, Expr::Int(n)) | (Expr::Int(n), c) if is_column(c, "populatedplaces", "type") => {
+            Some(*n)
+        }
+        _ => None,
+    }
+}
+
 fn proj_mentions(stmt: &SelectStmt, method: &str) -> bool {
     match &stmt.projection {
         Projection::Exprs(exprs) => exprs.iter().any(|e| e.mentions_method(method)),
@@ -467,20 +504,30 @@ pub fn match_plan(stmt: &SelectStmt) -> Result<Plan> {
     // --- Q11 ----------------------------------------------------------------
     if only("roads") && proj_has_call(stmt, "closest") {
         let p = find_closest_point(stmt).ok_or_else(|| err("closest(shape, Point(x, y))"))?;
+        check_conjuncts(stmt, "Q11", |_| false)?;
         return Ok(Plan::Q11 { point: p? });
     }
 
     // --- Q12 -----------------------------------------------------------------
     if pair("drainage", "populatedplaces") && proj_has_call(stmt, "closest") {
-        let city_type = match find_cmp(stmt, "type", BinOp::Eq).map(eval_const).transpose()? {
-            Some(Value::Int(t)) => t,
-            _ => 1,
-        };
+        let location_overlaps_shape =
+            |c: &Expr| is_overlaps(c, ("populatedplaces", "location"), ("drainage", "shape"));
+        check_conjuncts(stmt, "Q12", |c| location_overlaps_shape(c) || city_type_eq(c).is_some())?;
+        let city_type = stmt
+            .conjuncts()
+            .into_iter()
+            .find_map(city_type_eq)
+            .ok_or_else(|| err("Q12 needs populatedPlaces.type = N"))?;
         return Ok(Plan::Q12 { city_type });
     }
 
     // --- Q13 ----------------------------------------------------------------
     if pair("drainage", "roads") {
+        let shapes_overlap = |c: &Expr| is_overlaps(c, ("drainage", "shape"), ("roads", "shape"));
+        check_conjuncts(stmt, "Q13", shapes_overlap)?;
+        if !stmt.conjuncts().into_iter().any(shapes_overlap) {
+            return Err(err("Q13 needs drainage.shape overlaps roads.shape"));
+        }
         return Ok(Plan::Q13);
     }
 

@@ -185,6 +185,10 @@ pub struct Node {
     /// data server serves to `StatsPull`; the QC labels each snapshot
     /// with `node=<id>` when aggregating.
     pub obs: Arc<MetricsRegistry>,
+    /// `scan.rows`: rows this node's fragment scans handed to callbacks.
+    pub scan_rows: Counter,
+    /// `scan.decoded`: rows those callbacks materialised as whole tuples.
+    pub scan_decoded: Counter,
 }
 
 /// A simulated cluster: the query coordinator's view of all nodes.
@@ -220,8 +224,8 @@ impl Cluster {
             let base = cfg.base_dir.join(format!("node{id}"));
             let store = Arc::new(Store::create(&base, cfg.pool_pages)?);
             let obs = Arc::new(MetricsRegistry::new());
-            register_node_metrics(&obs, &store);
-            nodes.push(Arc::new(Node { id, store, obs }));
+            let [scan_rows, scan_decoded] = register_node_metrics(&obs, &store);
+            nodes.push(Arc::new(Node { id, store, obs, scan_rows, scan_decoded }));
         }
         let grid = Grid::with_tile_count(cfg.universe, cfg.grid_tiles).map_err(ExecError::Geom)?;
         let net = Arc::new(NetStats::default());
@@ -459,8 +463,9 @@ impl Drop for Cluster {
 /// Publishes one node's pre-existing storage atomics (buffer pool, WAL,
 /// R*-tree decodes) into the node's *own* registry under unprefixed names —
 /// this is the snapshot that travels over the wire in a `StatsReply`; the
-/// QC attaches the `node=<id>` label when it aggregates.
-fn register_node_metrics(obs: &MetricsRegistry, store: &Arc<Store>) {
+/// QC attaches the `node=<id>` label when it aggregates. Returns the node's
+/// `scan.rows` and `scan.decoded` counters.
+fn register_node_metrics(obs: &MetricsRegistry, store: &Arc<Store>) -> [Counter; 2] {
     macro_rules! pool_stat {
         ($field:ident) => {{
             let store = store.clone();
@@ -491,6 +496,8 @@ fn register_node_metrics(obs: &MetricsRegistry, store: &Arc<Store>) {
     obs.register_gauge("buffer.frames_cached", store.pool().frames_gauge());
     let capacity = store.pool().capacity() as u64;
     obs.register_collector("buffer.capacity", move || capacity);
+    // Fragment scans (`TableDef::scan_fragment`) add to these per page.
+    [obs.counter("scan.rows"), obs.counter("scan.decoded")]
 }
 
 /// Publishes the cluster-wide [`NetStats`] into the QC registry as lazy

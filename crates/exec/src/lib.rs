@@ -43,8 +43,8 @@ pub use phase::RowCounted;
 pub use schema::{DataType, Field, Schema};
 pub use stream::{RemoteRx, RemoteTx};
 pub use table::TableDef;
-pub use tuple::Tuple;
-pub use value::{Date, StoredRaster, Value};
+pub use tuple::{Row, Tuple};
+pub use value::{Date, ShapeRef, StoredRaster, Value};
 
 use paradise_array::ArrayError;
 use paradise_geom::GeomError;

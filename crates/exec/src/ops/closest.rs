@@ -5,7 +5,7 @@ use crate::cluster::Cluster;
 use crate::metrics::QueryMetrics;
 use crate::phase::{exchange, run_phase, run_sequential};
 use crate::table::TableDef;
-use crate::tuple::Tuple;
+use crate::tuple::{Row, Tuple};
 use crate::value::Value;
 use crate::{ExecError, NodeId, Result};
 use paradise_geom::{Circle, Point, Rect};
@@ -147,17 +147,21 @@ pub fn closest_join(
 ) -> Result<Vec<ClosestResult>> {
     let n = cluster.num_nodes();
 
-    // Step 3: per-node on-the-fly index over the inner fragments.
-    let mut frags: Vec<Vec<Tuple>> = Vec::with_capacity(n);
+    // Step 3: per-node on-the-fly index over the inner fragments. The scan
+    // reads only each row's bounding box and keeps the encoded record;
+    // candidates' distances are computed in place, and only matches are
+    // decoded.
+    let mut frags: Vec<Records> = Vec::with_capacity(n);
     let mut trees: Vec<RTree> = Vec::with_capacity(n);
     {
         let mut built = run_phase(cluster, metrics, "build local index", |node| {
-            let frag = inner.fragment_tuples(cluster, node)?;
-            let entries: Vec<(Rect, u64)> = frag
-                .iter()
-                .enumerate()
-                .map(|(i, t)| Ok((t.get(inner_col)?.as_shape()?.bbox(), i as u64)))
-                .collect::<Result<_>>()?;
+            let mut frag = Records::default();
+            let mut entries: Vec<(Rect, u64)> = Vec::new();
+            inner.scan_fragment(cluster, node, |_, row| {
+                entries.push((row.shape(inner_col)?.bbox(), entries.len() as u64));
+                frag.push(row.as_bytes());
+                Ok(())
+            })?;
             let mut tree = RTree::bulk_load(entries);
             tree.set_visit_counter(cluster.obs().counter("rtree.node_visits"));
             Ok((frag, tree))
@@ -182,10 +186,7 @@ pub fn closest_join(
                 })?;
                 let local = use_semi_join
                     && semi_join_is_local(cluster, &trees[node], &p, |payload| {
-                        Ok(frags[node][payload as usize]
-                            .get(inner_col)?
-                            .as_shape()?
-                            .distance_to_point(&p))
+                        frags[node].distance(payload, inner_col, &p)
                     })?;
                 if local {
                     msgs.push((node, t));
@@ -217,17 +218,12 @@ pub fn closest_join(
                     &trees[node],
                     &p,
                     &cluster.grid().universe(),
-                    |payload| {
-                        Ok(frags[node][payload as usize]
-                            .get(inner_col)?
-                            .as_shape()?
-                            .distance_to_point(&p))
-                    },
+                    |payload| frags[node].distance(payload, inner_col, &p),
                     || (0..frags[node].len() as u64).collect(),
                 )?;
                 if let Some((payload, d)) = found {
                     let mut row = t.values;
-                    row.extend(frags[node][payload as usize].values.iter().cloned());
+                    row.extend(frags[node].row(payload)?.to_tuple()?.values);
                     row.push(Value::Float(d));
                     out.push((qc, Tuple::new(row)));
                 }
@@ -261,6 +257,37 @@ pub fn closest_join(
         out.sort_by_key(|a| a.outer.encode());
         Ok(out)
     })
+}
+
+/// One node's inner fragment as its encoded records, back to back in one
+/// buffer; a record's index is its R*-tree payload.
+#[derive(Default)]
+struct Records {
+    bytes: Vec<u8>,
+    ends: Vec<usize>,
+}
+
+impl Records {
+    fn push(&mut self, record: &[u8]) {
+        self.bytes.extend_from_slice(record);
+        self.ends.push(self.bytes.len());
+    }
+
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    fn row(&self, payload: u64) -> Result<Row<'_>> {
+        let i = payload as usize;
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        Row::new(&self.bytes[start..self.ends[i]])
+    }
+
+    /// Exact distance from record `payload`'s shape column to `p`, read in
+    /// place.
+    fn distance(&self, payload: u64, col: usize, p: &Point) -> Result<f64> {
+        Ok(self.row(payload)?.shape(col)?.distance_to_point(p))
+    }
 }
 
 #[cfg(test)]

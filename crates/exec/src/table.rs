@@ -4,7 +4,7 @@ use crate::cluster::{Cluster, NodeId};
 use crate::decluster::Decluster;
 use crate::raster_store;
 use crate::schema::Schema;
-use crate::tuple::Tuple;
+use crate::tuple::{Row, Tuple};
 use crate::value::{RasterValue, Value};
 use crate::{ExecError, Result};
 use paradise_storage::{Oid, RTree};
@@ -116,42 +116,46 @@ impl TableDef {
         Ok(stats)
     }
 
-    /// Streams every tuple of one node's fragment.
+    /// Streams every row of one node's fragment, in storage order. Each
+    /// record is lent in place as a [`Row`]: `f` decodes the columns it
+    /// tests and calls [`Row::to_tuple`] only for the rows it keeps. The
+    /// node's `scan.rows` and `scan.decoded` counters grow once per page.
     pub fn scan_fragment(
         &self,
         cluster: &Cluster,
         node: NodeId,
-        mut f: impl FnMut(Oid, Tuple) -> Result<()>,
+        mut f: impl FnMut(Oid, &Row) -> Result<()>,
     ) -> Result<()> {
-        let Some(file) = cluster.node(node).store.file(&self.fragment_file()) else {
+        let node = cluster.node(node);
+        let Some(file) = node.store.file(&self.fragment_file()) else {
             return Ok(()); // unloaded table: empty fragment
         };
-        let mut inner_err = None;
-        file.for_each(|oid, bytes| {
-            if inner_err.is_some() {
-                return Ok(());
+        // Rows handed out and rows materialised on the current page.
+        let (mut page, mut rows, mut decoded) = (None, 0, 0);
+        let publish = |rows: &mut u64, decoded: &mut u64| {
+            node.scan_rows.add(std::mem::take(rows));
+            node.scan_decoded.add(std::mem::take(decoded));
+        };
+        let scanned = file.for_each(|oid, bytes| {
+            if page != Some(oid.page) {
+                publish(&mut rows, &mut decoded);
+                page = Some(oid.page);
             }
-            match Tuple::decode(&bytes) {
-                Ok(t) => {
-                    if let Err(e) = f(oid, t) {
-                        inner_err = Some(e);
-                    }
-                    Ok(())
-                }
-                Err(_) => Err(paradise_storage::StorageError::Corrupt("bad tuple bytes")),
-            }
-        })?;
-        match inner_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+            let row = Row::new(bytes)?;
+            rows += 1;
+            let kept = f(oid, &row);
+            decoded += u64::from(row.materialised());
+            kept
+        });
+        publish(&mut rows, &mut decoded);
+        scanned
     }
 
     /// Materialises one node's fragment.
     pub fn fragment_tuples(&self, cluster: &Cluster, node: NodeId) -> Result<Vec<Tuple>> {
         let mut out = Vec::new();
-        self.scan_fragment(cluster, node, |_, t| {
-            out.push(t);
+        self.scan_fragment(cluster, node, |_, row| {
+            out.push(row.to_tuple()?);
             Ok(())
         })?;
         Ok(out)
@@ -181,8 +185,8 @@ impl TableDef {
     pub fn build_btree_index(&self, cluster: &Cluster, col: usize) -> Result<()> {
         for node in 0..cluster.num_nodes() {
             let mut pairs: Vec<(Vec<u8>, u64)> = Vec::new();
-            self.scan_fragment(cluster, node, |oid, t| {
-                pairs.push((index_key(t.get(col)?), pack_oid(oid)));
+            self.scan_fragment(cluster, node, |oid, row| {
+                pairs.push((index_key(&row.get(col)?), pack_oid(oid)));
                 Ok(())
             })?;
             pairs.sort();
@@ -233,8 +237,8 @@ impl TableDef {
     pub fn build_rtree_index(&self, cluster: &Cluster, col: usize) -> Result<()> {
         for node in 0..cluster.num_nodes() {
             let mut entries: Vec<(paradise_geom::Rect, u64)> = Vec::new();
-            self.scan_fragment(cluster, node, |oid, t| {
-                entries.push((t.get(col)?.as_shape()?.bbox(), pack_oid(oid)));
+            self.scan_fragment(cluster, node, |oid, row| {
+                entries.push((row.shape(col)?.bbox(), pack_oid(oid)));
                 Ok(())
             })?;
             let tree = RTree::bulk_load(entries);

@@ -322,7 +322,7 @@ impl Value {
             1 => Value::Int(i64::from_le_bytes(take(buf, pos, 8)?.try_into().unwrap())),
             2 => Value::Float(f64::from_le_bytes(take(buf, pos, 8)?.try_into().unwrap())),
             3 => {
-                let n = u32::from_le_bytes(take(buf, pos, 4)?.try_into().unwrap()) as usize;
+                let n = read_u32(buf, pos)?;
                 Value::Str(
                     String::from_utf8(take(buf, pos, n)?.to_vec())
                         .map_err(|_| ExecError::Codec("bad utf8"))?,
@@ -337,12 +337,12 @@ impl Value {
                 for d in &mut dims {
                     *d = u32::from_le_bytes(take(buf, pos, 4)?.try_into().unwrap());
                 }
-                let n = u32::from_le_bytes(take(buf, pos, 4)?.try_into().unwrap()) as usize;
-                let mut tiles = Vec::with_capacity(n);
+                let n = read_u32(buf, pos)?;
+                let mut tiles = Vec::with_capacity(capacity(buf, *pos, n, TILE_REF_BYTES));
                 for _ in 0..n {
                     let node = u32::from_le_bytes(take(buf, pos, 4)?.try_into().unwrap());
-                    let oid =
-                        Oid::from_bytes(take(buf, pos, 10)?).ok_or(ExecError::Codec("bad oid"))?;
+                    let oid = Oid::from_bytes(take(buf, pos, OID_BYTES)?)
+                        .ok_or(ExecError::Codec("bad oid"))?;
                     let compressed = take(buf, pos, 1)?[0] == 1;
                     tiles.push(TileRef { node, oid, compressed });
                 }
@@ -359,9 +359,9 @@ impl Value {
             7 | 8 => {
                 let depth = decode_depth(take(buf, pos, 1)?[0])?;
                 let geo = decode_rect(buf, pos)?;
-                let w = u32::from_le_bytes(take(buf, pos, 4)?.try_into().unwrap()) as usize;
-                let h = u32::from_le_bytes(take(buf, pos, 4)?.try_into().unwrap()) as usize;
-                let len = w * h * depth.bytes();
+                let w = read_u32(buf, pos)?;
+                let h = read_u32(buf, pos)?;
+                let len = raster_bytes(w, h, depth)?;
                 let data = take(buf, pos, len)?.to_vec();
                 let arr = paradise_array::NdArray::new(vec![h, w], depth.elem_type(), data)
                     .map_err(|_| ExecError::Codec("bad raster payload"))?;
@@ -383,7 +383,7 @@ fn type_err(expected: &'static str, got: &Value) -> ExecError {
 }
 
 fn take<'a>(buf: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8]> {
-    if *pos + n > buf.len() {
+    if n > buf.len().saturating_sub(*pos) {
         return Err(ExecError::Codec("truncated value"));
     }
     let s = &buf[*pos..*pos + n];
@@ -430,8 +430,8 @@ fn encode_points(pts: &[Point], out: &mut Vec<u8>) {
 }
 
 fn decode_points(buf: &[u8], pos: &mut usize) -> Result<Vec<Point>> {
-    let n = u32::from_le_bytes(take(buf, pos, 4)?.try_into().unwrap()) as usize;
-    let mut pts = Vec::with_capacity(n);
+    let n = read_u32(buf, pos)?;
+    let mut pts = Vec::with_capacity(capacity(buf, *pos, n, POINT_BYTES));
     for _ in 0..n {
         pts.push(decode_point(buf, pos)?);
     }
@@ -483,8 +483,8 @@ pub fn decode_shape(buf: &[u8], pos: &mut usize) -> Result<Shape> {
         2 => Shape::Polygon(Polygon::new(decode_points(buf, pos)?).map_err(bad)?),
         3 => {
             let shell = Polygon::new(decode_points(buf, pos)?).map_err(bad)?;
-            let n = u32::from_le_bytes(take(buf, pos, 4)?.try_into().unwrap()) as usize;
-            let mut holes = Vec::with_capacity(n);
+            let n = read_u32(buf, pos)?;
+            let mut holes = Vec::with_capacity(capacity(buf, *pos, n, 4));
             for _ in 0..n {
                 holes.push(Polygon::new(decode_points(buf, pos)?).map_err(bad)?);
             }
@@ -498,6 +498,178 @@ pub fn decode_shape(buf: &[u8], pos: &mut usize) -> Result<Shape> {
         5 => Shape::Rect(decode_rect(buf, pos)?),
         _ => return Err(ExecError::Codec("unknown shape tag")),
     })
+}
+
+/// Encoded size of one point.
+const POINT_BYTES: usize = 16;
+/// Encoded size of a rect (two points).
+const RECT_BYTES: usize = 32;
+/// Encoded size of an [`Oid`].
+const OID_BYTES: usize = 10;
+/// Encoded size of one [`TileRef`]: node, oid, compressed flag.
+const TILE_REF_BYTES: usize = 4 + OID_BYTES + 1;
+
+/// Pre-allocation for `n` items of at least `item_bytes` encoded bytes each,
+/// bounded by what the rest of `buf` can hold, so a garbage count fails on
+/// truncation instead of on a huge allocation.
+fn capacity(buf: &[u8], pos: usize, n: usize, item_bytes: usize) -> usize {
+    n.min(buf.len().saturating_sub(pos) / item_bytes)
+}
+
+/// Pixel payload bytes of a `w × h` in-memory raster.
+fn raster_bytes(w: usize, h: usize, depth: BitDepth) -> Result<usize> {
+    w.checked_mul(h)
+        .and_then(|px| px.checked_mul(depth.bytes()))
+        .ok_or(ExecError::Codec("truncated value"))
+}
+
+fn read_u32(buf: &[u8], pos: &mut usize) -> Result<usize> {
+    Ok(u32::from_le_bytes(take(buf, pos, 4)?.try_into().unwrap()) as usize)
+}
+
+/// Kind name of the value whose tag is `tag`, for type errors raised
+/// without decoding the value.
+pub(crate) fn tag_kind(tag: u8) -> &'static str {
+    match tag {
+        0 => "null",
+        1 => "int",
+        2 => "float",
+        3 => "string",
+        4 => "date",
+        5 => "shape",
+        _ => "raster",
+    }
+}
+
+/// Steps `pos` over one encoded value without building it. Checks only
+/// structure: known value and shape tags, valid bit depths, and lengths
+/// within `buf`. Whatever this rejects, [`Value::decode`] rejects too.
+pub(crate) fn skip_value(buf: &[u8], pos: &mut usize) -> Result<()> {
+    let tag = take(buf, pos, 1)?[0];
+    match tag {
+        0 => {}
+        1 | 2 | 4 => {
+            take(buf, pos, 8)?;
+        }
+        3 => {
+            let n = read_u32(buf, pos)?;
+            take(buf, pos, n)?;
+        }
+        5 => skip_shape(buf, pos)?,
+        6 => {
+            decode_depth(take(buf, pos, 1)?[0])?;
+            take(buf, pos, RECT_BYTES + 16)?;
+            let n = read_u32(buf, pos)?;
+            take(buf, pos, n.saturating_mul(TILE_REF_BYTES))?;
+        }
+        7 | 8 => {
+            let depth = decode_depth(take(buf, pos, 1)?[0])?;
+            take(buf, pos, RECT_BYTES)?;
+            let w = read_u32(buf, pos)?;
+            let h = read_u32(buf, pos)?;
+            take(buf, pos, raster_bytes(w, h, depth)?)?;
+            if tag == 8 {
+                take(buf, pos, (w * h).div_ceil(8))?;
+            }
+        }
+        _ => return Err(ExecError::Codec("unknown value tag")),
+    }
+    Ok(())
+}
+
+fn skip_points(buf: &[u8], pos: &mut usize) -> Result<()> {
+    let n = read_u32(buf, pos)?;
+    take(buf, pos, n.saturating_mul(POINT_BYTES))?;
+    Ok(())
+}
+
+fn skip_shape(buf: &[u8], pos: &mut usize) -> Result<()> {
+    match take(buf, pos, 1)?[0] {
+        0 => {
+            take(buf, pos, POINT_BYTES)?;
+        }
+        1 | 2 => skip_points(buf, pos)?,
+        3 => {
+            skip_points(buf, pos)?;
+            for _ in 0..read_u32(buf, pos)? {
+                skip_points(buf, pos)?;
+            }
+        }
+        4 => {
+            take(buf, pos, POINT_BYTES + 8)?;
+        }
+        5 => {
+            take(buf, pos, RECT_BYTES)?;
+        }
+        _ => return Err(ExecError::Codec("unknown shape tag")),
+    }
+    Ok(())
+}
+
+/// The vertices of an encoded polyline, read in place: `(x, y)` pairs of
+/// little-endian `f64`s. Validated on construction (at least two, all
+/// finite), so they satisfy [`Polyline::new`].
+#[derive(Debug, Clone, Copy)]
+pub struct EncodedPoints<'a>(&'a [u8]);
+
+impl<'a> EncodedPoints<'a> {
+    /// The vertices in order.
+    pub fn iter(&self) -> impl Iterator<Item = Point> + 'a {
+        self.0.chunks_exact(POINT_BYTES).map(|c| {
+            Point::new(
+                f64::from_le_bytes(c[..8].try_into().unwrap()),
+                f64::from_le_bytes(c[8..].try_into().unwrap()),
+            )
+        })
+    }
+}
+
+/// A shape column read from an encoded record. Polylines (roads, drainage)
+/// stay in place: [`ShapeRef::bbox`] and [`ShapeRef::distance_to_point`]
+/// run over the encoded vertices without allocating, through the same geom
+/// kernels in the same order as [`Shape`], so results are bit-identical.
+/// Other kinds are decoded (points, circles and rects allocate nothing).
+#[derive(Debug, Clone)]
+pub enum ShapeRef<'a> {
+    /// An encoded polyline.
+    Polyline(EncodedPoints<'a>),
+    /// Any other kind, decoded.
+    Decoded(Shape),
+}
+
+impl<'a> ShapeRef<'a> {
+    /// Reads a shape encoded by [`encode_shape`] at `pos`. Rejects exactly
+    /// what [`decode_shape`] rejects, with the same error.
+    pub fn decode(buf: &'a [u8], pos: &mut usize) -> Result<ShapeRef<'a>> {
+        if buf.get(*pos) != Some(&1) {
+            return Ok(ShapeRef::Decoded(decode_shape(buf, pos)?));
+        }
+        *pos += 1;
+        let n = read_u32(buf, pos)?;
+        let pts = EncodedPoints(take(buf, pos, n.saturating_mul(POINT_BYTES))?);
+        if n < 2 || !pts.iter().all(|p| p.x.is_finite() && p.y.is_finite()) {
+            return Err(ExecError::Codec("bad shape payload"));
+        }
+        Ok(ShapeRef::Polyline(pts))
+    }
+
+    /// Bounding box, bit-identical to [`Shape::bbox`].
+    pub fn bbox(&self) -> Rect {
+        match self {
+            ShapeRef::Polyline(pts) => Rect::hull(pts.iter()).expect("at least two vertices"),
+            ShapeRef::Decoded(s) => s.bbox(),
+        }
+    }
+
+    /// Distance to `p`, bit-identical to [`Shape::distance_to_point`].
+    pub fn distance_to_point(&self, p: &Point) -> f64 {
+        match self {
+            ShapeRef::Polyline(pts) => {
+                paradise_geom::polyline::chain_distance_to_point(pts.iter(), p)
+            }
+            ShapeRef::Decoded(s) => s.distance_to_point(p),
+        }
+    }
 }
 
 #[cfg(test)]

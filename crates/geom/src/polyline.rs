@@ -57,7 +57,7 @@ impl Polyline {
 
     /// Minimum distance from `p` to the polyline.
     pub fn distance_to_point(&self, p: &Point) -> f64 {
-        self.segments().map(|s| s.distance_to_point(p)).fold(f64::INFINITY, f64::min)
+        chain_distance_to_point(self.points.iter().copied(), p)
     }
 
     /// True if any segment of `self` crosses or touches any segment of
@@ -108,6 +108,23 @@ impl Polyline {
         }
         best
     }
+}
+
+/// Minimum distance from `p` to the chain through `points`: each segment's
+/// [`Segment::distance_to_point`] folded with `f64::min` in chain order.
+/// [`Polyline::distance_to_point`] and scans reading vertices in place from
+/// an encoded record share this kernel, so both give bit-identical results.
+pub fn chain_distance_to_point(points: impl IntoIterator<Item = Point>, p: &Point) -> f64 {
+    let mut points = points.into_iter();
+    let Some(mut prev) = points.next() else {
+        return f64::INFINITY;
+    };
+    let mut best = f64::INFINITY;
+    for cur in points {
+        best = best.min(Segment::new(prev, cur).distance_to_point(p));
+        prev = cur;
+    }
+    best
 }
 
 pub(crate) fn rect_edges(rect: &Rect) -> [Segment; 4] {

@@ -42,10 +42,18 @@ impl Rect {
     ///
     /// Returns `None` for an empty slice.
     pub fn hull_of(points: &[Point]) -> Option<Self> {
-        let first = points.first()?;
-        let mut lo = *first;
-        let mut hi = *first;
-        for p in &points[1..] {
+        Rect::hull(points.iter().copied())
+    }
+
+    /// [`Rect::hull_of`] over points produced one at a time (e.g. read in
+    /// place from an encoded record); same folds in the same order, so the
+    /// result is bit-identical for the same point sequence.
+    pub fn hull(points: impl IntoIterator<Item = Point>) -> Option<Self> {
+        let mut points = points.into_iter();
+        let first = points.next()?;
+        let mut lo = first;
+        let mut hi = first;
+        for p in points {
             lo.x = lo.x.min(p.x);
             lo.y = lo.y.min(p.y);
             hi.x = hi.x.max(p.x);

@@ -100,6 +100,38 @@ impl Expr {
     }
 }
 
+impl std::fmt::Display for BinOp {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            BinOp::Eq => "=",
+            BinOp::Lt => "<",
+            BinOp::Le => "<=",
+            BinOp::Gt => ">",
+            BinOp::Ge => ">=",
+            BinOp::Overlaps => "overlaps",
+            BinOp::Like => "like",
+            BinOp::And => "and",
+        })
+    }
+}
+
+/// Renders the expression as SQL text (error messages name conjuncts).
+impl std::fmt::Display for Expr {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let list = |args: &[Expr]| args.iter().map(Expr::to_string).collect::<Vec<_>>().join(", ");
+        match self {
+            Expr::Column { table: Some(t), column } => write!(f, "{t}.{column}"),
+            Expr::Column { table: None, column } => f.write_str(column),
+            Expr::Int(v) => write!(f, "{v}"),
+            Expr::Float(v) => write!(f, "{v}"),
+            Expr::Str(s) => write!(f, "{s:?}"),
+            Expr::Call { func, args } => write!(f, "{func}({})", list(args)),
+            Expr::Method { recv, name, args } => write!(f, "{recv}.{name}({})", list(args)),
+            Expr::Binary { op, lhs, rhs } => write!(f, "{lhs} {op} {rhs}"),
+        }
+    }
+}
+
 /// The projection list.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Projection {

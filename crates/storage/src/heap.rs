@@ -8,7 +8,7 @@
 
 use crate::buffer::BufferPool;
 use crate::lob;
-use crate::page::{PageId, SlotId, NO_PAGE, PAGE_SIZE};
+use crate::page::{Page, PageId, SlotId, NO_PAGE, PAGE_SIZE};
 use crate::store::Oid;
 use crate::volume::ExtentAllocator;
 use crate::{Result, StorageError};
@@ -123,56 +123,37 @@ impl HeapFile {
         Ok(Oid { page: new_pid, slot })
     }
 
-    fn decode(&self, rec: &[u8], oid: Oid) -> Result<Vec<u8>> {
-        match rec.first() {
-            Some(&TAG_INLINE) => Ok(rec[1..].to_vec()),
-            Some(&TAG_LOB) => {
-                if rec.len() != 17 {
-                    return Err(StorageError::Corrupt("bad LOB redirect"));
-                }
-                let first = u64::from_le_bytes(rec[1..9].try_into().unwrap());
-                lob::read_lob(&self.pool, first)
-            }
-            _ => Err(StorageError::BadSlot { page: oid.page, slot: oid.slot }),
-        }
-    }
-
-    /// Reads the object at `oid`.
+    /// Reads the object at `oid`: an inline object is copied once, under
+    /// the page latch; a LOB is read after the latch is released.
     pub fn read(&self, oid: Oid) -> Result<Vec<u8>> {
-        let g = self.pool.get(oid.page)?;
-        let page = g.read();
-        let rec = page
-            .get(oid.slot)
-            .map_err(|_| StorageError::BadSlot { page: oid.page, slot: oid.slot })?;
-        let rec = rec.to_vec();
-        drop(page);
-        self.decode(&rec, oid)
+        let first = {
+            let g = self.pool.get(oid.page)?;
+            let page = g.read();
+            match body(page_record(&page, oid)?, oid)? {
+                Body::Inline(obj) => return Ok(obj.to_vec()),
+                Body::Lob(first) => first,
+            }
+        };
+        lob::read_lob(&self.pool, first)
     }
 
     /// Reads only bytes `[offset, offset+len)` of the object at `oid` — for
     /// large objects this touches only the LOB pages in range (the partial
     /// fetch of §2.2); inline objects are sliced in memory.
     pub fn read_range(&self, oid: Oid, offset: usize, len: usize) -> Result<Vec<u8>> {
-        let g = self.pool.get(oid.page)?;
-        let page = g.read();
-        let rec = page
-            .get(oid.slot)
-            .map_err(|_| StorageError::BadSlot { page: oid.page, slot: oid.slot })?
-            .to_vec();
-        drop(page);
-        match rec.first() {
-            Some(&TAG_INLINE) => {
-                let body = &rec[1..];
-                let from = offset.min(body.len());
-                let to = (offset + len).min(body.len());
-                Ok(body[from..to].to_vec())
+        let first = {
+            let g = self.pool.get(oid.page)?;
+            let page = g.read();
+            match body(page_record(&page, oid)?, oid)? {
+                Body::Inline(obj) => {
+                    let from = offset.min(obj.len());
+                    let to = offset.saturating_add(len).min(obj.len());
+                    return Ok(obj[from..to].to_vec());
+                }
+                Body::Lob(first) => first,
             }
-            Some(&TAG_LOB) => {
-                let first = u64::from_le_bytes(rec[1..9].try_into().unwrap());
-                lob::read_lob_range(&self.pool, first, offset, len)
-            }
-            _ => Err(StorageError::BadSlot { page: oid.page, slot: oid.slot }),
-        }
+        };
+        lob::read_lob_range(&self.pool, first, offset, len)
     }
 
     /// Deletes the object at `oid`. LOB spill pages are reclaimed when the
@@ -186,23 +167,43 @@ impl HeapFile {
         Ok(())
     }
 
-    /// Calls `f(oid, object)` for every live object, in chain order.
-    pub fn for_each<F: FnMut(Oid, Vec<u8>) -> Result<()>>(&self, mut f: F) -> Result<()> {
+    /// Calls `f(oid, object)` for every live object, in chain order, lending
+    /// each object's bytes.
+    ///
+    /// Each page's live records are copied once, under the page latch, into
+    /// a buffer reused across pages; the latch is released before the first
+    /// callback, so `f` may read other pages of this file or of any other
+    /// (raster tiles, LOBs) without deadlocking. Inline objects are lent
+    /// from that buffer; a LOB is read into its own buffer first.
+    pub fn for_each<E, F>(&self, mut f: F) -> std::result::Result<(), E>
+    where
+        E: From<StorageError>,
+        F: FnMut(Oid, &[u8]) -> std::result::Result<(), E>,
+    {
+        let mut records = Vec::with_capacity(PAGE_SIZE);
+        // (slot, end of its record in `records`) for the current page.
+        let mut slots: Vec<(SlotId, usize)> = Vec::new();
         let mut pid = self.first_page();
         while pid != NO_PAGE {
-            let (next, slots): (PageId, Vec<(SlotId, Vec<u8>)>) = {
+            records.clear();
+            slots.clear();
+            let next = {
                 let g = self.pool.get(pid)?;
                 let page = g.read();
-                let slots = page
-                    .live_slots()
-                    .into_iter()
-                    .map(|s| (s, page.get(s).expect("live slot").to_vec()))
-                    .collect();
-                (page.next_page(), slots)
+                for slot in page.live_slots() {
+                    records.extend_from_slice(page.get(slot).expect("live slot"));
+                    slots.push((slot, records.len()));
+                }
+                page.next_page()
             };
-            for (slot, rec) in slots {
+            let mut start = 0;
+            for &(slot, end) in &slots {
                 let oid = Oid { page: pid, slot };
-                f(oid, self.decode(&rec, oid)?)?;
+                match body(&records[start..end], oid)? {
+                    Body::Inline(obj) => f(oid, obj)?,
+                    Body::Lob(first) => f(oid, &lob::read_lob(&self.pool, first)?)?,
+                }
+                start = end;
             }
             pid = next;
         }
@@ -212,8 +213,8 @@ impl HeapFile {
     /// All live objects (materialised; use [`HeapFile::for_each`] to stream).
     pub fn scan(&self) -> Result<Vec<(Oid, Vec<u8>)>> {
         let mut out = Vec::new();
-        self.for_each(|oid, obj| {
-            out.push((oid, obj));
+        self.for_each(|oid, obj| -> Result<()> {
+            out.push((oid, obj.to_vec()));
             Ok(())
         })?;
         Ok(out)
@@ -228,6 +229,31 @@ impl HeapFile {
     pub fn allocator(&self) -> &ExtentAllocator {
         &self.alloc
     }
+}
+
+/// Where a heap record keeps its object.
+enum Body<'r> {
+    /// The object itself, inline in the record.
+    Inline(&'r [u8]),
+    /// First page of the LOB chain the object spilled into.
+    Lob(PageId),
+}
+
+fn body(rec: &[u8], oid: Oid) -> Result<Body<'_>> {
+    match rec.first() {
+        Some(&TAG_INLINE) => Ok(Body::Inline(&rec[1..])),
+        Some(&TAG_LOB) => {
+            if rec.len() != 17 {
+                return Err(StorageError::Corrupt("bad LOB redirect"));
+            }
+            Ok(Body::Lob(u64::from_le_bytes(rec[1..9].try_into().unwrap())))
+        }
+        _ => Err(StorageError::BadSlot { page: oid.page, slot: oid.slot }),
+    }
+}
+
+fn page_record(page: &Page, oid: Oid) -> Result<&[u8]> {
+    page.get(oid.slot).map_err(|_| StorageError::BadSlot { page: oid.page, slot: oid.slot })
 }
 
 #[cfg(test)]
@@ -322,6 +348,65 @@ mod tests {
         assert_eq!(scanned[0].1, b"small");
         assert_eq!(scanned[1].1.len(), 50_000);
         assert_eq!(scanned[2].1, b"small2");
+    }
+
+    #[test]
+    fn for_each_callback_may_read_and_write_other_pages() {
+        // A 4-frame pool forces evictions while the callback reads pages.
+        let dir = std::env::temp_dir().join(format!("paradise-heap-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let vol = Arc::new(Volume::create(dir.join("j.vol")).unwrap());
+        let pool = Arc::new(BufferPool::new(vol, 4));
+        let f = HeapFile::create(pool.clone()).unwrap();
+        let other = HeapFile::create(pool).unwrap();
+        let tile = other.insert(&[9u8; 3000]).unwrap();
+        let oids: Vec<Oid> = (0..40u8).map(|i| f.insert(&[i; 1000]).unwrap()).collect();
+        let last_page = oids.last().unwrap().page;
+        let big: Vec<u8> = (0..30_000).map(|i| (i % 251) as u8).collect();
+        let lob = f.insert(&big).unwrap();
+        let mut seen = 0;
+        let mut inserted = false;
+        f.for_each(|oid, obj| -> Result<()> {
+            if oid == lob {
+                assert_eq!(obj, &big[..], "LOB-spilled record arrives intact");
+            } else {
+                let i = obj[0] as usize;
+                assert_eq!(obj, &[i as u8; 1000][..]);
+                // Another page of the same file, and another file's object.
+                assert_eq!(f.read(oids[(i + 20) % 40]).unwrap()[0], ((i + 20) % 40) as u8);
+                assert_eq!(other.read(tile).unwrap().len(), 3000);
+            }
+            if oid.page == last_page && !inserted {
+                // Writing the page being scanned needs its latch.
+                f.insert(b"late").unwrap();
+                inserted = true;
+            }
+            seen += 1;
+            Ok(())
+        })
+        .unwrap();
+        assert!(inserted);
+        assert_eq!(seen, 41);
+        assert_eq!(f.count(), 42);
+    }
+
+    #[test]
+    fn for_each_passes_callback_errors_through() {
+        let f = file("k.vol");
+        for i in 0..10u8 {
+            f.insert(&[i]).unwrap();
+        }
+        let mut calls = 0;
+        let r = f.for_each(|_, obj| {
+            calls += 1;
+            if obj[0] == 3 {
+                Err(StorageError::Corrupt("stop"))
+            } else {
+                Ok(())
+            }
+        });
+        assert!(matches!(r, Err(StorageError::Corrupt("stop"))));
+        assert_eq!(calls, 4, "the scan stops at the first error");
     }
 
     #[test]

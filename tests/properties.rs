@@ -417,3 +417,248 @@ fn wal_replay_fails_closed_on_corrupt_logs() {
         }
     }
 }
+
+/// A random value of the given kind (`0..14`): every scalar, every shape,
+/// stored rasters and in-memory rasters with and without a clip mask.
+fn value_of_kind(rng: &mut Rng, kind: usize) -> Value {
+    use paradise_array::{BitDepth, Raster};
+    use paradise_exec::value::{RasterValue, StoredRaster, TileRef};
+    use paradise_geom::{Circle, Polyline, Shape, SwissCheese};
+    let geo = rect(rng);
+    let depth = [BitDepth::Eight, BitDepth::Sixteen, BitDepth::TwentyFour][rng.index(3)];
+    match kind {
+        0 => Value::Null,
+        1 => Value::Int(rng.next_u64() as i64),
+        2 => Value::Float(rng.gen_range(-1e12f64..1e12)),
+        3 => Value::Str((0..rng.index(24)).map(|_| ['a', 'é', '7', '∑'][rng.index(4)]).collect()),
+        4 => Value::Date(Date(rng.gen_range(-1_000_000i64..1_000_000))),
+        5 => Value::Shape(Shape::Point(point(rng))),
+        6 => {
+            let pts = (0..rng.gen_range(2usize..30)).map(|_| point(rng)).collect();
+            Value::Shape(Shape::Polyline(Polyline::new(pts).unwrap()))
+        }
+        7 => Value::Shape(Shape::Polygon(polygon(rng))),
+        8 => {
+            let shell = Polygon::from_rect(&geo);
+            let c = geo.center();
+            let (w, h) = (geo.width() / 8.0, geo.height() / 8.0);
+            let hole = Rect::from_corners(c.offset(-w, -h), c.offset(w, h)).unwrap();
+            let holes = if w > 0.0 && h > 0.0 { vec![Polygon::from_rect(&hole)] } else { vec![] };
+            Value::Shape(Shape::SwissCheese(SwissCheese::new(shell, holes).unwrap()))
+        }
+        9 => {
+            Value::Shape(Shape::Circle(Circle::new(point(rng), rng.gen_range(0.0..10.0)).unwrap()))
+        }
+        10 => Value::Shape(Shape::Rect(geo)),
+        11 => {
+            let tiles = (0..rng.index(6))
+                .map(|i| TileRef {
+                    node: rng.index(4) as u32,
+                    oid: paradise_storage::Oid { page: rng.next_u64() >> 20, slot: i as u16 },
+                    compressed: rng.gen_bool(0.5),
+                })
+                .collect();
+            Value::Raster(RasterValue::Stored(StoredRaster {
+                depth,
+                geo,
+                width: rng.gen_range(1u32..500),
+                height: rng.gen_range(1u32..500),
+                tile_h: rng.gen_range(1u32..64),
+                tile_w: rng.gen_range(1u32..64),
+                tiles: std::sync::Arc::new(tiles),
+            }))
+        }
+        _ => {
+            let (w, h) = (rng.gen_range(1usize..12), rng.gen_range(1usize..12));
+            let world = Rect::from_corners(Point::new(0.0, 0.0), Point::new(10.0, 10.0)).unwrap();
+            let mut r = Raster::new(w, h, depth, world).unwrap();
+            for _ in 0..8 {
+                r.set_pixel(rng.index(w), rng.index(h), rng.gen_range(0u32..200)).unwrap();
+            }
+            if kind == 13 {
+                // A triangle clip leaves a mask (value tag 8).
+                let tri = Polygon::new(vec![
+                    Point::new(0.0, 0.0),
+                    Point::new(10.0, 0.0),
+                    Point::new(0.0, 10.0),
+                ])
+                .unwrap();
+                r = r.clip(&tri).unwrap();
+            }
+            Value::Raster(RasterValue::Mem(std::sync::Arc::new(r)))
+        }
+    }
+}
+
+const VALUE_KINDS: usize = 14;
+
+fn random_tuple(rng: &mut Rng, max_cols: usize) -> Tuple {
+    let n = rng.gen_range(1..max_cols);
+    Tuple::new(
+        (0..n)
+            .map(|_| {
+                let kind = rng.index(VALUE_KINDS);
+                value_of_kind(rng, kind)
+            })
+            .collect(),
+    )
+}
+
+fn bbox_bits(r: &Rect) -> [u64; 4] {
+    [r.lo.x.to_bits(), r.lo.y.to_bits(), r.hi.x.to_bits(), r.hi.y.to_bits()]
+}
+
+/// Reads every column of `row` through every accessor; on garbage these
+/// may fail but must never panic.
+fn touch_every_column(row: &paradise_exec::Row, probe: &Point) {
+    for c in 0..16 {
+        let _ = row.get(c);
+        let _ = row.int(c);
+        let _ = row.date(c);
+        let _ = row.str(c);
+        if let Ok(s) = row.shape(c) {
+            let _ = (s.bbox(), s.distance_to_point(probe));
+        }
+    }
+}
+
+/// The vertices a shape read in place stands for.
+fn shape_ref_points(s: &paradise_exec::ShapeRef) -> Vec<Point> {
+    use paradise_exec::ShapeRef;
+    use paradise_geom::Shape;
+    match s {
+        ShapeRef::Polyline(pts) => pts.iter().collect(),
+        ShapeRef::Decoded(Shape::Polyline(l)) => panic!("polyline not read in place: {l:?}"),
+        ShapeRef::Decoded(other) => panic!("not a polyline: {other:?}"),
+    }
+}
+
+#[test]
+fn row_accessors_agree_with_tuple_decode() {
+    use paradise_exec::{Row, ShapeRef};
+    use paradise_geom::Shape;
+    let mut rng = Rng::seed_from_u64(20);
+    for case in 0..300 {
+        let mut t = random_tuple(&mut rng, 12);
+        // Every kind appears at least once in the first cases.
+        if case < VALUE_KINDS {
+            t.values.push(value_of_kind(&mut rng, case));
+        }
+        let bytes = t.encode();
+        let row = Row::new(&bytes).unwrap();
+        assert!(!row.materialised());
+        let probe = point(&mut rng);
+        for (c, v) in t.values.iter().enumerate() {
+            assert_eq!(&row.get(c).unwrap(), v, "case {case} column {c}");
+            assert_eq!(row.int(c).ok(), v.as_int().ok());
+            assert_eq!(row.date(c).ok(), v.as_date().ok());
+            assert_eq!(row.str(c).ok(), v.as_str().ok());
+            match v.as_shape() {
+                Ok(shape) => {
+                    let s = row.shape(c).unwrap();
+                    assert_eq!(bbox_bits(&s.bbox()), bbox_bits(&shape.bbox()), "case {case}");
+                    assert_eq!(
+                        s.distance_to_point(&probe).to_bits(),
+                        shape.distance_to_point(&probe).to_bits(),
+                        "case {case}: {shape:?}"
+                    );
+                    match shape {
+                        Shape::Polyline(l) => assert_eq!(shape_ref_points(&s), l.points()),
+                        other => assert!(matches!(&s, ShapeRef::Decoded(d) if d == other)),
+                    }
+                }
+                Err(_) => assert!(row.shape(c).is_err()),
+            }
+        }
+        assert!(row.get(t.values.len()).is_err(), "out-of-range column");
+        assert_eq!(row.to_tuple().unwrap(), t);
+        assert!(row.materialised());
+    }
+}
+
+#[test]
+fn row_fails_closed_on_truncated_and_garbage_records() {
+    use paradise_exec::Row;
+    let mut rng = Rng::seed_from_u64(21);
+    let probe = Point::new(1.0, 2.0);
+    let row_decode = |b: &[u8]| Row::new(b).and_then(|r| r.to_tuple());
+    for case in 0..200 {
+        let bytes = random_tuple(&mut rng, 5).encode();
+        // Every strict prefix is truncated: both paths reject it.
+        for cut in 0..bytes.len() {
+            assert!(row_decode(&bytes[..cut]).is_err(), "case {case}: prefix {cut} accepted");
+            assert!(Tuple::decode(&bytes[..cut]).is_err());
+        }
+        // Corrupted bytes: `Row::new` + `to_tuple` accepts exactly what
+        // `Tuple::decode` accepts, and reads the same values (the first
+        // error found may differ: the structure check runs first).
+        for _ in 0..8 {
+            let mut bad = bytes.clone();
+            for _ in 0..rng.gen_range(1usize..4) {
+                let i = rng.index(bad.len());
+                bad[i] = rng.next_u64() as u8;
+            }
+            match (row_decode(&bad), Tuple::decode(&bad)) {
+                (Ok(a), Ok(b)) => assert_eq!(format!("{a:?}"), format!("{b:?}"), "case {case}"),
+                (Err(_), Err(_)) => {}
+                (a, b) => panic!("case {case}: Row path {a:?} vs Tuple::decode {b:?}"),
+            }
+            if let Ok(row) = Row::new(&bad) {
+                touch_every_column(&row, &probe);
+            }
+        }
+        // Pure garbage.
+        let n = rng.index(64);
+        let junk = rng.bytes(n);
+        let (a, b) = (row_decode(&junk), Tuple::decode(&junk));
+        assert_eq!(a.is_ok(), b.is_ok(), "case {case}: {junk:?}");
+        if let Ok(row) = Row::new(&junk) {
+            touch_every_column(&row, &probe);
+        }
+    }
+}
+
+#[test]
+fn shape_ref_rejects_what_decode_shape_rejects() {
+    use paradise_exec::value::{decode_shape, encode_shape, ShapeRef};
+    use paradise_geom::Shape;
+    let mut rng = Rng::seed_from_u64(22);
+    for case in 0..400 {
+        let kind = rng.gen_range(5usize..11);
+        let Value::Shape(shape) = value_of_kind(&mut rng, kind) else { unreachable!() };
+        let mut bytes = Vec::new();
+        encode_shape(&shape, &mut bytes);
+        let mut bad = bytes.clone();
+        match rng.index(4) {
+            // Fewer than two vertices.
+            0 if matches!(shape, Shape::Polyline(_)) => {
+                bad[1..5].copy_from_slice(&1u32.to_le_bytes())
+            }
+            // A non-finite coordinate.
+            1 if bad.len() > 13 => bad[5..13].copy_from_slice(&f64::NAN.to_le_bytes()),
+            // Truncation.
+            2 => bad.truncate(rng.index(bad.len())),
+            _ => {
+                let i = rng.index(bad.len());
+                bad[i] = rng.next_u64() as u8;
+            }
+        }
+        for buf in [&bytes, &bad] {
+            let (mut p1, mut p2) = (0, 0);
+            let want = decode_shape(buf, &mut p1);
+            let got = ShapeRef::decode(buf, &mut p2);
+            match (&want, &got) {
+                (Ok(Shape::Polyline(w)), Ok(g)) => {
+                    assert_eq!(shape_ref_points(g), w.points(), "case {case}");
+                    assert_eq!(p1, p2, "case {case}: both read the whole payload");
+                }
+                (Ok(w), Ok(g)) => {
+                    assert!(matches!(g, ShapeRef::Decoded(d) if d == w), "case {case}");
+                    assert_eq!(p1, p2, "case {case}: both read the whole payload");
+                }
+                (Err(w), Err(g)) => assert_eq!(w.to_string(), g.to_string(), "case {case}"),
+                _ => panic!("case {case}: decode_shape {want:?} vs ShapeRef {got:?}"),
+            }
+        }
+    }
+}

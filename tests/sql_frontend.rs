@@ -186,3 +186,60 @@ fn sql_errors_are_reported() {
     assert!(db.sql("select * from no_such_table").is_err());
     assert!(db.sql("select * from drainage where type = \"not an int comparison\" and").is_err());
 }
+
+#[test]
+fn shape_matchers_reject_conjuncts_their_plans_do_not_evaluate() {
+    let (db, _) = load("conjuncts");
+    for (sql, conjunct) in [
+        // Q13 used to return the whole overlap join.
+        ("select * from drainage, roads where drainage.type = 123456", "`drainage.type = 123456`"),
+        (
+            "select * from drainage, roads where drainage.shape overlaps roads.shape \
+             and roads.type = 2",
+            "`roads.type = 2`",
+        ),
+        // Q11 used to return one row per type.
+        (
+            "select closest(shape, Point(-89.4, 43.1)), type from roads \
+             where type = 999999 group by type",
+            "`type = 999999`",
+        ),
+        // Q12's join only evaluates the city-type selection.
+        (
+            "select closest(drainage.shape, populatedPlaces.location), \
+             populatedPlaces.location from drainage, populatedPlaces \
+             where populatedPlaces.type = 1 and drainage.type = 4 \
+             group by populatedPlaces.location",
+            "`drainage.type = 4`",
+        ),
+    ] {
+        let e = db.sql(sql).expect_err(sql).to_string();
+        assert!(e.contains(conjunct), "{sql}: {e}");
+    }
+    // Q12 without a city type used to mean `type = 1`; Q13 without the
+    // overlap predicate is a cross product, not the overlap join.
+    for (sql, want) in [
+        (
+            "select closest(drainage.shape, populatedPlaces.location), \
+             populatedPlaces.location from drainage, populatedPlaces \
+             where populatedPlaces.location overlaps drainage.shape \
+             group by populatedPlaces.location",
+            "populatedPlaces.type = N",
+        ),
+        ("select * from drainage, roads", "drainage.shape overlaps roads.shape"),
+    ] {
+        let e = db.sql(sql).expect_err(sql).to_string();
+        assert!(e.contains(want), "{sql}: {e}");
+    }
+    // The paper's statements, with either operand order, still match.
+    let q13 = db.sql("select * from drainage, roads where roads.shape overlaps drainage.shape");
+    assert_eq!(q13.unwrap().rows.len(), queries::q13(&db).unwrap().rows.len());
+    let q12 = db
+        .sql(
+            "select closest(drainage.shape, populatedPlaces.location), \
+             populatedPlaces.location from drainage, populatedPlaces \
+             where 2 = populatedPlaces.type group by populatedPlaces.location",
+        )
+        .unwrap();
+    assert_eq!(q12.rows.len(), queries::q12(&db, 2, true).unwrap().rows.len());
+}
