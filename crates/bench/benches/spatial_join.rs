@@ -1,6 +1,11 @@
 //! Spatial-join algorithm comparison (paper §2.4): PBSM tile join vs
 //! indexed nested loops with an R*-tree vs naive nested loops, on two sets
 //! of polyline bounding boxes with exact refinement.
+//!
+//! The PBSM tile join runs twice, on a 1-thread and a 2-thread
+//! [`WorkerPool`] (`pbsm_tile/1t/n`, `pbsm_tile/2t/n`): their ratio is the
+//! real wall-clock speedup of the morsel-parallel plane sweep on the
+//! host the bench runs on.
 
 use paradise_bench::harness::{BenchmarkId, Criterion};
 use paradise_bench::{criterion_group, criterion_main};
@@ -8,6 +13,7 @@ use paradise_exec::cluster::{Cluster, ClusterConfig};
 use paradise_exec::ops::spatial_join::local_tile_join;
 use paradise_exec::tuple::Tuple;
 use paradise_exec::value::Value;
+use paradise_exec::workers::WorkerPool;
 use paradise_geom::{Point, Polyline, Shape};
 use paradise_storage::RTree;
 
@@ -38,10 +44,14 @@ fn bench_spatial_join(c: &mut Criterion) {
     for n in [500usize, 2000] {
         let left = lines(n, 7);
         let right = lines(n, 1234);
-        // PBSM-style tile join (single node owns every tile).
-        g.bench_with_input(BenchmarkId::new("pbsm_tile", n), &n, |b, _| {
-            b.iter(|| local_tile_join(&cluster, 0, &left, 1, &right, 1).unwrap())
-        });
+        // PBSM-style tile join (single node owns every tile), serial and
+        // on two real threads.
+        for threads in [1usize, 2] {
+            let pool = WorkerPool::new(threads);
+            g.bench_with_input(BenchmarkId::new(format!("pbsm_tile/{threads}t"), n), &n, |b, _| {
+                b.iter(|| local_tile_join(&cluster, &pool, 0, &left, 1, &right, 1).unwrap())
+            });
+        }
         // Indexed nested loops: bulk-load an R*-tree on the right side,
         // probe with every left bbox, refine exactly.
         g.bench_with_input(BenchmarkId::new("indexed_nl", n), &n, |b, _| {

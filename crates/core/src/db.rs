@@ -4,7 +4,6 @@ use crate::history::QueryHistory;
 use crate::Result;
 use paradise_exec::cluster::{Cluster, ClusterConfig, Transport};
 use paradise_exec::metrics::QueryMetrics;
-use paradise_exec::ops::aggregate::AggRegistry;
 use paradise_exec::{ExecError, TableDef, Tuple};
 use paradise_geom::{Point, Rect};
 use paradise_obs::{render_prometheus, MetricsExporter, MetricsRegistry, RenderFn};
@@ -62,10 +61,6 @@ pub struct ParadiseConfig {
     /// fault-injection tests override this so a dead or stalled peer
     /// surfaces as a clean per-query error within a bounded wait.
     pub net: Option<paradise_net::NetConfig>,
-    /// Intra-node worker-pool size for morsel-parallel operator kernels
-    /// ([`paradise_exec::workers`]). `0` (the default) means one worker
-    /// per available core. Results are byte-identical for every value.
-    pub workers: usize,
 }
 
 impl ParadiseConfig {
@@ -87,7 +82,6 @@ impl ParadiseConfig {
             slow_query_threshold: None,
             event_log_path: None,
             net: None,
-            workers: 0,
         }
     }
 
@@ -114,25 +108,6 @@ impl ParadiseConfig {
     /// ```
     pub fn with_pool_pages(mut self, pages: usize) -> Self {
         self.pool_pages = pages;
-        self
-    }
-
-    /// Sets the intra-node worker-pool size for morsel-parallel kernels
-    /// (PBSM tile sweeps, hash-join partitions, partial aggregation,
-    /// predicate scans, LZW tile codecs). `0` means one worker per
-    /// available core; `1` runs every kernel as a plain serial loop.
-    /// Either way results are byte-identical — only elapsed time changes.
-    ///
-    /// ```
-    /// use paradise::ParadiseConfig;
-    ///
-    /// let cfg = ParadiseConfig::new("/tmp/paradise-doc", 4).with_workers(4);
-    /// assert_eq!(cfg.workers, 4);
-    /// // The default requests one worker per available core.
-    /// assert_eq!(ParadiseConfig::new("/tmp/paradise-doc", 4).workers, 0);
-    /// ```
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
         self
     }
 
@@ -227,8 +202,6 @@ pub struct Paradise {
     exporter: Option<MetricsExporter>,
     cluster: Cluster,
     tables: HashMap<String, TableDef>,
-    /// Extensible aggregate catalog (§2.4).
-    pub aggregates: AggRegistry,
     history: QueryHistory,
     trace_path: Option<PathBuf>,
 }
@@ -246,7 +219,6 @@ impl Paradise {
             universe: cfg.universe,
             base_dir: cfg.base_dir,
             pull_cost: cfg.pull_cost,
-            workers: cfg.workers,
         })?;
         if let Some(path) = &cfg.event_log_path {
             cluster
@@ -285,7 +257,6 @@ impl Paradise {
             exporter,
             cluster,
             tables: HashMap::new(),
-            aggregates: AggRegistry::with_builtins(),
             history,
             trace_path: cfg.trace_path,
         })

@@ -16,8 +16,8 @@
 //! * [`paradise_exec`] — the shared-nothing execution engine: declustering
 //!   (round-robin / hash / spatial with replication), streams, relational
 //!   and spatial operators, tile-granular raster storage with the pull
-//!   model, extensible two-phase aggregation, the parallel spatial join
-//!   and the `closest` join-with-aggregate of Figure 3.1;
+//!   model, the parallel spatial join and the two-phase `closest`
+//!   join-with-aggregate of Figure 3.1;
 //! * [`paradise_sql`] — the extended-SQL front end.
 //!
 //! [`Paradise`] is the query-coordinator facade: create a cluster, define

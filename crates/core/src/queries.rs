@@ -509,7 +509,7 @@ fn broadcast_oil_polygons(
 /// "the polygons are sent to all the nodes … all the processing for the
 /// query is done at the node that holds the selected raster."
 pub fn q9(db: &Paradise, date: Date, channel: i64, oil_type: i64) -> Result<QueryResult> {
-    q9_q14_impl(db, Some(date), None, channel, oil_type, "q9")
+    q9_q14_impl(db, (date, date), channel, oil_type)
 }
 
 /// **Q14** — like Q9 over a date *range* (a year of rasters), so the
@@ -521,16 +521,16 @@ pub fn q14(
     channel: i64,
     oil_type: i64,
 ) -> Result<QueryResult> {
-    q9_q14_impl(db, None, Some((date_lo, date_hi)), channel, oil_type, "q14")
+    q9_q14_impl(db, (date_lo, date_hi), channel, oil_type)
 }
 
+/// Q9 and Q14: clip every `channel` raster dated within the inclusive
+/// range `lo..=hi` by every oil-field polygon.
 fn q9_q14_impl(
     db: &Paradise,
-    exact: Option<Date>,
-    range: Option<(Date, Date)>,
+    (lo, hi): (Date, Date),
     channel: i64,
     oil_type: i64,
-    _tag: &str,
 ) -> Result<QueryResult> {
     let t0 = Instant::now();
     let mut m = QueryMetrics::default();
@@ -543,13 +543,7 @@ fn q9_q14_impl(
             if row.int(RASTER_CHANNEL)? != channel {
                 return Ok(());
             }
-            let d = row.date(RASTER_DATE)?;
-            let matches = match (exact, range) {
-                (Some(e), _) => d == e,
-                (None, Some((lo, hi))) => d >= lo && d <= hi,
-                _ => false,
-            };
-            if !matches {
+            if !(lo..=hi).contains(&row.date(RASTER_DATE)?) {
                 return Ok(());
             }
             let sr = stored_raster(row, RASTER_DATA)?;
@@ -585,8 +579,7 @@ pub fn q10(db: &Paradise, clip: &Polygon, threshold: f64) -> Result<QueryResult>
     let op_file = db.cluster().fresh_temp_name("q10_op");
     let per_node = run_phase(db.cluster(), &mut m, "clip + average predicate", |node| {
         // Operator-scoped large-object file for the clipped rasters.
-        let store = &db.cluster().node(node).store;
-        store.create_file(&op_file)?;
+        let file = db.cluster().node(node).store.create_file(&op_file)?;
         let mut rows = Vec::new();
         raster.scan_fragment(db.cluster(), node, |_, row| {
             let sr = stored_raster(row, RASTER_DATA)?;
@@ -596,9 +589,7 @@ pub fn q10(db: &Paradise, clip: &Polygon, threshold: f64) -> Result<QueryResult>
             };
             // Materialise the predicate's large attribute into the
             // operator-scoped file, as Paradise does.
-            let file = store.file(&op_file).expect("created above");
-            let oid = file.insert(clipped.array().data())?;
-            let _ = oid;
+            file.insert(clipped.array().data())?;
             if clipped.average().unwrap_or(0.0) > threshold {
                 rows.push(Tuple::new(vec![
                     row.get(RASTER_DATE)?,

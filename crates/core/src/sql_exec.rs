@@ -388,7 +388,54 @@ pub enum Plan {
 }
 
 /// Recognises the statement's benchmark shape and binds its parameters.
+/// A GROUP BY or ORDER BY the plan does not compute is an error.
 pub fn match_plan(stmt: &SelectStmt) -> Result<Plan> {
+    let plan = match_shape(stmt)?;
+    check_grouping_and_order(stmt, &plan)?;
+    Ok(plan)
+}
+
+/// Fails unless `plan` computes exactly the statement's GROUP BY and
+/// ORDER BY. Q11 groups roads by `type` and Q12 cities by
+/// `populatedPlaces.location`; no other plan groups. Q2 orders by `date`;
+/// the scans order by a projected column (checked against the schema when
+/// they run); no other plan orders.
+fn check_grouping_and_order(stmt: &SelectStmt, plan: &Plan) -> Result<()> {
+    let grouped_by = |table: &str, column: &str| match stmt.group_by.as_slice() {
+        [Expr::Column { table: t, column: c }] => {
+            c.eq_ignore_ascii_case(column)
+                && t.as_ref().is_none_or(|t| t.eq_ignore_ascii_case(table))
+        }
+        _ => false,
+    };
+    let grouping_ok = match plan {
+        Plan::Q11 { .. } => grouped_by("roads", "type"),
+        Plan::Q12 { .. } => grouped_by("populatedplaces", "location"),
+        _ => stmt.group_by.is_empty(),
+    };
+    if !grouping_ok {
+        let list: Vec<String> = stmt.group_by.iter().map(ToString::to_string).collect();
+        return Err(err(format!(
+            "the {} plan does not compute GROUP BY [{}]",
+            plan.name(),
+            list.join(", ")
+        )));
+    }
+    let order_ok = match (plan, &stmt.order_by) {
+        (_, None) | (Plan::GenericScan { .. } | Plan::Catalog { .. }, _) => true,
+        (Plan::Q2 { .. }, Some(col)) => col.eq_ignore_ascii_case("date"),
+        _ => false,
+    };
+    match &stmt.order_by {
+        Some(col) if !order_ok => {
+            Err(err(format!("the {} plan does not compute ORDER BY {col}", plan.name())))
+        }
+        _ => Ok(()),
+    }
+}
+
+/// The benchmark shape of a statement, with its parameters bound.
+fn match_shape(stmt: &SelectStmt) -> Result<Plan> {
     let tables: Vec<String> = stmt.tables.iter().map(|t| t.to_ascii_lowercase()).collect();
 
     // --- system catalog -------------------------------------------------
@@ -424,7 +471,7 @@ pub fn match_plan(stmt: &SelectStmt) -> Result<Plan> {
             else {
                 return Err(err("Q4 needs date = Date(...) and channel = N"));
             };
-            let factor = find_lower_res_factor(stmt).unwrap_or(8);
+            let factor = find_lower_res_factor(stmt)?;
             return Ok(Plan::Q4 { date, channel, clip, factor });
         }
         if stmt.where_clause.as_ref().is_some_and(|w| w.mentions_method("average")) {
@@ -814,19 +861,27 @@ fn plan_result(lines: Vec<String>, metrics: QueryMetrics) -> QueryResult {
     }
 }
 
-fn find_lower_res_factor(stmt: &SelectStmt) -> Option<usize> {
-    if let Projection::Exprs(exprs) = &stmt.projection {
-        for e in exprs {
-            if let Expr::Method { name, args, .. } = e {
-                if name.eq_ignore_ascii_case("lower_res") {
-                    if let Some(Expr::Int(k)) = args.first() {
-                        return Some(*k as usize);
-                    }
-                }
-            }
-        }
-    }
-    None
+/// The factor of Q4's `lower_res(N)`: one positive integer literal.
+fn find_lower_res_factor(stmt: &SelectStmt) -> Result<usize> {
+    let exprs = match &stmt.projection {
+        Projection::Exprs(exprs) => exprs.as_slice(),
+        Projection::Star => &[],
+    };
+    let call = exprs.iter().find_map(|e| match e {
+        Expr::Method { name, args, .. } if name.eq_ignore_ascii_case("lower_res") => Some(args),
+        _ => None,
+    });
+    let Some(args) = call else {
+        return Err(err("Q4 needs a lower_res(N) projection"));
+    };
+    let factor = match args.as_slice() {
+        [Expr::Int(k)] => usize::try_from(*k).ok().filter(|&k| k > 0),
+        _ => None,
+    };
+    factor.ok_or_else(|| {
+        let args: Vec<String> = args.iter().map(ToString::to_string).collect();
+        err(format!("lower_res({}) needs one positive integer literal factor", args.join(", ")))
+    })
 }
 
 fn find_average_threshold(stmt: &SelectStmt) -> Option<f64> {
@@ -902,6 +957,66 @@ fn find_closest_point(stmt: &SelectStmt) -> Option<Result<Point>> {
     None
 }
 
+/// A single-table statement's WHERE, select list and ORDER BY, bound
+/// against the table's schema and applied row at a time. The generic scan
+/// and the catalog scan both run through it.
+struct RowEval<'a> {
+    stmt: &'a SelectStmt,
+    schema: &'a paradise_exec::Schema,
+    /// The output position ORDER BY sorts on.
+    sort_col: Option<usize>,
+}
+
+impl<'a> RowEval<'a> {
+    /// Binds the statement. ORDER BY must name a column of the output:
+    /// any schema column under `*`, else a plainly projected column.
+    fn bind(stmt: &'a SelectStmt, schema: &'a paradise_exec::Schema) -> Result<Self> {
+        let sort_col = match (&stmt.order_by, &stmt.projection) {
+            (None, _) => None,
+            (Some(col), Projection::Star) => Some(schema.index_of(col)?),
+            (Some(col), Projection::Exprs(exprs)) => {
+                let pos = exprs.iter().position(|e| column_name(e) == Some(col.as_str()));
+                Some(pos.ok_or_else(|| {
+                    err(format!("ORDER BY {col}: the column is not in the select list"))
+                })?)
+            }
+        };
+        Ok(RowEval { stmt, schema, sort_col })
+    }
+
+    /// The output row for `t`, or `None` when WHERE rejects it.
+    fn apply(&self, t: &Tuple) -> Result<Option<Tuple>> {
+        if let Some(w) = &self.stmt.where_clause {
+            if !eval_predicate(w, t, self.schema)? {
+                return Ok(None);
+            }
+        }
+        Ok(Some(match &self.stmt.projection {
+            Projection::Star => t.clone(),
+            Projection::Exprs(exprs) => Tuple::new(
+                exprs.iter().map(|e| eval_expr(e, t, self.schema)).collect::<Result<_>>()?,
+            ),
+        }))
+    }
+
+    /// Sorts the output rows and names the output columns.
+    fn finish(&self, rows: Vec<Tuple>, metrics: QueryMetrics) -> Result<QueryResult> {
+        let rows = match self.sort_col {
+            Some(col) => paradise_exec::ops::basic::sort_by_col(rows, col)?,
+            None => rows,
+        };
+        let columns = match &self.stmt.projection {
+            Projection::Star => self.schema.fields().iter().map(|f| f.name.clone()).collect(),
+            Projection::Exprs(exprs) => exprs
+                .iter()
+                .enumerate()
+                .map(|(i, e)| column_name(e).map(str::to_string).unwrap_or(format!("col{i}")))
+                .collect(),
+        };
+        Ok(QueryResult { columns, rows, metrics })
+    }
+}
+
 /// The generic parallel plan: per-node scan, scalar predicate, projection.
 /// The predicate + projection run as tuple morsels on the worker pool
 /// ([`paradise_exec::workers`]); morsel-order merging keeps the output
@@ -909,48 +1024,16 @@ fn find_closest_point(stmt: &SelectStmt) -> Option<Result<Point>> {
 fn generic_scan(db: &Paradise, stmt: &SelectStmt) -> Result<QueryResult> {
     let t0 = std::time::Instant::now();
     let table = db.table(&stmt.tables[0])?;
-    let schema = table.schema.clone();
+    let eval = RowEval::bind(stmt, &table.schema)?;
     let mut m = QueryMetrics::default();
     let pool = db.cluster().workers();
     let per_node = run_phase(db.cluster(), &mut m, "scan + filter + project", |node| {
         let frag = table.fragment_tuples(db.cluster(), node)?;
-        paradise_exec::ops::basic::par_project(&pool, &frag, |t| {
-            let keep = match &stmt.where_clause {
-                Some(w) => eval_predicate(w, t, &schema)?,
-                None => true,
-            };
-            if !keep {
-                return Ok(None);
-            }
-            Ok(Some(match &stmt.projection {
-                Projection::Star => t.clone(),
-                Projection::Exprs(exprs) => {
-                    let vals: Vec<Value> =
-                        exprs.iter().map(|e| eval_expr(e, t, &schema)).collect::<Result<_>>()?;
-                    Tuple::new(vals)
-                }
-            }))
-        })
+        paradise_exec::ops::basic::par_project(&pool, &frag, |t| eval.apply(t))
     })?;
-    let mut rows: Vec<Tuple> = per_node.into_iter().flatten().collect();
-    if let Some(order) = &stmt.order_by {
-        let idx = schema.index_of(order)?;
-        // Star projection keeps the schema; expression projections sort by
-        // position 0 as a fallback.
-        let col = if matches!(stmt.projection, Projection::Star) { idx } else { 0 };
-        rows = paradise_exec::ops::basic::sort_by_col(rows, col)?;
-    }
-    let columns = match &stmt.projection {
-        Projection::Star => schema.fields().iter().map(|f| f.name.clone()).collect(),
-        Projection::Exprs(exprs) => exprs
-            .iter()
-            .enumerate()
-            .map(|(i, e)| column_name(e).map(str::to_string).unwrap_or(format!("col{i}")))
-            .collect(),
-    };
-    let mut metrics = m;
-    metrics.wall = t0.elapsed();
-    Ok(QueryResult { columns, rows, metrics })
+    let mut result = eval.finish(per_node.into_iter().flatten().collect(), m)?;
+    result.metrics.wall = t0.elapsed();
+    Ok(result)
 }
 
 fn eval_expr(e: &Expr, t: &Tuple, schema: &paradise_exec::Schema) -> Result<Value> {
@@ -1072,41 +1155,15 @@ fn catalog_scan(
 ) -> Result<QueryResult> {
     let t0 = std::time::Instant::now();
     let schema = table.schema();
+    let eval = RowEval::bind(stmt, &schema)?;
     let mut m = QueryMetrics::default();
-    let all = crate::catalog::scan(db, table, &mut m)?;
     let mut rows = Vec::new();
-    for t in all {
-        let keep = match &stmt.where_clause {
-            Some(w) => eval_predicate(w, &t, &schema)?,
-            None => true,
-        };
-        if !keep {
-            continue;
-        }
-        rows.push(match &stmt.projection {
-            Projection::Star => t,
-            Projection::Exprs(exprs) => {
-                let vals: Vec<Value> =
-                    exprs.iter().map(|e| eval_expr(e, &t, &schema)).collect::<Result<_>>()?;
-                Tuple::new(vals)
-            }
-        });
+    for t in crate::catalog::scan(db, table, &mut m)? {
+        rows.extend(eval.apply(&t)?);
     }
-    if let Some(order) = &stmt.order_by {
-        let idx = schema.index_of(order)?;
-        let col = if matches!(stmt.projection, Projection::Star) { idx } else { 0 };
-        rows = paradise_exec::ops::basic::sort_by_col(rows, col)?;
-    }
-    let columns = match &stmt.projection {
-        Projection::Star => schema.fields().iter().map(|f| f.name.clone()).collect(),
-        Projection::Exprs(exprs) => exprs
-            .iter()
-            .enumerate()
-            .map(|(i, e)| column_name(e).map(str::to_string).unwrap_or(format!("col{i}")))
-            .collect(),
-    };
-    m.wall = t0.elapsed();
-    Ok(QueryResult { columns, rows, metrics: m })
+    let mut result = eval.finish(rows, m)?;
+    result.metrics.wall = t0.elapsed();
+    Ok(result)
 }
 
 fn compare_values(l: &Value, r: &Value) -> Result<std::cmp::Ordering> {

@@ -13,6 +13,7 @@
 
 use crate::stream::{self, RemoteRx, RemoteTx, TupleRx, TupleTx};
 use crate::value::TileRef;
+use crate::workers::{default_workers, register_pool_metrics, WorkerPool};
 use crate::{ExecError, Result};
 use paradise_geom::{Grid, Point, Rect, TileId};
 use paradise_obs::{Counter, EventLog, MetricSample, MetricsRegistry, TraceSink};
@@ -91,9 +92,6 @@ pub struct ClusterConfig {
     /// operation because each pull requires that a separate operator be
     /// started on the remote node" plus the extra random disk seeks.
     pub pull_cost: std::time::Duration,
-    /// Intra-node worker-pool size for morsel-parallel kernels
-    /// ([`crate::workers`]). `0` means one worker per available core.
-    pub workers: usize,
 }
 
 impl ClusterConfig {
@@ -114,7 +112,6 @@ impl ClusterConfig {
                 .expect("valid universe"),
             base_dir,
             pull_cost: std::time::Duration::from_micros(5),
-            workers: 0,
         }
     }
 }
@@ -210,8 +207,9 @@ pub struct Cluster {
     events: Arc<EventLog>,
     streams_opened: Counter,
     /// Intra-node worker pool for morsel-parallel kernels
-    /// ([`crate::workers`]), shared by every node in the simulated cluster.
-    workers: Arc<crate::workers::PoolHandle>,
+    /// ([`crate::workers`]), shared by every node in the simulated cluster
+    /// and sized from the host's available parallelism.
+    workers: Arc<WorkerPool>,
 }
 
 impl Cluster {
@@ -237,11 +235,8 @@ impl Cluster {
         }
         trace.set_lane_name(nodes.len() as u32, "QC");
         let streams_opened = obs.counter("exec.streams_opened");
-        let pool_size =
-            if cfg.workers == 0 { crate::workers::default_workers() } else { cfg.workers };
-        let workers =
-            crate::workers::PoolHandle::new(Arc::new(crate::workers::WorkerPool::new(pool_size)));
-        crate::workers::register_pool_metrics(&obs, &workers);
+        let workers = Arc::new(WorkerPool::new(default_workers()));
+        register_pool_metrics(&obs, &workers);
         Ok(Cluster {
             nodes,
             grid,
@@ -258,15 +253,9 @@ impl Cluster {
     }
 
     /// The intra-node worker pool every kernel on this cluster runs
-    /// through (cheap `Arc` clone of the current pool).
-    pub fn workers(&self) -> Arc<crate::workers::WorkerPool> {
-        self.workers.get()
-    }
-
-    /// Replaces the worker pool (e.g. to compare worker counts on the same
-    /// data in benchmarks). Registered pool metrics follow the swap.
-    pub fn set_workers(&self, pool: Arc<crate::workers::WorkerPool>) {
-        self.workers.set(pool);
+    /// through (cheap `Arc` clone).
+    pub fn workers(&self) -> Arc<WorkerPool> {
+        self.workers.clone()
     }
 
     /// The cluster-wide metrics registry.

@@ -2,12 +2,11 @@
 //!
 //! The parallel execution engine of Paradise (paper §2.2–§2.7): a simulated
 //! shared-nothing cluster of data-server nodes, tuple streams, declustering
-//! (round-robin / hash / spatial with replication), the relational and
-//! spatial operator library (selection, projection, sort, nested-loops /
-//! Grace-hash joins, PBSM spatial join, two-phase extensible
-//! aggregation), the tile-granular raster store with the pull model for
-//! large attributes, and the spatial-semi-join + join-with-aggregate
-//! machinery behind the `closest` spatial aggregate (Figure 3.1).
+//! (round-robin / hash / spatial with replication), the operator library
+//! (projection, sort, PBSM spatial join), the tile-granular raster store
+//! with the pull model for large attributes, and the spatial-semi-join +
+//! join-with-aggregate machinery behind the `closest` spatial aggregate
+//! (Figure 3.1).
 //!
 //! ## Timing model
 //!

@@ -1,40 +1,9 @@
-//! Selection, projection and sort.
+//! Projection, sort and tuple concatenation.
 
 use crate::table::index_key;
 use crate::tuple::Tuple;
 use crate::workers::{WorkerPool, TUPLE_MORSEL};
 use crate::Result;
-
-/// Filters tuples by a predicate (the parallel `select` operator; each node
-/// runs one instance over its fragment).
-pub fn select(
-    input: Vec<Tuple>,
-    mut pred: impl FnMut(&Tuple) -> Result<bool>,
-) -> Result<Vec<Tuple>> {
-    let mut out = Vec::new();
-    for t in input {
-        if pred(&t)? {
-            out.push(t);
-        }
-    }
-    Ok(out)
-}
-
-/// [`select`] with the predicate evaluated in [`TUPLE_MORSEL`]-sized
-/// morsels on a worker pool. Each morsel produces keep-flags (so matching
-/// tuples are moved, not cloned); flags merge in morsel order, making the
-/// output — including which error surfaces first — byte-identical to the
-/// serial operator for every worker count.
-pub fn par_select(
-    pool: &WorkerPool,
-    input: Vec<Tuple>,
-    pred: impl Fn(&Tuple) -> Result<bool> + Sync,
-) -> Result<Vec<Tuple>> {
-    let keep = pool.map_chunks(&input, TUPLE_MORSEL, |chunk| {
-        chunk.iter().map(&pred).collect::<Result<Vec<bool>>>()
-    })?;
-    Ok(input.into_iter().zip(keep).filter_map(|(t, k)| k.then_some(t)).collect())
-}
 
 /// Maps every tuple (projection with ADT method evaluation — clip,
 /// lower_res, area … happen inside `f`). `f` returning `None` drops the
@@ -102,12 +71,6 @@ mod tests {
 
     fn t(v: i64) -> Tuple {
         Tuple::new(vec![Value::Int(v)])
-    }
-
-    #[test]
-    fn select_filters() {
-        let out = select((0..10).map(t).collect(), |t| Ok(t.get(0)?.as_int()? % 2 == 0)).unwrap();
-        assert_eq!(out.len(), 5);
     }
 
     #[test]

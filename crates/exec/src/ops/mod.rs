@@ -4,8 +4,6 @@
 //! driver ([`crate::phase`]) runs them per node and
 //! [`crate::phase::exchange`] moves their outputs between nodes.
 
-pub mod aggregate;
 pub mod basic;
 pub mod closest;
-pub mod join;
 pub mod spatial_join;

@@ -18,7 +18,7 @@
 //! and swept forward so every x-overlapping pair is enumerated exactly
 //! once, then checked for y-overlap, the reference-point rule, and the
 //! exact refinement. Tile buckets are processed as fixed-size morsels on
-//! the cluster's worker pool ([`crate::workers`]) in sorted tile order —
+//! a worker pool ([`crate::workers`]) in sorted tile order —
 //! **the reference-point rule is evaluated per tile, never per morsel**,
 //! so morsel boundaries cannot re-introduce duplicates, and morsel-order
 //! merging keeps the output deterministic for every worker count.
@@ -29,7 +29,7 @@ use crate::ops::basic::concat;
 use crate::phase::run_phase;
 use crate::table::TableDef;
 use crate::tuple::Tuple;
-use crate::workers::TILE_MORSEL;
+use crate::workers::{WorkerPool, TILE_MORSEL};
 use crate::{ExecError, NodeId, Result};
 use paradise_geom::{Grid, Rect, Shape, TileId};
 use std::collections::HashMap;
@@ -192,11 +192,12 @@ fn sweep_tile(
 ///
 /// Inputs are the node's fragments of spatially-declustered (and therefore
 /// possibly replicated) tables. The filter is a per-tile plane sweep; tile
-/// buckets run as [`TILE_MORSEL`]-sized morsels on the cluster's worker
-/// pool and the outputs are merged in morsel (= sorted tile) order, so the
-/// result is identical for every worker count.
+/// buckets run as [`TILE_MORSEL`]-sized morsels on `pool` and the outputs
+/// are merged in morsel (= sorted tile) order, so the result is identical
+/// for every worker count.
 pub fn local_tile_join(
     cluster: &Cluster,
+    pool: &WorkerPool,
     node: NodeId,
     left: &[Tuple],
     lcol: usize,
@@ -205,7 +206,6 @@ pub fn local_tile_join(
 ) -> Result<Vec<Tuple>> {
     let (tiles, lboxes, rboxes) = tile_worklist(cluster, node, left, lcol, right, rcol)?;
     let grid = cluster.grid();
-    let pool = cluster.workers();
     let per_morsel = pool.run(tiles.len(), TILE_MORSEL, |range| {
         let mut out = Vec::new();
         for (tile, lids, rids) in &tiles[range] {
@@ -219,9 +219,9 @@ pub fn local_tile_join(
 }
 
 /// The pre-sweep quadratic filter (every left×right bbox pair per tile),
-/// kept as the reference implementation for equivalence tests and the
-/// ablation benchmark. Semantics are identical to [`local_tile_join`];
-/// only the candidate-enumeration order differs.
+/// kept as the reference implementation for the plane sweep's equivalence
+/// tests. Semantics are identical to [`local_tile_join`]; only the
+/// candidate-enumeration order differs.
 pub fn local_tile_join_quadratic(
     cluster: &Cluster,
     node: NodeId,
@@ -255,10 +255,11 @@ pub fn parallel_spatial_join(
     right: &TableDef,
     rcol: usize,
 ) -> Result<Vec<Vec<Tuple>>> {
+    let pool = cluster.workers();
     run_phase(cluster, metrics, "local spatial join", |node| {
         let l = left.fragment_tuples(cluster, node)?;
         let r = right.fragment_tuples(cluster, node)?;
-        local_tile_join(cluster, node, &l, lcol, &r, rcol)
+        local_tile_join(cluster, &pool, node, &l, lcol, &r, rcol)
     })
 }
 
@@ -375,7 +376,7 @@ mod tests {
         let mut owners = Vec::new();
         let mut total = 0;
         for node in 0..4 {
-            let out = local_tile_join(&c, node, &l, 1, &r, 1).unwrap();
+            let out = local_tile_join(&c, &c.workers(), node, &l, 1, &r, 1).unwrap();
             if !out.is_empty() {
                 owners.push(node);
             }

@@ -5,18 +5,17 @@
 //! module parallelises *inside* each node's operator kernels in the style
 //! of "Parallel In-Memory Evaluation of Spatial Joins" (Tsitsigkos &
 //! Mamoulis): inputs are cut into fixed-size morsels, claimed dynamically
-//! by workers, and merged back **in morsel order** so results are
-//! byte-identical for every pool size (see [`WorkerPool`] for the full
-//! determinism rule). The pool size comes from
-//! `ParadiseConfig::with_workers(n)` (0 = one worker per available core).
+//! by real scoped threads, and merged back **in morsel order** so results
+//! are byte-identical for every pool size (see [`WorkerPool`] for the full
+//! determinism rule). Each cluster owns one pool sized from the host's
+//! available parallelism ([`default_workers`]); kernels take it as an
+//! explicit `&WorkerPool` argument.
 //!
 //! Kernels driven through the pool:
 //!
 //! - PBSM tile buckets in [`crate::ops::spatial_join`] (plane-sweep filter
 //!   per tile, morsel = a run of sorted tiles),
-//! - Grace hash-join partitions in [`crate::ops::join`],
-//! - per-morsel partial aggregation in [`crate::ops::aggregate`],
-//! - predicate scans in [`crate::ops::basic`],
+//! - per-tuple projection in [`crate::ops::basic::par_project`],
 //! - LZW tile compress/decompress batches in `paradise_array::lzw` (used
 //!   by [`crate::raster_store`]).
 //!
@@ -25,59 +24,25 @@
 //! registry and the measured phase driver snapshots them per phase so
 //! `EXPLAIN ANALYZE` can annotate operators with `morsels=`.
 
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 use paradise_obs::MetricsRegistry;
 pub use paradise_util::workers::{
-    default_workers, PoolMode, PoolSnapshot, WorkerPool, BLOB_MORSEL, TILE_MORSEL, TUPLE_MORSEL,
+    default_workers, PoolSnapshot, WorkerPool, BLOB_MORSEL, TILE_MORSEL, TUPLE_MORSEL,
 };
-
-/// A shared, swappable handle to a cluster's worker pool.
-///
-/// Metrics collectors and phase drivers hold the handle (stable for the
-/// cluster's lifetime) while benchmarks and tests may swap the pool
-/// underneath it ([`PoolHandle::set`]) to compare worker counts on the
-/// same data.
-pub struct PoolHandle {
-    inner: RwLock<Arc<WorkerPool>>,
-}
-
-impl PoolHandle {
-    /// Wraps a pool in a shared handle.
-    pub fn new(pool: Arc<WorkerPool>) -> Arc<PoolHandle> {
-        Arc::new(PoolHandle { inner: RwLock::new(pool) })
-    }
-
-    /// The current pool (cheap `Arc` clone).
-    pub fn get(&self) -> Arc<WorkerPool> {
-        self.inner.read().expect("pool handle").clone()
-    }
-
-    /// Replaces the pool; subsequent kernel invocations use the new one.
-    pub fn set(&self, pool: Arc<WorkerPool>) {
-        *self.inner.write().expect("pool handle") = pool;
-    }
-}
-
-impl std::fmt::Debug for PoolHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PoolHandle").field("pool", &*self.get()).finish()
-    }
-}
 
 /// Publishes the pool's counters into a metrics registry as lazy
 /// collectors: `exec.worker.pool_size`, `exec.worker.runs`,
-/// `exec.worker.morsels`, and `exec.worker.busy_ns`. Reads go through the
-/// handle, so a swapped pool is picked up automatically.
-pub fn register_pool_metrics(obs: &MetricsRegistry, handle: &Arc<PoolHandle>) {
-    let h = handle.clone();
-    obs.register_collector("exec.worker.pool_size", move || h.get().workers() as u64);
-    let h = handle.clone();
-    obs.register_collector("exec.worker.runs", move || h.get().snapshot().runs);
-    let h = handle.clone();
-    obs.register_collector("exec.worker.morsels", move || h.get().snapshot().morsels);
-    let h = handle.clone();
-    obs.register_collector("exec.worker.busy_ns", move || h.get().snapshot().busy_ns);
+/// `exec.worker.morsels`, and `exec.worker.busy_ns`.
+pub fn register_pool_metrics(obs: &MetricsRegistry, pool: &Arc<WorkerPool>) {
+    let p = pool.clone();
+    obs.register_collector("exec.worker.pool_size", move || p.workers() as u64);
+    let p = pool.clone();
+    obs.register_collector("exec.worker.runs", move || p.snapshot().runs);
+    let p = pool.clone();
+    obs.register_collector("exec.worker.morsels", move || p.snapshot().morsels);
+    let p = pool.clone();
+    obs.register_collector("exec.worker.busy_ns", move || p.snapshot().busy_ns);
 }
 
 #[cfg(test)]
@@ -85,27 +50,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn handle_swaps_pools_under_collectors() {
-        let handle = PoolHandle::new(Arc::new(WorkerPool::new(2)));
+    fn collectors_read_the_pool() {
+        let pool = Arc::new(WorkerPool::new(3));
         let obs = MetricsRegistry::new();
-        register_pool_metrics(&obs, &handle);
-        let size = |obs: &MetricsRegistry| {
-            obs.samples()
-                .into_iter()
-                .find(|s| s.name == "exec.worker.pool_size")
-                .map(|s| s.value)
-                .unwrap()
+        register_pool_metrics(&obs, &pool);
+        let sample = |name: &str| {
+            obs.samples().into_iter().find(|s| s.name == name).map(|s| s.value).unwrap()
         };
-        assert_eq!(size(&obs), 2);
-        handle.set(Arc::new(WorkerPool::new(7)));
-        assert_eq!(size(&obs), 7);
-        handle.get().run(10, 1, |_| Ok::<_, ()>(())).unwrap();
-        let morsels = obs
-            .samples()
-            .into_iter()
-            .find(|s| s.name == "exec.worker.morsels")
-            .map(|s| s.value)
-            .unwrap();
-        assert_eq!(morsels, 10);
+        assert_eq!(sample("exec.worker.pool_size"), 3);
+        assert_eq!(sample("exec.worker.morsels"), 0);
+        pool.run(10, 1, |_| Ok::<_, ()>(())).unwrap();
+        assert_eq!(sample("exec.worker.morsels"), 10);
+        assert_eq!(sample("exec.worker.runs"), 1);
     }
 }

@@ -7,15 +7,12 @@
 //! semantics knob.
 
 use paradise_exec::cluster::{Cluster, ClusterConfig};
-use paradise_exec::ops::aggregate::{local_aggregate, local_aggregate_with, AggRegistry};
-use paradise_exec::ops::basic::{par_project, par_select, project, select};
-use paradise_exec::ops::join::{hash_join, hash_join_with};
+use paradise_exec::ops::basic::{par_project, project};
 use paradise_exec::ops::spatial_join::{local_tile_join, local_tile_join_quadratic};
 use paradise_exec::value::Value;
-use paradise_exec::workers::{PoolMode, WorkerPool};
+use paradise_exec::workers::WorkerPool;
 use paradise_exec::Tuple;
 use paradise_geom::{Point, Polyline, Shape};
-use std::sync::Arc;
 
 /// The worker counts every property is checked against. 1 must reproduce
 /// the serial kernels exactly; the rest exercise real thread scheduling
@@ -51,19 +48,6 @@ fn rows(n: usize, seed: u64) -> Vec<Tuple> {
 }
 
 #[test]
-fn par_select_is_byte_identical_to_serial() {
-    // 2500 rows → 3 morsels at TUPLE_MORSEL=1024.
-    let input = rows(2500, 7);
-    let pred = |t: &Tuple| Ok(t.get(0)?.as_int()? % 3 == 0);
-    let expected = select(input.clone(), pred).unwrap();
-    for w in WORKER_COUNTS {
-        let pool = WorkerPool::new(w);
-        let got = par_select(&pool, input.clone(), pred).unwrap();
-        assert_eq!(got, expected, "par_select diverged at {w} workers");
-    }
-}
-
-#[test]
 fn par_project_is_byte_identical_to_serial() {
     let input = rows(3000, 11);
     let map_ref = |t: &Tuple| {
@@ -78,69 +62,6 @@ fn par_project_is_byte_identical_to_serial() {
         let pool = WorkerPool::new(w);
         let got = par_project(&pool, &input, map_ref).unwrap();
         assert_eq!(got, expected, "par_project diverged at {w} workers");
-    }
-}
-
-#[test]
-fn hash_join_with_is_byte_identical_to_serial() {
-    let left = rows(600, 23);
-    let right = rows(900, 41);
-    // Tiny budget → many buckets → several bucket morsels.
-    let expected = hash_join(&left, 0, &right, 0, 512).unwrap();
-    assert!(!expected.is_empty(), "join should produce matches");
-    for w in WORKER_COUNTS {
-        let pool = WorkerPool::new(w);
-        let got = hash_join_with(&pool, &left, 0, &right, 0, 512).unwrap();
-        assert_eq!(got, expected, "hash_join diverged at {w} workers");
-    }
-}
-
-#[test]
-fn local_aggregate_with_is_identical_across_worker_counts() {
-    // Floats with arbitrary values: the morselized fold has a fixed
-    // association order (morsel boundaries never depend on the pool), so
-    // the result must be bit-identical for every worker count.
-    let input = rows(2500, 57);
-    let registry = AggRegistry::with_builtins();
-    let agg = registry.get("sum").unwrap();
-    // Aggregate input column is 0 by convention: project (float, group).
-    let agg_input: Vec<Tuple> = input
-        .iter()
-        .map(|t| Tuple::new(vec![t.get(1).unwrap().clone(), t.get(0).unwrap().clone()]))
-        .collect();
-    let reference = {
-        let pool = WorkerPool::new(1);
-        local_aggregate_with(&pool, &agg_input, &[1], agg).unwrap()
-    };
-    for w in WORKER_COUNTS {
-        let pool = WorkerPool::new(w);
-        let got = local_aggregate_with(&pool, &agg_input, &[1], agg).unwrap();
-        assert_eq!(got, reference, "local_aggregate diverged at {w} workers");
-    }
-}
-
-#[test]
-fn local_aggregate_with_matches_serial_on_exact_values() {
-    // Integer-valued floats are exactly summable in any association order,
-    // so the morselized fold must equal the plain serial fold too.
-    let mut rng = Rng(99);
-    let agg_input: Vec<Tuple> = (0..2200)
-        .map(|_| {
-            Tuple::new(vec![
-                Value::Float((rng.next() % 1000) as f64),
-                Value::Int((rng.next() % 13) as i64),
-            ])
-        })
-        .collect();
-    let registry = AggRegistry::with_builtins();
-    for name in ["sum", "count", "avg", "min", "max"] {
-        let agg = registry.get(name).unwrap();
-        let expected = local_aggregate(&agg_input, &[1], agg).unwrap();
-        for w in WORKER_COUNTS {
-            let pool = WorkerPool::new(w);
-            let got = local_aggregate_with(&pool, &agg_input, &[1], agg).unwrap();
-            assert_eq!(got, expected, "{name} diverged at {w} workers");
-        }
     }
 }
 
@@ -172,8 +93,8 @@ fn plane_sweep_join_matches_quadratic_and_is_pool_invariant() {
     for node in 0..2 {
         let expected = local_tile_join_quadratic(&cluster, node, &left, 1, &right, 1).unwrap();
         for w in WORKER_COUNTS {
-            cluster.set_workers(Arc::new(WorkerPool::new(w)));
-            let got = local_tile_join(&cluster, node, &left, 1, &right, 1).unwrap();
+            let got =
+                local_tile_join(&cluster, &WorkerPool::new(w), node, &left, 1, &right, 1).unwrap();
             // Same pair set: the sweep only changes candidate-enumeration
             // order within a tile, so compare as multisets of pairs.
             let key = |t: &Tuple| format!("{t:?}");
@@ -185,11 +106,11 @@ fn plane_sweep_join_matches_quadratic_and_is_pool_invariant() {
         }
         // And across worker counts the output must be byte-identical
         // (same order, not just the same set).
-        cluster.set_workers(Arc::new(WorkerPool::new(1)));
-        let serial = local_tile_join(&cluster, node, &left, 1, &right, 1).unwrap();
+        let serial =
+            local_tile_join(&cluster, &WorkerPool::new(1), node, &left, 1, &right, 1).unwrap();
         for w in WORKER_COUNTS {
-            cluster.set_workers(Arc::new(WorkerPool::new(w)));
-            let got = local_tile_join(&cluster, node, &left, 1, &right, 1).unwrap();
+            let got =
+                local_tile_join(&cluster, &WorkerPool::new(w), node, &left, 1, &right, 1).unwrap();
             assert_eq!(got, serial, "tile join order diverged at {w} workers");
         }
     }
@@ -208,41 +129,36 @@ fn reference_point_rule_is_per_tile_not_per_morsel() {
     let cluster = Cluster::create(&ClusterConfig::for_test(1, "pk-refpoint")).unwrap();
     let l = vec![line("diag-up", &[(-170.0, -85.0), (170.0, 85.0)])];
     let r = vec![line("diag-down", &[(-170.0, 85.0), (170.0, -85.0)])];
-    let before = cluster.workers().snapshot();
-    let out = local_tile_join(&cluster, 0, &l, 1, &r, 1).unwrap();
-    let delta = cluster.workers().snapshot().since(&before);
+    let pool = cluster.workers();
+    let before = pool.snapshot();
+    let out = local_tile_join(&cluster, &pool, 0, &l, 1, &r, 1).unwrap();
+    let delta = pool.snapshot().since(&before);
     assert!(
         delta.morsels > 1,
         "workload must span several morsels for this regression to bite (got {})",
         delta.morsels
     );
     assert_eq!(out.len(), 1, "pair must be reported exactly once, not per morsel");
-    // The same invariant for every pool size, including the measured mode
-    // the benchmark uses.
+    // The same invariant for every pool size.
     for w in WORKER_COUNTS {
-        cluster.set_workers(Arc::new(WorkerPool::new(w)));
-        assert_eq!(local_tile_join(&cluster, 0, &l, 1, &r, 1).unwrap().len(), 1);
+        let pool = WorkerPool::new(w);
+        assert_eq!(local_tile_join(&cluster, &pool, 0, &l, 1, &r, 1).unwrap().len(), 1);
     }
-    cluster.set_workers(Arc::new(WorkerPool::measured(4)));
-    assert_eq!(cluster.workers().mode(), PoolMode::Measured);
-    assert_eq!(local_tile_join(&cluster, 0, &l, 1, &r, 1).unwrap().len(), 1);
 }
 
 #[test]
 fn with_workers_one_reproduces_serial_engine_output() {
-    // The pool handle defaults to the configured size; forcing 1 worker
-    // must not change any kernel output (checked above per kernel). Here:
-    // the end-to-end spatial join through a cluster whose pool is swapped
-    // between 1 and 7 workers mid-flight.
+    // One worker must not change any kernel output (checked above per
+    // kernel). Here: the spatial join over every node of a cluster, run
+    // once on a 1-worker pool and once on a 7-worker pool.
     let cluster = Cluster::create(&ClusterConfig::for_test(2, "pk-swap")).unwrap();
     let left = random_segments(120, 13);
     let right = random_segments(120, 17);
-    cluster.set_workers(Arc::new(WorkerPool::new(1)));
-    let serial: Vec<Vec<Tuple>> =
-        (0..2).map(|n| local_tile_join(&cluster, n, &left, 1, &right, 1).unwrap()).collect();
-    cluster.set_workers(Arc::new(WorkerPool::new(7)));
-    let parallel: Vec<Vec<Tuple>> =
-        (0..2).map(|n| local_tile_join(&cluster, n, &left, 1, &right, 1).unwrap()).collect();
+    let join_all = |pool: &WorkerPool| -> Vec<Vec<Tuple>> {
+        (0..2).map(|n| local_tile_join(&cluster, pool, n, &left, 1, &right, 1).unwrap()).collect()
+    };
+    let serial = join_all(&WorkerPool::new(1));
+    let parallel = join_all(&WorkerPool::new(7));
     assert_eq!(serial, parallel);
     assert!(serial.iter().map(Vec::len).sum::<usize>() > 0, "join should produce pairs");
 }

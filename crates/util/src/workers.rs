@@ -22,20 +22,9 @@
 //! plain serial loop, and any worker count produces byte-for-byte the
 //! output of any other — the invariant the Local-vs-Tcp byte-identity and
 //! chaos suites rely on.
-//!
-//! ## Measured mode
-//!
-//! [`WorkerPool::measured`] executes morsels inline while *timing each
-//! morsel* and greedily assigning it to the least-loaded of `n` virtual
-//! workers — the same list-scheduling a real dynamic pool performs. The
-//! resulting [`WorkerPool::critical_path`] is the kernel's simulated
-//! parallel time, consistent with the engine's shared-nothing cost model
-//! (`simulated_time = Σ_phases max_node(busy)`), and is what the committed
-//! benchmarks report on single-core CI hosts.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -51,18 +40,6 @@ pub const TILE_MORSEL: usize = 8;
 /// Fixed morsel size for large-blob kernels (LZW tile codecs): one blob
 /// per morsel, since a single tile is already thousands of bytes of work.
 pub const BLOB_MORSEL: usize = 1;
-
-/// How a [`WorkerPool`] executes morsels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PoolMode {
-    /// Real OS threads (scoped), dynamic morsel claiming. Falls back to an
-    /// inline loop when one worker would run alone.
-    Threads,
-    /// Inline execution that times each morsel and list-schedules it onto
-    /// virtual workers; used by benchmarks to report the parallel
-    /// critical path on machines with fewer cores than workers.
-    Measured,
-}
 
 /// Monotonic counters describing everything a pool has executed.
 ///
@@ -90,7 +67,8 @@ impl PoolSnapshot {
 }
 
 /// A fixed-size intra-node worker pool executing kernels as ordered
-/// morsels.
+/// morsels on real scoped OS threads, claimed dynamically. A run with one
+/// worker (or one morsel) is a plain inline loop.
 ///
 /// ```
 /// use paradise_util::workers::WorkerPool;
@@ -111,24 +89,19 @@ impl PoolSnapshot {
 /// ```
 pub struct WorkerPool {
     workers: usize,
-    mode: PoolMode,
     runs: AtomicU64,
     morsels: AtomicU64,
     busy_ns: AtomicU64,
-    last_busy: Mutex<Vec<Duration>>,
 }
 
 impl std::fmt::Debug for WorkerPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerPool")
-            .field("workers", &self.workers)
-            .field("mode", &self.mode)
-            .finish()
+        f.debug_struct("WorkerPool").field("workers", &self.workers).finish()
     }
 }
 
-/// Number of workers used when a size of `0` ("auto") is requested: the
-/// host's available parallelism, or 1 if it cannot be determined.
+/// One worker per core: the host's available parallelism, or 1 if it
+/// cannot be determined.
 pub fn default_workers() -> usize {
     thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
@@ -137,42 +110,17 @@ impl WorkerPool {
     /// A pool of `workers` OS threads (clamped to at least 1). Pass the
     /// result of [`default_workers`] for one worker per core.
     pub fn new(workers: usize) -> Self {
-        Self::with_mode(workers, PoolMode::Threads)
-    }
-
-    /// A single-worker pool: every kernel runs as a plain inline loop,
-    /// byte-identical to pre-pool serial execution.
-    pub fn serial() -> Self {
-        Self::new(1)
-    }
-
-    /// A pool of `workers` *virtual* workers in [`PoolMode::Measured`]:
-    /// morsels run inline but are timed and list-scheduled so
-    /// [`WorkerPool::critical_path`] reports the simulated parallel time.
-    pub fn measured(workers: usize) -> Self {
-        Self::with_mode(workers, PoolMode::Measured)
-    }
-
-    fn with_mode(workers: usize, mode: PoolMode) -> Self {
-        let workers = workers.max(1);
         WorkerPool {
-            workers,
-            mode,
+            workers: workers.max(1),
             runs: AtomicU64::new(0),
             morsels: AtomicU64::new(0),
             busy_ns: AtomicU64::new(0),
-            last_busy: Mutex::new(vec![Duration::ZERO; workers]),
         }
     }
 
     /// The pool size.
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// The execution mode.
-    pub fn mode(&self) -> PoolMode {
-        self.mode
     }
 
     /// Current values of the pool's monotonic counters.
@@ -182,17 +130,6 @@ impl WorkerPool {
             morsels: self.morsels.load(Ordering::Relaxed),
             busy_ns: self.busy_ns.load(Ordering::Relaxed),
         }
-    }
-
-    /// Per-worker busy time of the most recent `run`.
-    pub fn last_worker_busy(&self) -> Vec<Duration> {
-        self.last_busy.lock().expect("pool lock").clone()
-    }
-
-    /// Parallel critical path of the most recent `run`: the busy time of
-    /// its most loaded (real or virtual) worker.
-    pub fn critical_path(&self) -> Duration {
-        self.last_worker_busy().into_iter().max().unwrap_or(Duration::ZERO)
     }
 
     /// Execute a kernel over `0..len` as fixed-size morsels and return one
@@ -218,46 +155,25 @@ impl WorkerPool {
         self.morsels.fetch_add(num_morsels as u64, Ordering::Relaxed);
 
         let threads = self.workers.min(num_morsels);
-        if threads <= 1 || self.mode == PoolMode::Measured {
+        if threads <= 1 {
             self.run_inline(num_morsels, &morsel_range, &f)
         } else {
             self.run_threads(threads, num_morsels, &morsel_range, &f)
         }
     }
 
-    /// Inline execution (single worker, or Measured mode's virtual
-    /// list-scheduling).
+    /// Inline execution on the calling thread: a plain serial loop over
+    /// the morsels, stopping at the first error.
     fn run_inline<O, E>(
         &self,
         num_morsels: usize,
         morsel_range: &dyn Fn(usize) -> Range<usize>,
         f: &dyn Fn(Range<usize>) -> Result<O, E>,
     ) -> Result<Vec<O>, E> {
-        let mut virt = vec![Duration::ZERO; self.workers];
-        let mut out = Vec::with_capacity(num_morsels);
-        let mut total = Duration::ZERO;
-        let mut result = Ok(());
-        for m in 0..num_morsels {
-            let t0 = Instant::now();
-            let r = f(morsel_range(m));
-            let took = t0.elapsed();
-            total += took;
-            // Greedy list scheduling: the next morsel goes to whichever
-            // (virtual) worker frees up first — what dynamic claiming does.
-            if let Some(w) = virt.iter_mut().min() {
-                *w += took;
-            }
-            match r {
-                Ok(o) => out.push(o),
-                Err(e) => {
-                    result = Err(e);
-                    break;
-                }
-            }
-        }
-        self.busy_ns.fetch_add(total.as_nanos() as u64, Ordering::Relaxed);
-        *self.last_busy.lock().expect("pool lock") = virt;
-        result.map(|()| out)
+        let t0 = Instant::now();
+        let out = (0..num_morsels).map(|m| f(morsel_range(m))).collect();
+        self.busy_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        out
     }
 
     /// Real scoped threads with dynamic morsel claiming. The calling
@@ -300,18 +216,15 @@ impl WorkerPool {
             outs
         });
 
-        let mut busy_per_worker = vec![Duration::ZERO; self.workers];
         let mut slots: Vec<Option<Result<O, E>>> = (0..num_morsels).map(|_| None).collect();
         let mut total = Duration::ZERO;
-        for (w, (local, busy)) in per_worker.into_iter().enumerate() {
-            busy_per_worker[w] = busy;
+        for (local, busy) in per_worker {
             total += busy;
             for (m, r) in local {
                 slots[m] = Some(r);
             }
         }
         self.busy_ns.fetch_add(total.as_nanos() as u64, Ordering::Relaxed);
-        *self.last_busy.lock().expect("pool lock") = busy_per_worker;
 
         // Merge in morsel order; the lowest failing morsel reports first.
         let mut out = Vec::with_capacity(num_morsels);
@@ -407,26 +320,6 @@ mod tests {
         let delta = pool.snapshot().since(&before);
         assert_eq!(delta.runs, 2);
         assert_eq!(delta.morsels, 11);
-    }
-
-    #[test]
-    fn measured_mode_schedules_virtual_workers() {
-        let pool = WorkerPool::measured(4);
-        pool.run(64, 1, |_| {
-            // A tiny but non-zero amount of work per morsel.
-            std::hint::black_box((0..2_000u64).sum::<u64>());
-            Ok::<_, ()>(())
-        })
-        .unwrap();
-        let busy = pool.last_worker_busy();
-        assert_eq!(busy.len(), 4);
-        // All four virtual workers got some share of 64 equal morsels.
-        assert!(busy.iter().all(|d| !d.is_zero()));
-        let total: Duration = busy.iter().sum();
-        let critical = pool.critical_path();
-        // Critical path must be well below the serial total: 64 equal
-        // morsels over 4 workers should land near total/4.
-        assert!(critical < total, "critical {critical:?} vs total {total:?}");
     }
 
     #[test]

@@ -243,3 +243,89 @@ fn shape_matchers_reject_conjuncts_their_plans_do_not_evaluate() {
         .unwrap();
     assert_eq!(q12.rows.len(), queries::q12(&db, 2, true).unwrap().rows.len());
 }
+
+#[test]
+fn scans_order_by_the_named_column() {
+    let (db, _) = load("order");
+    // Ints compare numerically, strings bytewise.
+    let sorted_on = |rows: &[paradise_exec::Tuple], col: usize| {
+        let key = |t: &paradise_exec::Tuple| match t.get(col).unwrap() {
+            paradise_exec::Value::Int(i) => (*i, String::new()),
+            v => (0, v.as_str().unwrap().to_string()),
+        };
+        rows.windows(2).all(|w| key(&w[0]) <= key(&w[1]))
+    };
+    // The ORDER BY column is not the first one projected.
+    let r = db.sql("select name, type from populatedPlaces order by type").unwrap();
+    let unsorted = db.sql("select name, type from populatedPlaces").unwrap();
+    assert!(r.rows.len() > 1);
+    assert!(sorted_on(&r.rows, 1), "rows not in type order");
+    let key = |rows: &[paradise_exec::Tuple]| {
+        let mut v: Vec<String> = rows.iter().map(|t| format!("{t:?}")).collect();
+        v.sort();
+        v
+    };
+    assert_eq!(key(&r.rows), key(&unsorted.rows), "sorting changed the row set");
+    let star = db.sql("select * from populatedPlaces order by type").unwrap();
+    let type_col = star.columns.iter().position(|c| c == "type").unwrap();
+    assert!(sorted_on(&star.rows, type_col));
+    // The catalog scan sorts the same way.
+    let m = db.sql("select value, name from paradise.metrics order by name").unwrap();
+    assert!(m.rows.len() > 1);
+    assert!(sorted_on(&m.rows, 1), "metrics not in name order");
+    // An ORDER BY column outside the select list is a bind error.
+    for sql in [
+        "select name from populatedPlaces order by type",
+        "select value from paradise.metrics order by name",
+        "select * from populatedPlaces order by no_such_column",
+    ] {
+        assert!(db.sql(sql).is_err(), "{sql}");
+    }
+    // A matched shape does not drop an ORDER BY it does not compute.
+    let e = db.sql(&format!("select * from landCover where shape overlaps {US} order by type"));
+    assert!(e.expect_err("Q6 order by").to_string().contains("ORDER BY type"));
+}
+
+#[test]
+fn group_by_outside_the_closest_shapes_is_an_error() {
+    let (db, _) = load("group");
+    for sql in [
+        "select name, type from populatedPlaces group by type",
+        "select value, name from paradise.metrics group by name",
+        &format!("select * from landCover where shape overlaps {US} group by type"),
+        // Q11 groups by type and nothing else.
+        "select closest(shape, Point(-89.4, 43.1)), type from roads group by name",
+        "select closest(shape, Point(-89.4, 43.1)), type from roads",
+    ] {
+        let e = db.sql(sql).expect_err(sql).to_string();
+        assert!(e.contains("GROUP BY"), "{sql}: {e}");
+    }
+    let q11 = db.sql("select closest(shape, Point(-89.4, 43.1)), type from roads group by type");
+    assert_eq!(
+        q11.unwrap().rows.len(),
+        queries::q11(&db, Point::new(-89.4, 43.1)).unwrap().rows.len()
+    );
+}
+
+#[test]
+fn lower_res_factor_must_be_one_positive_integer_literal() {
+    let (db, _) = load("lowres");
+    let q4 = |factor: &str| {
+        format!(
+            "select raster.date, raster.channel, \
+             raster.data.clip(ClosedPolygon({US})).lower_res({factor}) from raster \
+             where raster.channel = 5 and raster.date = Date(\"1988-04-01\")"
+        )
+    };
+    for factor in ["4.0", "-2", "0", "8, 2", ""] {
+        let e = db.sql(&q4(factor)).expect_err(factor).to_string();
+        assert!(e.contains("positive integer"), "lower_res({factor}): {e}");
+    }
+    // The factor that was written is the factor that runs.
+    for factor in [4, 8] {
+        let plan = db.sql(&format!("explain {}", q4(&factor.to_string()))).unwrap();
+        let text: Vec<String> =
+            plan.rows.iter().map(|t| t.get(0).unwrap().as_str().unwrap().to_string()).collect();
+        assert!(text.iter().any(|l| l.contains(&format!("lower_res({factor})"))), "{text:?}");
+    }
+}
