@@ -98,7 +98,7 @@ fn broadcast(db: &Paradise, rows: Vec<Tuple>) -> Result<Vec<Vec<Tuple>>> {
     Ok(inbox)
 }
 
-fn stored_raster(row: &Row, col: usize) -> Result<StoredRaster> {
+fn stored_raster(row: &Row, col: usize) -> Result<Arc<StoredRaster>> {
     match row.get(col)? {
         Value::Raster(RasterValue::Stored(sr)) => Ok(sr),
         other => Err(ExecError::Type { expected: "stored raster", got: other.kind().to_string() }),
@@ -157,7 +157,7 @@ pub fn q3(
 
     // Locate the matching rasters (metadata only — cheap).
     let located = run_phase(db.cluster(), &mut m, "locate rasters", |node| {
-        let mut srs: Vec<StoredRaster> = Vec::new();
+        let mut srs: Vec<Arc<StoredRaster>> = Vec::new();
         raster.scan_fragment(db.cluster(), node, |_, row| {
             if row.date(RASTER_DATE)? == date {
                 srs.push(stored_raster(row, RASTER_DATA)?);
@@ -166,7 +166,7 @@ pub fn q3(
         })?;
         Ok(srs)
     })?;
-    let srs: Vec<StoredRaster> = located.into_iter().flatten().collect();
+    let srs: Vec<Arc<StoredRaster>> = located.into_iter().flatten().collect();
     if srs.is_empty() {
         return Ok(finish(db, net0, m, &["average"], Vec::new(), t0));
     }
@@ -439,7 +439,7 @@ pub fn q8(db: &Paradise, city_name: &str, box_len: f64) -> Result<QueryResult> {
                 .as_shape()?
                 .as_point()
                 .ok_or(ExecError::Type { expected: "point", got: "shape".into() })?;
-            out.push(Tuple::new(vec![Value::Shape(Shape::Rect(p.make_box(box_len)))]));
+            out.push(Tuple::new(vec![Value::from(Shape::Rect(p.make_box(box_len)))]));
         }
         Ok(out)
     })?;

@@ -93,27 +93,25 @@ fn eval_const(e: &Expr) -> Result<Value> {
                 }
                 "point" => {
                     let (x, y) = two_floats(args)?;
-                    Ok(Value::Shape(Shape::Point(Point::new(x, y))))
+                    Ok(Shape::Point(Point::new(x, y)).into())
                 }
                 "circle" => {
-                    let center = match args.first().map(eval_const).transpose()? {
-                        Some(Value::Shape(Shape::Point(p))) => p,
+                    let center = args.first().map(eval_const).transpose()?;
+                    let center = match center.as_ref().and_then(|v| v.as_shape().ok()) {
+                        Some(Shape::Point(p)) => *p,
                         _ => return Err(err("Circle() takes (Point, radius)")),
                     };
                     let r = const_float(args.get(1).ok_or_else(|| err("Circle() radius"))?)?;
-                    Ok(Value::Shape(Shape::Circle(
-                        Circle::new(center, r).map_err(ExecError::Geom)?,
-                    )))
+                    Ok(Shape::Circle(Circle::new(center, r).map_err(ExecError::Geom)?).into())
                 }
                 "polygon" | "closedpolygon" => {
                     // ClosedPolygon(Polygon(...)) or ClosedPolygon(x, y, …);
                     // a single argument must itself be a polygonal constant.
                     if args.len() == 1 {
-                        return match eval_const(&args[0])? {
-                            v @ Value::Shape(Shape::Polygon(_) | Shape::Rect(_)) => Ok(v),
-                            other => {
-                                Err(err(format!("{func}() wraps a polygon, got {}", other.kind())))
-                            }
+                        let v = eval_const(&args[0])?;
+                        return match v.as_shape() {
+                            Ok(Shape::Polygon(_) | Shape::Rect(_)) => Ok(v),
+                            _ => Err(err(format!("{func}() wraps a polygon, got {}", v.kind()))),
                         };
                     }
                     if args.len() < 6 || args.len() % 2 != 0 {
@@ -123,20 +121,16 @@ fn eval_const(e: &Expr) -> Result<Value> {
                         .chunks(2)
                         .map(|c| Ok(Point::new(const_float(&c[0])?, const_float(&c[1])?)))
                         .collect::<Result<_>>()?;
-                    Ok(Value::Shape(Shape::Polygon(Polygon::new(pts).map_err(ExecError::Geom)?)))
+                    Ok(Shape::Polygon(Polygon::new(pts).map_err(ExecError::Geom)?).into())
                 }
                 "rect" | "box" => {
                     if args.len() != 4 {
                         return Err(err("Rect() takes x0, y0, x1, y1"));
                     }
                     let vals: Vec<f64> = args.iter().map(const_float).collect::<Result<_>>()?;
-                    Ok(Value::Shape(Shape::Rect(
-                        Rect::from_corners(
-                            Point::new(vals[0], vals[1]),
-                            Point::new(vals[2], vals[3]),
-                        )
-                        .map_err(ExecError::Geom)?,
-                    )))
+                    let lo = Point::new(vals[0], vals[1]);
+                    let hi = Point::new(vals[2], vals[3]);
+                    Ok(Shape::Rect(Rect::from_corners(lo, hi).map_err(ExecError::Geom)?).into())
                 }
                 other => Err(err(format!("unknown constructor {other}()"))),
             }
@@ -161,10 +155,11 @@ fn two_floats(args: &[Expr]) -> Result<(f64, f64)> {
 }
 
 fn const_polygon(e: &Expr) -> Result<Polygon> {
-    match eval_const(e)? {
-        Value::Shape(Shape::Polygon(p)) => Ok(p),
-        Value::Shape(Shape::Rect(r)) => Ok(Polygon::from_rect(&r)),
-        other => Err(err(format!("expected polygon constant, got {}", other.kind()))),
+    let v = eval_const(e)?;
+    match v.as_shape() {
+        Ok(Shape::Polygon(p)) => Ok(p.clone()),
+        Ok(Shape::Rect(r)) => Ok(Polygon::from_rect(r)),
+        _ => Err(err(format!("expected polygon constant, got {}", v.kind()))),
     }
 }
 
@@ -175,29 +170,33 @@ fn column_name(e: &Expr) -> Option<&str> {
     }
 }
 
-/// Finds `column <op> constant` among the conjuncts (either operand order
-/// for `=`). `LCPYTYPE` is accepted as an alias of `type` (the paper's Q7/
-/// Q9 use the DCW attribute name).
-fn find_cmp<'a>(stmt: &'a SelectStmt, col: &str, want: BinOp) -> Option<&'a Expr> {
+/// The constant operand of a `column <op> constant` conjunct (either
+/// operand order for `=`). `LCPYTYPE` is accepted as an alias of `type`
+/// (the paper's Q7/Q9 use the DCW attribute name).
+fn cmp_operand<'a>(c: &'a Expr, col: &str, want: BinOp) -> Option<&'a Expr> {
     let matches_col = |e: &Expr| {
         column_name(e).is_some_and(|c| {
             c.eq_ignore_ascii_case(col)
                 || (col.eq_ignore_ascii_case("type") && c.eq_ignore_ascii_case("LCPYTYPE"))
         })
     };
-    for c in stmt.conjuncts() {
-        if let Expr::Binary { op, lhs, rhs } = c {
-            if *op == want {
-                if matches_col(lhs) {
-                    return Some(rhs);
-                }
-                if want == BinOp::Eq && matches_col(rhs) {
-                    return Some(lhs);
-                }
-            }
+    match c {
+        Expr::Binary { op, lhs, rhs } if *op == want && matches_col(lhs) => Some(rhs),
+        Expr::Binary { op: BinOp::Eq, lhs, rhs } if want == BinOp::Eq && matches_col(rhs) => {
+            Some(lhs)
         }
+        _ => None,
     }
-    None
+}
+
+/// The [`cmp_operand`] of the first conjunct that has one.
+fn find_cmp<'a>(stmt: &'a SelectStmt, col: &str, want: BinOp) -> Option<&'a Expr> {
+    stmt.conjuncts().into_iter().find_map(|c| cmp_operand(c, col, want))
+}
+
+/// Accepts the conjuncts [`cmp_operand`] reads.
+fn is_cmp(col: &'static str, want: BinOp) -> impl Fn(&Expr) -> bool {
+    move |c| cmp_operand(c, col, want).is_some()
 }
 
 /// Finds the first `clip(...)` argument anywhere in the statement.
@@ -225,13 +224,24 @@ fn find_clip_polygon(stmt: &SelectStmt) -> Option<Result<Polygon>> {
     exprs.into_iter().find_map(search).map(const_polygon)
 }
 
-/// Fails unless `plan` evaluates every WHERE conjunct (`evaluated`): a
-/// matched benchmark shape must not drop a predicate silently.
-fn check_conjuncts(stmt: &SelectStmt, plan: &str, evaluated: impl Fn(&Expr) -> bool) -> Result<()> {
-    match stmt.conjuncts().into_iter().find(|c| !evaluated(c)) {
-        Some(c) => Err(err(format!("the {plan} plan does not evaluate the WHERE conjunct `{c}`"))),
-        None => Ok(()),
+/// Fails unless `plan` evaluates every WHERE conjunct, so a matched
+/// benchmark shape never drops a predicate silently. Each of `evaluated`
+/// accepts the conjunct forms one parameter of the plan is bound from and
+/// claims at most one conjunct — the first it accepts, which is the one the
+/// matcher bound; a conjunct no predicate claims is an error naming it.
+fn check_conjuncts(
+    stmt: &SelectStmt,
+    plan: &str,
+    evaluated: &[&dyn Fn(&Expr) -> bool],
+) -> Result<()> {
+    let mut claimed = vec![false; evaluated.len()];
+    for c in stmt.conjuncts() {
+        let Some(i) = (0..evaluated.len()).find(|&i| !claimed[i] && evaluated[i](c)) else {
+            return Err(err(format!("the {plan} plan does not evaluate the WHERE conjunct `{c}`")));
+        };
+        claimed[i] = true;
     }
+    Ok(())
 }
 
 /// `e` is the column `table.column` (qualified, case-insensitive).
@@ -462,6 +472,7 @@ fn match_shape(stmt: &SelectStmt) -> Result<Plan> {
             let Some(Ok(Value::Date(date))) = date else {
                 return Err(err("Q3 needs raster.date = Date(...)"));
             };
+            check_conjuncts(stmt, "Q3", &[&is_cmp("date", BinOp::Eq)])?;
             return Ok(Plan::Q3 { date, clip });
         }
         if proj_mentions(stmt, "lower_res") {
@@ -472,6 +483,11 @@ fn match_shape(stmt: &SelectStmt) -> Result<Plan> {
                 return Err(err("Q4 needs date = Date(...) and channel = N"));
             };
             let factor = find_lower_res_factor(stmt)?;
+            check_conjuncts(
+                stmt,
+                "Q4",
+                &[&is_cmp("channel", BinOp::Eq), &is_cmp("date", BinOp::Eq)],
+            )?;
             return Ok(Plan::Q4 { date, channel, clip, factor });
         }
         if stmt.where_clause.as_ref().is_some_and(|w| w.mentions_method("average")) {
@@ -479,6 +495,7 @@ fn match_shape(stmt: &SelectStmt) -> Result<Plan> {
             let clip = find_clip_polygon(stmt).ok_or_else(|| err("Q10 needs clip(polygon)"))??;
             let threshold = find_average_threshold(stmt)
                 .ok_or_else(|| err("Q10 needs clip(...).average() > C"))?;
+            check_conjuncts(stmt, "Q10", &[&|c| average_threshold(c).is_some()])?;
             return Ok(Plan::Q10 { clip, threshold });
         }
         if proj_mentions(stmt, "clip") {
@@ -487,6 +504,7 @@ fn match_shape(stmt: &SelectStmt) -> Result<Plan> {
                 return Err(err("Q2 needs raster.channel = N"));
             };
             let clip = find_clip_polygon(stmt).ok_or_else(|| err("Q2 needs clip(polygon)"))??;
+            check_conjuncts(stmt, "Q2", &[&is_cmp("channel", BinOp::Eq)])?;
             return Ok(Plan::Q2 { channel, clip });
         }
     }
@@ -495,6 +513,7 @@ fn match_shape(stmt: &SelectStmt) -> Result<Plan> {
     if only("populatedplaces") {
         if let Some(e) = find_cmp(stmt, "name", BinOp::Eq) {
             if let Value::Str(name) = eval_const(e)? {
+                check_conjuncts(stmt, "Q5", &[&is_cmp("name", BinOp::Eq)])?;
                 return Ok(Plan::Q5 { name });
             }
         }
@@ -504,14 +523,21 @@ fn match_shape(stmt: &SelectStmt) -> Result<Plan> {
     if only("landcover") {
         // Q7: shape < Circle(...) [and shape.area() < C]
         if let Some(rhs) = find_cmp(stmt, "shape", BinOp::Lt) {
-            if let Value::Shape(Shape::Circle(c)) = eval_const(rhs)? {
+            if let Ok(Shape::Circle(c)) = eval_const(rhs)?.as_shape() {
                 let max_area = find_area_bound(stmt).unwrap_or(f64::INFINITY);
+                check_conjuncts(
+                    stmt,
+                    "Q7",
+                    &[&is_cmp("shape", BinOp::Lt), &|c| area_bound(c).is_some()],
+                )?;
                 return Ok(Plan::Q7 { center: c.center, radius: c.radius, max_area });
             }
         }
         // Q6: shape overlaps POLYGON
         if let Some(rhs) = find_overlaps_const(stmt) {
-            return Ok(Plan::Q6 { region: const_polygon(rhs)? });
+            let region = const_polygon(rhs)?;
+            check_conjuncts(stmt, "Q6", &[&|c| overlaps_const(c).is_some()])?;
+            return Ok(Plan::Q6 { region });
         }
     }
 
@@ -522,6 +548,7 @@ fn match_shape(stmt: &SelectStmt) -> Result<Plan> {
             _ => return Err(err("Q8 needs populatedPlaces.name = \"…\"")),
         };
         let box_len = find_make_box_len(stmt).ok_or_else(|| err("Q8 needs makeBox(L)"))?;
+        check_conjuncts(stmt, "Q8", &[&is_cmp("name", BinOp::Eq), &|c| make_box_len(c).is_some()])?;
         return Ok(Plan::Q8 { name, box_len });
     }
 
@@ -535,14 +562,18 @@ fn match_shape(stmt: &SelectStmt) -> Result<Plan> {
             Some(Value::Int(c)) => c,
             _ => return Err(err("Q9/Q14 need raster.channel = N")),
         };
+        let (type_eq, channel_eq) = (is_cmp("type", BinOp::Eq), is_cmp("channel", BinOp::Eq));
         if let Some(e) = find_cmp(stmt, "date", BinOp::Eq) {
             if let Value::Date(date) = eval_const(e)? {
+                check_conjuncts(stmt, "Q9", &[&type_eq, &channel_eq, &is_cmp("date", BinOp::Eq)])?;
                 return Ok(Plan::Q9 { date, channel, oil_type });
             }
         }
         let lo = find_cmp(stmt, "date", BinOp::Ge).map(eval_const).transpose()?;
         let hi = find_cmp(stmt, "date", BinOp::Le).map(eval_const).transpose()?;
         if let (Some(Value::Date(lo)), Some(Value::Date(hi))) = (lo, hi) {
+            let (ge, le) = (is_cmp("date", BinOp::Ge), is_cmp("date", BinOp::Le));
+            check_conjuncts(stmt, "Q14", &[&type_eq, &channel_eq, &ge, &le])?;
             return Ok(Plan::Q14 { lo, hi, channel, oil_type });
         }
         return Err(err("Q9/Q14 need a date equality or range"));
@@ -551,7 +582,7 @@ fn match_shape(stmt: &SelectStmt) -> Result<Plan> {
     // --- Q11 ----------------------------------------------------------------
     if only("roads") && proj_has_call(stmt, "closest") {
         let p = find_closest_point(stmt).ok_or_else(|| err("closest(shape, Point(x, y))"))?;
-        check_conjuncts(stmt, "Q11", |_| false)?;
+        check_conjuncts(stmt, "Q11", &[])?;
         return Ok(Plan::Q11 { point: p? });
     }
 
@@ -559,7 +590,7 @@ fn match_shape(stmt: &SelectStmt) -> Result<Plan> {
     if pair("drainage", "populatedplaces") && proj_has_call(stmt, "closest") {
         let location_overlaps_shape =
             |c: &Expr| is_overlaps(c, ("populatedplaces", "location"), ("drainage", "shape"));
-        check_conjuncts(stmt, "Q12", |c| location_overlaps_shape(c) || city_type_eq(c).is_some())?;
+        check_conjuncts(stmt, "Q12", &[&location_overlaps_shape, &|c| city_type_eq(c).is_some()])?;
         let city_type = stmt
             .conjuncts()
             .into_iter()
@@ -571,7 +602,7 @@ fn match_shape(stmt: &SelectStmt) -> Result<Plan> {
     // --- Q13 ----------------------------------------------------------------
     if pair("drainage", "roads") {
         let shapes_overlap = |c: &Expr| is_overlaps(c, ("drainage", "shape"), ("roads", "shape"));
-        check_conjuncts(stmt, "Q13", shapes_overlap)?;
+        check_conjuncts(stmt, "Q13", &[&shapes_overlap])?;
         if !stmt.conjuncts().into_iter().any(shapes_overlap) {
             return Err(err("Q13 needs drainage.shape overlaps roads.shape"));
         }
@@ -884,56 +915,68 @@ fn find_lower_res_factor(stmt: &SelectStmt) -> Result<usize> {
     })
 }
 
-fn find_average_threshold(stmt: &SelectStmt) -> Option<f64> {
-    for c in stmt.conjuncts() {
-        if let Expr::Binary { op: BinOp::Gt, lhs, rhs } = c {
-            if lhs.mentions_method("average") {
-                return const_float(rhs).ok();
-            }
+/// The `C` of a `… .average() > C` conjunct (Q10).
+fn average_threshold(c: &Expr) -> Option<f64> {
+    match c {
+        Expr::Binary { op: BinOp::Gt, lhs, rhs } if lhs.mentions_method("average") => {
+            const_float(rhs).ok()
         }
+        _ => None,
     }
-    None
+}
+
+fn find_average_threshold(stmt: &SelectStmt) -> Option<f64> {
+    stmt.conjuncts().into_iter().find_map(average_threshold)
+}
+
+/// The `C` of a `… .area() < C` conjunct (Q7).
+fn area_bound(c: &Expr) -> Option<f64> {
+    match c {
+        Expr::Binary { op: BinOp::Lt, lhs, rhs } if lhs.mentions_method("area") => {
+            const_float(rhs).ok()
+        }
+        _ => None,
+    }
 }
 
 fn find_area_bound(stmt: &SelectStmt) -> Option<f64> {
-    for c in stmt.conjuncts() {
-        if let Expr::Binary { op: BinOp::Lt, lhs, rhs } = c {
-            if lhs.mentions_method("area") {
-                return const_float(rhs).ok();
-            }
+    stmt.conjuncts().into_iter().find_map(area_bound)
+}
+
+/// The constant of a `shape overlaps <constructor>` conjunct (Q6).
+fn overlaps_const(c: &Expr) -> Option<&Expr> {
+    match c {
+        Expr::Binary { op: BinOp::Overlaps, lhs, rhs }
+            if column_name(lhs).is_some_and(|c| c.eq_ignore_ascii_case("shape"))
+                && matches!(**rhs, Expr::Call { .. }) =>
+        {
+            Some(rhs)
         }
+        _ => None,
     }
-    None
 }
 
 fn find_overlaps_const(stmt: &SelectStmt) -> Option<&Expr> {
-    for c in stmt.conjuncts() {
-        if let Expr::Binary { op: BinOp::Overlaps, rhs, .. } = c {
-            if matches!(**rhs, Expr::Call { .. }) {
-                return Some(rhs);
-            }
-        }
-    }
-    None
+    stmt.conjuncts().into_iter().find_map(overlaps_const)
 }
 
-fn find_make_box_len(stmt: &SelectStmt) -> Option<f64> {
-    fn search(e: &Expr) -> Option<f64> {
+/// The `L` of a `… overlaps location.makeBox(L)` conjunct, either operand
+/// order (Q8).
+fn make_box_len(c: &Expr) -> Option<f64> {
+    let Expr::Binary { op: BinOp::Overlaps, lhs, rhs } = c else {
+        return None;
+    };
+    fn make_box(e: &Expr) -> Option<&Expr> {
         match e {
-            Expr::Method { name, args, recv } => {
-                if name.eq_ignore_ascii_case("makebox") {
-                    if let Some(a) = args.first() {
-                        return const_float(a).ok();
-                    }
-                }
-                search(recv).or_else(|| args.iter().find_map(search))
-            }
-            Expr::Binary { lhs, rhs, .. } => search(lhs).or_else(|| search(rhs)),
-            Expr::Call { args, .. } => args.iter().find_map(search),
+            Expr::Method { name, args, .. } if name.eq_ignore_ascii_case("makebox") => args.first(),
             _ => None,
         }
     }
-    stmt.where_clause.as_ref().and_then(search)
+    make_box(lhs).or_else(|| make_box(rhs)).and_then(|a| const_float(a).ok())
+}
+
+fn find_make_box_len(stmt: &SelectStmt) -> Option<f64> {
+    stmt.conjuncts().into_iter().find_map(make_box_len)
 }
 
 fn find_closest_point(stmt: &SelectStmt) -> Option<Result<Point>> {
@@ -942,13 +985,10 @@ fn find_closest_point(stmt: &SelectStmt) -> Option<Result<Point>> {
             if let Expr::Call { func, args } = e {
                 if func.eq_ignore_ascii_case("closest") {
                     if let Some(arg) = args.get(1) {
-                        return Some(match eval_const(arg) {
-                            Ok(Value::Shape(Shape::Point(p))) => Ok(p),
-                            Ok(other) => {
-                                Err(err(format!("closest() wants a point, got {}", other.kind())))
-                            }
-                            Err(e) => Err(e),
-                        });
+                        return Some(eval_const(arg).and_then(|v| match v.as_shape() {
+                            Ok(Shape::Point(p)) => Ok(*p),
+                            _ => Err(err(format!("closest() wants a point, got {}", v.kind()))),
+                        }));
                     }
                 }
             }
@@ -1041,23 +1081,23 @@ fn eval_expr(e: &Expr, t: &Tuple, schema: &paradise_exec::Schema) -> Result<Valu
         Expr::Column { column, .. } => Ok(t.get(schema.index_of(column)?)?.clone()),
         Expr::Method { recv, name, args } => {
             let r = eval_expr(recv, t, schema)?;
-            match (r, name.to_ascii_lowercase().as_str()) {
-                (Value::Shape(s), "area") => match s {
+            match (r.as_shape().ok(), name.to_ascii_lowercase().as_str()) {
+                (Some(s), "area") => match s {
                     Shape::Polygon(p) => Ok(Value::Float(p.area())),
                     Shape::SwissCheese(sc) => Ok(Value::Float(sc.area())),
                     Shape::Rect(r) => Ok(Value::Float(r.area())),
                     Shape::Circle(c) => Ok(Value::Float(c.area())),
                     _ => Err(err("area() on a non-areal shape")),
                 },
-                (Value::Shape(s), "length") => match s {
+                (Some(s), "length") => match s {
                     Shape::Polyline(l) => Ok(Value::Float(l.length())),
                     _ => Err(err("length() on a non-polyline")),
                 },
-                (Value::Shape(Shape::Point(p)), "makebox") => {
+                (Some(Shape::Point(p)), "makebox") => {
                     let len = const_float(args.first().ok_or_else(|| err("makeBox(L)"))?)?;
-                    Ok(Value::Shape(Shape::Rect(p.make_box(len))))
+                    Ok(Shape::Rect(p.make_box(len)).into())
                 }
-                (v, m) => Err(err(format!("unsupported method {m}() on {}", v.kind()))),
+                (_, m) => Err(err(format!("unsupported method {m}() on {}", r.kind()))),
             }
         }
         other => eval_const(other),
@@ -1083,14 +1123,10 @@ fn eval_predicate(e: &Expr, t: &Tuple, schema: &paradise_exec::Schema) -> Result
                         Err(err(format!("like needs strings, got {} / {}", l.kind(), r.kind())))
                     }
                 },
-                BinOp::Lt if matches!(l, Value::Shape(_)) => match (l, r) {
+                BinOp::Lt if matches!(l, Value::Shape(_)) => match (l.as_shape()?, r.as_shape()) {
                     // Circle containment (Q7 syntax).
-                    (Value::Shape(Shape::Polygon(p)), Value::Shape(Shape::Circle(c))) => {
-                        Ok(p.within_circle(&c))
-                    }
-                    (Value::Shape(Shape::Point(p)), Value::Shape(Shape::Circle(c))) => {
-                        Ok(c.contains_point(&p))
-                    }
+                    (Shape::Polygon(p), Ok(Shape::Circle(c))) => Ok(p.within_circle(c)),
+                    (Shape::Point(p), Ok(Shape::Circle(c))) => Ok(c.contains_point(p)),
                     _ => Err(err("shape < … expects a circle on the right")),
                 },
                 _ => {
@@ -1203,7 +1239,7 @@ mod tests {
             args: vec![Expr::Int(3), Expr::Float(4.5)],
         })
         .unwrap();
-        assert_eq!(pt, Value::Shape(Shape::Point(Point::new(3.0, 4.5))));
+        assert_eq!(pt, Value::from(Shape::Point(Point::new(3.0, 4.5))));
     }
 
     #[test]
@@ -1220,7 +1256,7 @@ mod tests {
             ],
         })
         .unwrap();
-        let Value::Shape(Shape::Polygon(p)) = poly else { panic!() };
+        let Ok(Shape::Polygon(p)) = poly.as_shape() else { panic!() };
         assert_eq!(p.num_points(), 3);
         // ClosedPolygon wraps a nested polygon.
         let wrapped = eval_const(&Expr::Call {
@@ -1238,7 +1274,7 @@ mod tests {
             }],
         })
         .unwrap();
-        assert!(matches!(wrapped, Value::Shape(Shape::Polygon(_))));
+        assert!(matches!(wrapped.as_shape(), Ok(Shape::Polygon(_))));
         // bad arity
         assert!(
             eval_const(&Expr::Call { func: "Polygon".into(), args: vec![Expr::Int(1)] }).is_err()

@@ -229,7 +229,7 @@ impl World {
                 Value::Str(format!("pp-{id}")),
                 Value::Str(format!("face-{}", id % 97)),
                 Value::Int(ty),
-                Value::Shape(Shape::Point(p)),
+                Value::from(Shape::Point(p)),
                 Value::Str(name),
             ])
         };
@@ -268,7 +268,7 @@ impl World {
                 out.push(Tuple::new(vec![
                     Value::Str(format!("{prefix}-{id}")),
                     Value::Int(rng.gen_range(0..types)),
-                    Value::Shape(Shape::Polyline(line)),
+                    Value::from(Shape::Polyline(line)),
                 ]));
             };
             for _ in 0..count {
@@ -294,7 +294,7 @@ impl World {
             out.push(Tuple::new(vec![
                 Value::Str(format!("lc-{id}")),
                 Value::Int(ty),
-                Value::Shape(Shape::Polygon(poly)),
+                Value::from(Shape::Polygon(poly)),
             ]));
         };
         for i in 0..spec.land_cover {

@@ -143,7 +143,7 @@ mod tests {
             )
             .unwrap(),
         );
-        let t = Tuple::new(vec![Value::Shape(Shape::Polygon(poly))]);
+        let t = Tuple::new(vec![Value::from(Shape::Polygon(poly))]);
         let dests = d.route(&c, &t, 0).unwrap();
         assert_eq!(dests.len(), 1);
         assert_eq!(dests[0], c.node_for_tile(500));
@@ -158,7 +158,7 @@ mod tests {
         let poly = Polygon::from_rect(
             &Rect::from_corners(Point::new(-90.0, -45.0), Point::new(90.0, 45.0)).unwrap(),
         );
-        let t = Tuple::new(vec![Value::Shape(Shape::Polygon(poly))]);
+        let t = Tuple::new(vec![Value::from(Shape::Polygon(poly))]);
         let dests = d.route(&c, &t, 0).unwrap();
         assert!(dests.len() > 1, "spanning shape must be replicated");
         assert!(dests.len() <= 8);

@@ -317,14 +317,14 @@ mod tests {
     fn seg(id: &str, x0: f64, y0: f64, x1: f64, y1: f64) -> Tuple {
         Tuple::new(vec![
             Value::Str(id.into()),
-            Value::Shape(Shape::Polyline(
+            Value::from(Shape::Polyline(
                 Polyline::new(vec![Point::new(x0, y0), Point::new(x1, y1)]).unwrap(),
             )),
         ])
     }
 
     fn pt(id: &str, x: f64, y: f64) -> Tuple {
-        Tuple::new(vec![Value::Str(id.into()), Value::Shape(Shape::Point(Point::new(x, y)))])
+        Tuple::new(vec![Value::Str(id.into()), Value::from(Shape::Point(Point::new(x, y)))])
     }
 
     /// Deterministic drainage segments spread over the world.

@@ -290,7 +290,7 @@ mod tests {
     fn line(id: &str, pts: &[(f64, f64)]) -> Tuple {
         Tuple::new(vec![
             Value::Str(id.into()),
-            Value::Shape(Shape::Polyline(
+            Value::from(Shape::Polyline(
                 Polyline::new(pts.iter().map(|&(x, y)| Point::new(x, y)).collect()).unwrap(),
             )),
         ])
@@ -384,5 +384,25 @@ mod tests {
         }
         assert_eq!(total, 1);
         assert_eq!(owners.len(), 1);
+    }
+
+    #[test]
+    fn join_output_shares_the_input_geometry() {
+        // `concat` copies pointers: every output row's shapes are the very
+        // allocations of the input tuples, not copies of their vertices.
+        let c = cluster(4, "sj4");
+        let l = vec![line("a", &[(-50.0, -50.0), (50.0, 50.0)])];
+        let r = vec![line("b", &[(-50.0, 50.0), (50.0, -50.0)])];
+        let out: Vec<Tuple> = (0..4)
+            .flat_map(|node| local_tile_join(&c, &c.workers(), node, &l, 1, &r, 1).unwrap())
+            .collect();
+        assert_eq!(out.len(), 1);
+        for (col, input) in [(1, &l[0]), (3, &r[0])] {
+            let (Value::Shape(got), Value::Shape(want)) = (&out[0].values[col], &input.values[1])
+            else {
+                panic!("shape columns")
+            };
+            assert!(std::sync::Arc::ptr_eq(got, want), "column {col} was copied");
+        }
     }
 }

@@ -13,7 +13,6 @@ use crate::value::{StoredRaster, TileRef};
 use crate::Result;
 use paradise_array::{lzw, NdArray, Raster, TilingScheme};
 use paradise_geom::{Point, Polygon, Rect};
-use std::sync::Arc;
 
 /// Name of the per-node heap file holding raster tile objects.
 pub const TILE_FILE: &str = "__raster_tiles";
@@ -70,7 +69,7 @@ pub fn store_raster(
         height: raster.height() as u32,
         tile_h: tile_h as u32,
         tile_w: tile_w as u32,
-        tiles: Arc::new(tiles),
+        tiles,
     })
 }
 

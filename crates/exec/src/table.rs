@@ -99,7 +99,7 @@ impl TableDef {
                             self.decluster_rasters,
                             self.tile_bytes,
                         )?;
-                        *v = Value::Raster(RasterValue::Stored(sr));
+                        *v = Value::Raster(sr.into());
                     }
                 }
                 let bytes = stored.encode();
@@ -350,7 +350,7 @@ mod tests {
         Tuple::new(vec![
             Value::Str(format!("pp-{i}")),
             Value::Int(i % 6),
-            Value::Shape(Shape::Point(Point::new(x, y))),
+            Value::from(Shape::Point(Point::new(x, y))),
             Value::Str(name.to_string()),
         ])
     }
@@ -388,10 +388,10 @@ mod tests {
             .load(
                 &c,
                 vec![
-                    Tuple::new(vec![Value::Str("tiny".into()), Value::Shape(Shape::Polygon(tiny))]),
+                    Tuple::new(vec![Value::Str("tiny".into()), Value::from(Shape::Polygon(tiny))]),
                     Tuple::new(vec![
                         Value::Str("giant".into()),
-                        Value::Shape(Shape::Polygon(giant)),
+                        Value::from(Shape::Polygon(giant)),
                     ]),
                 ],
             )

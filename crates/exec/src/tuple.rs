@@ -190,7 +190,7 @@ mod tests {
         let t = Tuple::new(vec![
             Value::Str("WI-001".into()),
             Value::Int(5),
-            Value::Shape(Shape::Point(Point::new(3.0, 4.0))),
+            Value::from(Shape::Point(Point::new(3.0, 4.0))),
             Value::Date(Date::from_ymd(1988, 4, 1)),
             Value::Null,
         ]);

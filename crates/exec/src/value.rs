@@ -76,8 +76,8 @@ pub struct TileRef {
 
 /// A raster stored as tiles in the database: the array metadata stays
 /// inline in the tuple while the pixel data lives in separate tile objects
-/// (paper §2.5.1). Cheap to clone and to ship between nodes — shipping the
-/// *value* never ships the pixels (share-by-reference, §2.5.2).
+/// (paper §2.5.1). Shipping the *value* never ships the pixels
+/// (share-by-reference, §2.5.2); a [`RasterValue::Stored`] shares it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoredRaster {
     /// Pixel depth.
@@ -93,7 +93,7 @@ pub struct StoredRaster {
     /// Tile extent in pixel columns.
     pub tile_w: u32,
     /// Mapping table, row-major over the tile grid.
-    pub tiles: Arc<Vec<TileRef>>,
+    pub tiles: Vec<TileRef>,
 }
 
 impl StoredRaster {
@@ -144,17 +144,25 @@ impl StoredRaster {
 }
 
 /// A raster value: in memory (query intermediate) or stored as tiles.
+/// Both are immutable and shared, so a clone copies one pointer.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RasterValue {
     /// Materialised pixels (e.g. the output of a clip).
     Mem(Arc<Raster>),
     /// Reference to stored tiles, possibly on other nodes.
-    Stored(StoredRaster),
+    Stored(Arc<StoredRaster>),
 }
 
-/// One attribute value. Large attributes ([`RasterValue::Stored`]) are held
-/// by reference: copying a tuple into a temporary table copies the mapping
-/// table, not the pixels (§2.5.2).
+impl From<StoredRaster> for RasterValue {
+    fn from(sr: StoredRaster) -> Self {
+        RasterValue::Stored(Arc::new(sr))
+    }
+}
+
+/// One attribute value, 24 bytes. Large attributes — shapes and rasters —
+/// are immutable and held by reference: copying a tuple into a temporary
+/// table or a join result copies pointers, not vertices, mapping tables or
+/// pixels (§2.5.2).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// SQL NULL.
@@ -167,10 +175,16 @@ pub enum Value {
     Str(String),
     /// Calendar date.
     Date(Date),
-    /// Spatial shape.
-    Shape(Shape),
+    /// Spatial shape, shared.
+    Shape(Arc<Shape>),
     /// Raster image.
     Raster(RasterValue),
+}
+
+impl From<Shape> for Value {
+    fn from(s: Shape) -> Self {
+        Value::Shape(Arc::new(s))
+    }
 }
 
 impl Value {
@@ -329,7 +343,7 @@ impl Value {
                 )
             }
             4 => Value::Date(Date(i64::from_le_bytes(take(buf, pos, 8)?.try_into().unwrap()))),
-            5 => Value::Shape(decode_shape(buf, pos)?),
+            5 => decode_shape(buf, pos)?.into(),
             6 => {
                 let depth = decode_depth(take(buf, pos, 1)?[0])?;
                 let geo = decode_rect(buf, pos)?;
@@ -346,14 +360,14 @@ impl Value {
                     let compressed = take(buf, pos, 1)?[0] == 1;
                     tiles.push(TileRef { node, oid, compressed });
                 }
-                Value::Raster(RasterValue::Stored(StoredRaster {
+                Value::Raster(RasterValue::from(StoredRaster {
                     depth,
                     geo,
                     width: dims[0],
                     height: dims[1],
                     tile_h: dims[2],
                     tile_w: dims[3],
-                    tiles: Arc::new(tiles),
+                    tiles,
                 }))
             }
             7 | 8 => {
@@ -722,11 +736,11 @@ mod tests {
 
     #[test]
     fn shape_roundtrips() {
-        roundtrip(Value::Shape(Shape::Point(Point::new(1.0, 2.0))));
-        roundtrip(Value::Shape(Shape::Polyline(
+        roundtrip(Value::from(Shape::Point(Point::new(1.0, 2.0))));
+        roundtrip(Value::from(Shape::Polyline(
             Polyline::new(vec![Point::new(0.0, 0.0), Point::new(3.0, 4.0)]).unwrap(),
         )));
-        roundtrip(Value::Shape(Shape::Polygon(
+        roundtrip(Value::from(Shape::Polygon(
             Polygon::new(vec![Point::new(0.0, 0.0), Point::new(2.0, 0.0), Point::new(1.0, 2.0)])
                 .unwrap(),
         )));
@@ -736,9 +750,9 @@ mod tests {
         let hole = Polygon::from_rect(
             &Rect::from_corners(Point::new(4.0, 4.0), Point::new(6.0, 6.0)).unwrap(),
         );
-        roundtrip(Value::Shape(Shape::SwissCheese(SwissCheese::new(shell, vec![hole]).unwrap())));
-        roundtrip(Value::Shape(Shape::Circle(Circle::new(Point::new(5.0, 5.0), 2.5).unwrap())));
-        roundtrip(Value::Shape(Shape::Rect(
+        roundtrip(Value::from(Shape::SwissCheese(SwissCheese::new(shell, vec![hole]).unwrap())));
+        roundtrip(Value::from(Shape::Circle(Circle::new(Point::new(5.0, 5.0), 2.5).unwrap())));
+        roundtrip(Value::from(Shape::Rect(
             Rect::from_corners(Point::new(0.0, 0.0), Point::new(1.0, 1.0)).unwrap(),
         )));
     }
@@ -753,16 +767,16 @@ mod tests {
             height: 80,
             tile_h: 32,
             tile_w: 40,
-            tiles: Arc::new(vec![
+            tiles: vec![
                 TileRef { node: 0, oid: Oid { page: 5, slot: 1 }, compressed: true },
                 TileRef { node: 1, oid: Oid { page: 9, slot: 0 }, compressed: false },
                 TileRef { node: 0, oid: Oid { page: 6, slot: 2 }, compressed: true },
                 TileRef { node: 2, oid: Oid { page: 7, slot: 3 }, compressed: true },
                 TileRef { node: 1, oid: Oid { page: 8, slot: 4 }, compressed: false },
                 TileRef { node: 0, oid: Oid { page: 10, slot: 5 }, compressed: true },
-            ]),
+            ],
         };
-        roundtrip(Value::Raster(RasterValue::Stored(sr)));
+        roundtrip(Value::Raster(sr.into()));
     }
 
     #[test]
@@ -797,7 +811,7 @@ mod tests {
             height: 90,
             tile_h: 32,
             tile_w: 40,
-            tiles: Arc::new(Vec::new()),
+            tiles: Vec::new(),
         };
         assert_eq!(sr.tile_cols(), 3);
         assert_eq!(sr.tile_rows(), 3);
@@ -818,23 +832,43 @@ mod tests {
         let mem = Value::Raster(RasterValue::Mem(Arc::new(
             Raster::new(100, 100, BitDepth::Sixteen, geo).unwrap(),
         )));
-        let stored = Value::Raster(RasterValue::Stored(StoredRaster {
+        let stored = Value::Raster(RasterValue::from(StoredRaster {
             depth: BitDepth::Sixteen,
             geo,
             width: 100,
             height: 100,
             tile_h: 50,
             tile_w: 50,
-            tiles: Arc::new(vec![
-                TileRef {
-                    node: 0,
-                    oid: Oid { page: 1, slot: 0 },
-                    compressed: false
-                };
-                4
-            ]),
+            tiles: vec![TileRef { node: 0, oid: Oid { page: 1, slot: 0 }, compressed: false }; 4],
         }));
         assert!(stored.wire_size() * 10 < mem.wire_size(), "references must be cheap to ship");
+    }
+
+    #[test]
+    fn values_are_compact_and_share_large_attributes() {
+        assert!(std::mem::size_of::<Value>() <= 24, "{}", std::mem::size_of::<Value>());
+        assert!(std::mem::size_of::<RasterValue>() <= 16, "{}", std::mem::size_of::<RasterValue>());
+        let line = Polyline::new(vec![Point::new(0.0, 0.0), Point::new(3.0, 4.0)]).unwrap();
+        let shape = Value::from(Shape::Polyline(line));
+        let (Value::Shape(a), Value::Shape(b)) = (&shape, &shape.clone()) else { unreachable!() };
+        assert!(Arc::ptr_eq(a, b), "cloning a shape value copies the geometry");
+        let geo = Rect::from_corners(Point::new(0.0, 0.0), Point::new(1.0, 1.0)).unwrap();
+        let sr = StoredRaster {
+            depth: BitDepth::Eight,
+            geo,
+            width: 1,
+            height: 1,
+            tile_h: 1,
+            tile_w: 1,
+            tiles: Vec::new(),
+        };
+        let stored = Value::Raster(sr.into());
+        let (Value::Raster(RasterValue::Stored(a)), Value::Raster(RasterValue::Stored(b))) =
+            (&stored, &stored.clone())
+        else {
+            unreachable!()
+        };
+        assert!(Arc::ptr_eq(a, b), "cloning a raster reference copies its mapping table");
     }
 
     #[test]

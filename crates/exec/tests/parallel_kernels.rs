@@ -68,7 +68,7 @@ fn par_project_is_byte_identical_to_serial() {
 fn line(id: &str, pts: &[(f64, f64)]) -> Tuple {
     Tuple::new(vec![
         Value::Str(id.into()),
-        Value::Shape(Shape::Polyline(
+        Value::from(Shape::Polyline(
             Polyline::new(pts.iter().map(|&(x, y)| Point::new(x, y)).collect()).unwrap(),
         )),
     ])

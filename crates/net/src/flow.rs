@@ -102,6 +102,12 @@ impl CreditGate {
         }
         self.cv.notify_all();
     }
+
+    /// Waits up to `timeout` for [`CreditGate::close`].
+    pub fn wait_closed(&self, timeout: Duration) {
+        let st = self.state.lock().unwrap_or_else(lock_err);
+        let _ = self.cv.wait_timeout_while(st, timeout, |st| st.closed.is_none());
+    }
 }
 
 /// How long a consumer waits for the *next* tuple before declaring the

@@ -15,7 +15,7 @@ use paradise_exec::value::TileRef;
 use paradise_exec::{ExecError, NodeId, RemoteRx, RemoteTx, Result, Tuple, WireTransport};
 use paradise_obs::MetricSample;
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -61,13 +61,20 @@ impl RemoteTx for TcpTx {
 
 impl Drop for TcpTx {
     fn drop(&mut self) {
-        // Last clone gone: tell the receiver the stream is complete, then
-        // close the socket (which also stops the credit-reader thread).
-        let mut conn = self.conn.lock().unwrap_or_else(lock_err);
-        if write_frame(&mut *conn, &Frame::Eos).is_ok() {
+        // Last clone gone: tell the receiver the stream is complete and
+        // half-close. Closing outright would race the credits the receiver
+        // still returns: a socket closed with unread data answers with a
+        // RST, which can discard the EOS before the receiver reads it. So
+        // the credit reader drains to the receiver's EOF (the gate closes
+        // then), bounded by the send timeout; a reader still waiting after
+        // it is stopped by the full shutdown.
+        let conn = self.conn.get_mut().unwrap_or_else(lock_err);
+        if write_frame(conn, &Frame::Eos).is_ok() {
             self.stats.frames_sent.fetch_add(1, Ordering::Relaxed);
         }
-        let _ = conn.shutdown(std::net::Shutdown::Both);
+        let _ = conn.shutdown(Shutdown::Write);
+        self.gate.wait_closed(self.cfg.send_timeout);
+        let _ = conn.shutdown(Shutdown::Both);
     }
 }
 

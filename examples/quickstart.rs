@@ -40,7 +40,7 @@ fn main() {
             Tuple::new(vec![
                 Value::Str(name.to_string()),
                 Value::Int(pop),
-                Value::Shape(Shape::Point(Point::new(x, y))),
+                Value::from(Shape::Point(Point::new(x, y))),
             ])
         }),
     )

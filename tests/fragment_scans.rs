@@ -21,7 +21,7 @@ fn road(id: &str, ty: i64, pts: &[(f64, f64)]) -> Tuple {
     Tuple::new(vec![
         Value::Str(id.into()),
         Value::Int(ty),
-        Value::Shape(Shape::Polyline(Polyline::new(pts).unwrap())),
+        Value::from(Shape::Polyline(Polyline::new(pts).unwrap())),
     ])
 }
 

@@ -77,7 +77,7 @@ fn value_codec_roundtrips() {
 fn shape_codec_roundtrips() {
     let mut rng = Rng::seed_from_u64(4);
     for _ in 0..64 {
-        let t = Tuple::new(vec![Value::Shape(paradise_geom::Shape::Polygon(polygon(&mut rng)))]);
+        let t = Tuple::new(vec![Value::from(paradise_geom::Shape::Polygon(polygon(&mut rng)))]);
         assert_eq!(Tuple::decode(&t.encode()).unwrap(), t);
     }
 }
@@ -432,24 +432,22 @@ fn value_of_kind(rng: &mut Rng, kind: usize) -> Value {
         2 => Value::Float(rng.gen_range(-1e12f64..1e12)),
         3 => Value::Str((0..rng.index(24)).map(|_| ['a', 'é', '7', '∑'][rng.index(4)]).collect()),
         4 => Value::Date(Date(rng.gen_range(-1_000_000i64..1_000_000))),
-        5 => Value::Shape(Shape::Point(point(rng))),
+        5 => Value::from(Shape::Point(point(rng))),
         6 => {
             let pts = (0..rng.gen_range(2usize..30)).map(|_| point(rng)).collect();
-            Value::Shape(Shape::Polyline(Polyline::new(pts).unwrap()))
+            Value::from(Shape::Polyline(Polyline::new(pts).unwrap()))
         }
-        7 => Value::Shape(Shape::Polygon(polygon(rng))),
+        7 => Value::from(Shape::Polygon(polygon(rng))),
         8 => {
             let shell = Polygon::from_rect(&geo);
             let c = geo.center();
             let (w, h) = (geo.width() / 8.0, geo.height() / 8.0);
             let hole = Rect::from_corners(c.offset(-w, -h), c.offset(w, h)).unwrap();
             let holes = if w > 0.0 && h > 0.0 { vec![Polygon::from_rect(&hole)] } else { vec![] };
-            Value::Shape(Shape::SwissCheese(SwissCheese::new(shell, holes).unwrap()))
+            Value::from(Shape::SwissCheese(SwissCheese::new(shell, holes).unwrap()))
         }
-        9 => {
-            Value::Shape(Shape::Circle(Circle::new(point(rng), rng.gen_range(0.0..10.0)).unwrap()))
-        }
-        10 => Value::Shape(Shape::Rect(geo)),
+        9 => Value::from(Shape::Circle(Circle::new(point(rng), rng.gen_range(0.0..10.0)).unwrap())),
+        10 => Value::from(Shape::Rect(geo)),
         11 => {
             let tiles = (0..rng.index(6))
                 .map(|i| TileRef {
@@ -458,14 +456,14 @@ fn value_of_kind(rng: &mut Rng, kind: usize) -> Value {
                     compressed: rng.gen_bool(0.5),
                 })
                 .collect();
-            Value::Raster(RasterValue::Stored(StoredRaster {
+            Value::Raster(RasterValue::from(StoredRaster {
                 depth,
                 geo,
                 width: rng.gen_range(1u32..500),
                 height: rng.gen_range(1u32..500),
                 tile_h: rng.gen_range(1u32..64),
                 tile_w: rng.gen_range(1u32..64),
-                tiles: std::sync::Arc::new(tiles),
+                tiles,
             }))
         }
         _ => {
@@ -631,7 +629,7 @@ fn shape_ref_rejects_what_decode_shape_rejects() {
         let mut bad = bytes.clone();
         match rng.index(4) {
             // Fewer than two vertices.
-            0 if matches!(shape, Shape::Polyline(_)) => {
+            0 if matches!(*shape, Shape::Polyline(_)) => {
                 bad[1..5].copy_from_slice(&1u32.to_le_bytes())
             }
             // A non-finite coordinate.

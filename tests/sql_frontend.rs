@@ -245,6 +245,48 @@ fn shape_matchers_reject_conjuncts_their_plans_do_not_evaluate() {
 }
 
 #[test]
+fn every_matched_shape_rejects_a_conjunct_it_does_not_evaluate() {
+    let (db, _) = load("dropped");
+    let q2 = format!(
+        "select raster.date, raster.data.clip({US}) from raster \
+         where raster.channel = 5 and raster.date = Date(\"1900-01-01\") order by date"
+    );
+    let q5 = "select * from populatedPlaces where name = \"Phoenix\" and type = 999999";
+    let q6 = format!("select * from landCover where shape overlaps {US} and type = 999999");
+    let q7 = "select shape.area(), LCPYTYPE from landCover \
+              where shape < Circle(Point(-90, 40), 25) and shape.area() < 3 and type = 999999";
+    // Q2 returned every channel-5 raster, Q5 Phoenix, Q6 and Q7 their
+    // unfiltered land cover.
+    for (sql, conjunct) in [
+        (q2.as_str(), "`raster.date = Date(\"1900-01-01\")`"),
+        (q5, "`type = 999999`"),
+        (q6.as_str(), "`type = 999999`"),
+        (q7, "`type = 999999`"),
+    ] {
+        let e = db.sql(sql).expect_err(sql).to_string();
+        assert!(e.contains(conjunct), "{sql}: {e}");
+    }
+    // A second binding of a parameter is dropped just the same.
+    for sql in [
+        format!(
+            "select raster.date, raster.data.clip({US}) from raster \
+             where raster.channel = 5 and raster.channel = 4"
+        ),
+        format!(
+            "select landCover.shape, raster.data.clip(landCover.shape) from landCover, raster \
+             where landCover.LCPYTYPE = {OIL_FIELD} and raster.channel = 5 and \
+             raster.date = Date(\"1988-04-01\") and raster.date = Date(\"1988-05-01\")"
+        ),
+        "select shape.area() from landCover \
+         where shape < Circle(Point(-90, 40), 25) and shape.area() < 3 and shape.area() < 1"
+            .to_string(),
+    ] {
+        let e = db.sql(&sql).expect_err(&sql).to_string();
+        assert!(e.contains("does not evaluate the WHERE conjunct"), "{sql}: {e}");
+    }
+}
+
+#[test]
 fn scans_order_by_the_named_column() {
     let (db, _) = load("order");
     // Ints compare numerically, strings bytewise.
