@@ -6,11 +6,10 @@
 //! Paradise stores satellite images *inside* the database. This crate
 //! provides, from scratch:
 //!
-//! * [`ndarray::NdArray`] — an N-dimensional array ADT in which one dimension
-//!   may be unbounded (grown by appending slabs);
+//! * [`ndarray::NdArray`] — an N-dimensional array ADT;
 //! * [`tiling`] — decomposition of large arrays into ~128 KB *tiles* with
-//!   proportional per-dimension chunking (after Sarawagi \[Suni94\]) plus the
-//!   mapping table that tracks tile objects (Figure 2.3);
+//!   proportional per-dimension chunking (after Sarawagi \[Suni94\]): the one
+//!   tile layout behind the stored mapping table (Figure 2.3);
 //! * [`lzw`] — the LZW lossless compressor \[Welch 84\] applied per tile, with
 //!   the paper's adaptive "store uncompressed if compression doesn't help"
 //!   flag;
@@ -27,8 +26,8 @@ pub mod raster;
 pub mod tiling;
 
 pub use ndarray::{ElemType, NdArray};
-pub use raster::{BitDepth, Raster};
-pub use tiling::{TileData, TileMap, TilingScheme, DEFAULT_TILE_BYTES};
+pub use raster::{BitDepth, PixelWindow, Raster};
+pub use tiling::{TilePiece, TilingScheme};
 
 /// Errors for array construction and access.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,8 +46,6 @@ pub enum ArrayError {
     },
     /// Index outside the array bounds.
     OutOfBounds,
-    /// Appending to a bounded array, or a slab of the wrong shape.
-    BadAppend,
     /// LZW stream was corrupt.
     CorruptStream(
         /// Human-readable reason.
@@ -71,7 +68,6 @@ impl std::fmt::Display for ArrayError {
                 write!(f, "data size mismatch: expected {expected} bytes, got {got}")
             }
             ArrayError::OutOfBounds => write!(f, "array index out of bounds"),
-            ArrayError::BadAppend => write!(f, "invalid append to array"),
             ArrayError::CorruptStream(why) => write!(f, "corrupt LZW stream: {why}"),
             ArrayError::EmptyClip => write!(f, "clip region does not overlap the raster"),
             ArrayError::BadFactor(k) => write!(f, "lower_res factor must be >= 1, got {k}"),

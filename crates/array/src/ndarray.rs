@@ -36,14 +36,11 @@ impl ElemType {
 
 /// A dense, row-major N-dimensional array.
 ///
-/// Dimension 0 is the outermost (slowest-varying). If the array is declared
-/// *unbounded*, dimension 0 may grow by [`NdArray::append_slab`]; appended
-/// data stays contiguous because dimension 0 is the slowest-varying one.
+/// Dimension 0 is the outermost (slowest-varying).
 #[derive(Debug, Clone, PartialEq)]
 pub struct NdArray {
     dims: Vec<usize>,
     elem: ElemType,
-    unbounded: bool,
     data: Vec<u8>,
 }
 
@@ -57,7 +54,7 @@ impl NdArray {
         if data.len() != expected {
             return Err(ArrayError::DataSizeMismatch { expected, got: data.len() });
         }
-        Ok(NdArray { dims, elem, unbounded: false, data })
+        Ok(NdArray { dims, elem, data })
     }
 
     /// Creates a zero-filled array.
@@ -66,13 +63,7 @@ impl NdArray {
             return Err(ArrayError::BadShape(dims));
         }
         let len = dims.iter().product::<usize>() * elem.size();
-        Ok(NdArray { dims, elem, unbounded: false, data: vec![0; len] })
-    }
-
-    /// Marks dimension 0 as unbounded, enabling [`NdArray::append_slab`].
-    pub fn with_unbounded_dim0(mut self) -> Self {
-        self.unbounded = true;
-        self
+        Ok(NdArray { dims, elem, data: vec![0; len] })
     }
 
     /// The dimension sizes.
@@ -129,7 +120,7 @@ impl NdArray {
     }
 
     /// Reads the element at `idx` as an unsigned integer (floats are
-    /// bit-reinterpreted; use [`NdArray::get_f64`] for those).
+    /// bit-reinterpreted: `f64::from_bits`).
     pub fn get(&self, idx: &[usize]) -> Result<u64> {
         let lin = self.linear_index(idx)?;
         Ok(self.get_linear(lin))
@@ -161,36 +152,6 @@ impl NdArray {
         for i in 0..sz {
             self.data[off + i] = (value >> (8 * i)) as u8;
         }
-    }
-
-    /// Reads an `F64` element.
-    pub fn get_f64(&self, idx: &[usize]) -> Result<f64> {
-        debug_assert_eq!(self.elem, ElemType::F64);
-        Ok(f64::from_bits(self.get(idx)?))
-    }
-
-    /// Writes an `F64` element.
-    pub fn set_f64(&mut self, idx: &[usize], value: f64) -> Result<()> {
-        debug_assert_eq!(self.elem, ElemType::F64);
-        self.set(idx, value.to_bits())
-    }
-
-    /// Appends a slab along dimension 0. The slab must have the same shape
-    /// as `self` with any dimension-0 size, and the array must be unbounded.
-    ///
-    /// This is how time-series arrays grow: e.g. appending one day of
-    /// (lat, lon, precipitation) readings to a (time, lat, lon) array.
-    pub fn append_slab(&mut self, slab: &NdArray) -> Result<()> {
-        if !self.unbounded
-            || slab.elem != self.elem
-            || slab.dims.len() != self.dims.len()
-            || slab.dims[1..] != self.dims[1..]
-        {
-            return Err(ArrayError::BadAppend);
-        }
-        self.dims[0] += slab.dims[0];
-        self.data.extend_from_slice(&slab.data);
-        Ok(())
     }
 
     /// Copies out the hyper-rectangular region `[lo[i], lo[i]+shape[i])` in
@@ -308,8 +269,8 @@ mod tests {
     #[test]
     fn f64_roundtrip() {
         let mut a = NdArray::zeros(vec![2, 2], ElemType::F64).unwrap();
-        a.set_f64(&[1, 0], -2.5).unwrap();
-        assert_eq!(a.get_f64(&[1, 0]).unwrap(), -2.5);
+        a.set(&[1, 0], (-2.5f64).to_bits()).unwrap();
+        assert_eq!(f64::from_bits(a.get(&[1, 0]).unwrap()), -2.5);
     }
 
     #[test]
@@ -376,28 +337,6 @@ mod tests {
         assert_eq!(a.get(&[0, 0]).unwrap(), 0);
         let back = a.subarray(&[1, 1], &[2, 2]).unwrap();
         assert_eq!(back.data(), patch.data());
-    }
-
-    #[test]
-    fn append_slab_grows_dim0() {
-        let mut a = iota(vec![2, 3], ElemType::U8).with_unbounded_dim0();
-        let slab = iota(vec![1, 3], ElemType::U8);
-        a.append_slab(&slab).unwrap();
-        assert_eq!(a.dims(), &[3, 3]);
-        assert_eq!(a.get(&[2, 1]).unwrap(), 1);
-    }
-
-    #[test]
-    fn append_rejected_when_bounded_or_mismatched() {
-        let mut bounded = iota(vec![2, 3], ElemType::U8);
-        let slab = iota(vec![1, 3], ElemType::U8);
-        assert_eq!(bounded.append_slab(&slab), Err(ArrayError::BadAppend));
-
-        let mut a = iota(vec![2, 3], ElemType::U8).with_unbounded_dim0();
-        let bad_shape = iota(vec![1, 4], ElemType::U8);
-        assert_eq!(a.append_slab(&bad_shape), Err(ArrayError::BadAppend));
-        let bad_elem = iota(vec![1, 3], ElemType::U16);
-        assert_eq!(a.append_slab(&bad_elem), Err(ArrayError::BadAppend));
     }
 
     #[test]

@@ -46,6 +46,59 @@ impl BitDepth {
     }
 }
 
+/// A pixel window `[row0, row1) × [col0, col1)` of a raster (row 0 is the
+/// north edge).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PixelWindow {
+    /// First row.
+    pub row0: usize,
+    /// One past the last row.
+    pub row1: usize,
+    /// First column.
+    pub col0: usize,
+    /// One past the last column.
+    pub col1: usize,
+}
+
+impl PixelWindow {
+    /// The pixels of a `width × height` raster over `geo` that the world
+    /// rectangle `window` covers, snapped outward to whole pixels; `None`
+    /// when disjoint. The one world-to-pixel mapping: an in-memory clip and
+    /// a stored raster's tile fetch both cut this window.
+    pub fn covering(geo: &Rect, width: usize, height: usize, window: &Rect) -> Option<Self> {
+        let region = geo.intersection(window)?;
+        let px_w = geo.width() / width as f64;
+        let px_h = geo.height() / height as f64;
+        let col0 = (((region.lo.x - geo.lo.x) / px_w).floor() as usize).min(width - 1);
+        let col1 = (((region.hi.x - geo.lo.x) / px_w).ceil() as usize).clamp(col0 + 1, width);
+        let row0 = (((geo.hi.y - region.hi.y) / px_h).floor() as usize).min(height - 1);
+        let row1 = (((geo.hi.y - region.lo.y) / px_h).ceil() as usize).clamp(row0 + 1, height);
+        Some(PixelWindow { row0, row1, col0, col1 })
+    }
+
+    /// World rectangle of the window's pixels on the `width × height`
+    /// raster over `geo`.
+    pub fn geo(&self, geo: &Rect, width: usize, height: usize) -> Rect {
+        let px_w = geo.width() / width as f64;
+        let px_h = geo.height() / height as f64;
+        Rect::from_corners(
+            Point::new(geo.lo.x + self.col0 as f64 * px_w, geo.hi.y - self.row1 as f64 * px_h),
+            Point::new(geo.lo.x + self.col1 as f64 * px_w, geo.hi.y - self.row0 as f64 * px_h),
+        )
+        .expect("pixel-aligned geo rect")
+    }
+
+    /// Array origin `[row0, col0]`.
+    pub fn lo(&self) -> [usize; 2] {
+        [self.row0, self.col0]
+    }
+
+    /// Array shape `[rows, cols]`.
+    pub fn shape(&self) -> [usize; 2] {
+        [self.row1 - self.row0, self.col1 - self.col0]
+    }
+}
+
 /// A geo-located 2-D raster image, optionally with a validity mask.
 ///
 /// The mask exists so `clip(polygon)` can return a rectangular pixel block
@@ -152,18 +205,6 @@ impl Raster {
         )
     }
 
-    /// Pixel containing a world point, or `None` when outside the raster.
-    pub fn world_to_pixel(&self, p: &Point) -> Option<(usize, usize)> {
-        if !self.geo.contains_point(p) {
-            return None;
-        }
-        let px_w = self.geo.width() / self.width() as f64;
-        let px_h = self.geo.height() / self.height() as f64;
-        let col = (((p.x - self.geo.lo.x) / px_w) as usize).min(self.width() - 1);
-        let row = (((self.geo.hi.y - p.y) / px_h) as usize).min(self.height() - 1);
-        Some((col, row))
-    }
-
     fn mask_bit(&self, col: usize, row: usize) -> bool {
         match &self.mask {
             None => true,
@@ -192,22 +233,11 @@ impl Raster {
     /// fetch path ("only the subarray itself is fetched", §2.2). The result
     /// covers `window ∩ geo`, snapped outward to pixel boundaries.
     pub fn clip_rect(&self, window: &Rect) -> Result<Raster> {
-        let region = self.geo.intersection(window).ok_or(ArrayError::EmptyClip)?;
-        let px_w = self.geo.width() / self.width() as f64;
-        let px_h = self.geo.height() / self.height() as f64;
-        let col0 = (((region.lo.x - self.geo.lo.x) / px_w).floor() as usize).min(self.width() - 1);
-        let col1 =
-            (((region.hi.x - self.geo.lo.x) / px_w).ceil() as usize).clamp(col0 + 1, self.width());
-        let row0 = (((self.geo.hi.y - region.hi.y) / px_h).floor() as usize).min(self.height() - 1);
-        let row1 =
-            (((self.geo.hi.y - region.lo.y) / px_h).ceil() as usize).clamp(row0 + 1, self.height());
-        let sub = self.array.subarray(&[row0, col0], &[row1 - row0, col1 - col0])?;
-        let geo = Rect::from_corners(
-            Point::new(self.geo.lo.x + col0 as f64 * px_w, self.geo.hi.y - row1 as f64 * px_h),
-            Point::new(self.geo.lo.x + col1 as f64 * px_w, self.geo.hi.y - row0 as f64 * px_h),
-        )
-        .expect("pixel-aligned geo rect");
-        Ok(Raster { depth: self.depth, geo, array: sub, mask: None })
+        let win = PixelWindow::covering(&self.geo, self.width(), self.height(), window)
+            .ok_or(ArrayError::EmptyClip)?;
+        let array = self.array.subarray(&win.lo(), &win.shape())?;
+        let geo = win.geo(&self.geo, self.width(), self.height());
+        Ok(Raster { depth: self.depth, geo, array, mask: None })
     }
 
     /// Clips the raster by a polygon (queries 2–4, 9, 10, 14): the result
@@ -215,28 +245,32 @@ impl Raster {
     /// pixels masked out unless their pixel rectangle overlaps the polygon
     /// (so a polygon smaller than one pixel still clips that pixel — oil
     /// fields stay visible on coarse composites).
-    ///
-    /// A polygon that *is* its bounding box (the benchmark's rectangular
-    /// POLYGON constant) skips the per-pixel test.
     pub fn clip(&self, poly: &Polygon) -> Result<Raster> {
-        let mut out = self.clip_rect(&poly.bbox())?;
+        self.clip_rect(&poly.bbox())?.mask_outside(poly)
+    }
+
+    /// The second half of [`Raster::clip`], for a raster that already is
+    /// the polygon's bounding-box window: masks out every pixel whose
+    /// rectangle misses `poly`. A polygon that *is* its bounding box (the
+    /// benchmark's rectangular POLYGON constant) skips the per-pixel test.
+    pub fn mask_outside(mut self, poly: &Polygon) -> Result<Raster> {
         let rectangular = (poly.area() - poly.bbox().area()).abs()
             < paradise_geom::EPSILON * poly.bbox().area().max(1.0);
         if rectangular {
-            return Ok(out);
+            return Ok(self);
         }
-        let (w, h) = (out.width(), out.height());
-        let px_w = out.geo.width() / w as f64;
-        let px_h = out.geo.height() / h as f64;
+        let (w, h) = (self.width(), self.height());
+        let px_w = self.geo.width() / w as f64;
+        let px_h = self.geo.height() / h as f64;
         let mut bits = vec![0u8; (w * h).div_ceil(8)];
         let mut any_valid = false;
         for row in 0..h {
             for col in 0..w {
                 // Cheap test first: center containment; otherwise exact
                 // pixel-rectangle overlap (boundary pixels, tiny polygons).
-                let valid = poly.contains_point(&out.pixel_center(col, row)) || {
-                    let x0 = out.geo.lo.x + col as f64 * px_w;
-                    let y1 = out.geo.hi.y - row as f64 * px_h;
+                let valid = poly.contains_point(&self.pixel_center(col, row)) || {
+                    let x0 = self.geo.lo.x + col as f64 * px_w;
+                    let y1 = self.geo.hi.y - row as f64 * px_h;
                     let prect =
                         Rect::from_corners(Point::new(x0, y1 - px_h), Point::new(x0 + px_w, y1))
                             .expect("pixel rect");
@@ -252,8 +286,8 @@ impl Raster {
         if !any_valid {
             return Err(ArrayError::EmptyClip);
         }
-        out.mask = Some(bits);
-        Ok(out)
+        self.mask = Some(bits);
+        Ok(self)
     }
 
     /// Mean of the valid pixel values (`raster.data.clip(POLY).average()`,
@@ -331,30 +365,6 @@ impl Raster {
         }
         Ok(out)
     }
-
-    /// Resolution scaleup (paper §3.1.3): every pixel is over-sampled `s`
-    /// times along each axis, with `perturb` adding a small signed offset to
-    /// each over-sampled pixel "to prevent artificially high compression
-    /// ratios". Values are clamped to the bit depth.
-    pub fn oversample(&self, s: usize, mut perturb: impl FnMut() -> i64) -> Result<Raster> {
-        if s == 0 {
-            return Err(ArrayError::BadFactor(s));
-        }
-        let mut out = Raster::new(self.width() * s, self.height() * s, self.depth, self.geo)?;
-        let max = i64::from(self.depth.max_value());
-        for row in 0..self.height() {
-            for col in 0..self.width() {
-                let base = self.array.get(&[row, col]).expect("in range") as i64;
-                for dr in 0..s {
-                    for dc in 0..s {
-                        let v = (base + perturb()).clamp(0, max) as u32;
-                        out.set_pixel(col * s + dc, row * s + dr, v)?;
-                    }
-                }
-            }
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -391,9 +401,6 @@ mod tests {
         assert_eq!(r.pixel_center(0, 0), Point::new(5.0, 95.0));
         // bottom-right: x=95, y=5
         assert_eq!(r.pixel_center(9, 9), Point::new(95.0, 5.0));
-        assert_eq!(r.world_to_pixel(&Point::new(5.0, 95.0)), Some((0, 0)));
-        assert_eq!(r.world_to_pixel(&Point::new(95.0, 5.0)), Some((9, 9)));
-        assert_eq!(r.world_to_pixel(&Point::new(200.0, 5.0)), None);
     }
 
     #[test]
@@ -521,35 +528,5 @@ mod tests {
         // mismatched shapes rejected
         let c = Raster::new(3, 1, BitDepth::Sixteen, world()).unwrap();
         assert!(Raster::average_of(&[&a, &c]).is_err());
-    }
-
-    #[test]
-    fn oversample_scales_dims_and_perturbs() {
-        let r = gradient();
-        let mut flip = 0i64;
-        let big = r
-            .oversample(2, move || {
-                flip = 1 - flip;
-                flip
-            })
-            .unwrap();
-        assert_eq!(big.width(), 20);
-        assert_eq!(big.height(), 20);
-        // Values stay near the source pixel.
-        let src = r.pixel(3, 4).unwrap() as i64;
-        for (dc, dr) in [(0, 0), (1, 0), (0, 1), (1, 1)] {
-            let v = big.pixel(6 + dc, 8 + dr).unwrap() as i64;
-            assert!((v - src).abs() <= 1, "v={v} src={src}");
-        }
-        // Same geo (resolution scaleup keeps the region constant).
-        assert_eq!(big.geo(), r.geo());
-    }
-
-    #[test]
-    fn oversample_clamps_to_depth() {
-        let mut r = Raster::new(1, 1, BitDepth::Eight, world()).unwrap();
-        r.set_pixel(0, 0, 255).unwrap();
-        let big = r.oversample(2, || 100).unwrap();
-        assert_eq!(big.pixel(1, 1).unwrap(), 255);
     }
 }

@@ -12,23 +12,39 @@
 //! required to execute an operation. For example, when clipping a satellite
 //! image by one or more polygons only the relevant tiles will be read from
 //! disk or tape."*
+//!
+//! [`TilingScheme`] is the only code that knows this layout. The execution
+//! engine stores each tile as its own object and keeps the mapping table in
+//! the tuple; it rebuilds the scheme from the tile shape recorded there.
 
-use crate::lzw;
-use crate::ndarray::{ElemType, NdArray};
+use crate::ndarray::ElemType;
 use crate::{ArrayError, Result};
 
-/// Paradise's default tile payload target: 128 KB.
-pub const DEFAULT_TILE_BYTES: usize = 128 * 1024;
-
-/// How an array of a given shape is cut into tiles.
+/// How an array of a given shape is cut into tiles: the one place that
+/// knows the tile layout (tile indexes, tile regions and the tile pieces
+/// a region read touches).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TilingScheme {
     dims: Vec<usize>,
-    elem: ElemType,
     /// Tile extent along each dimension.
     tile_shape: Vec<usize>,
     /// Number of tiles along each dimension: `ceil(dims[i] / tile_shape[i])`.
     tiles_per_dim: Vec<usize>,
+}
+
+/// The part of one tile that a region read covers.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TilePiece {
+    /// Linear index of the tile.
+    pub tile: usize,
+    /// Extent of the whole tile (edge tiles are smaller).
+    pub tile_shape: Vec<usize>,
+    /// Origin of the piece within the tile.
+    pub in_tile: Vec<usize>,
+    /// Origin of the piece within the region.
+    pub in_region: Vec<usize>,
+    /// Extent of the piece.
+    pub shape: Vec<usize>,
 }
 
 impl TilingScheme {
@@ -51,9 +67,20 @@ impl TilingScheme {
         };
         let tile_shape: Vec<usize> =
             dims.iter().map(|&d| (((d as f64) * scale).round() as usize).clamp(1, d)).collect();
-        let tiles_per_dim: Vec<usize> =
-            dims.iter().zip(&tile_shape).map(|(&d, &t)| d.div_ceil(t)).collect();
-        Ok(TilingScheme { dims: dims.to_vec(), elem, tile_shape, tiles_per_dim })
+        Self::with_tile_shape(dims, &tile_shape)
+    }
+
+    /// The scheme of an array already cut into tiles of `tile_shape` (a
+    /// stored raster's mapping table records the shape, not the target).
+    pub fn with_tile_shape(dims: &[usize], tile_shape: &[usize]) -> Result<Self> {
+        if dims.is_empty() || dims.contains(&0) {
+            return Err(ArrayError::BadShape(dims.to_vec()));
+        }
+        if tile_shape.len() != dims.len() || tile_shape.contains(&0) {
+            return Err(ArrayError::BadShape(tile_shape.to_vec()));
+        }
+        let tiles_per_dim = dims.iter().zip(tile_shape).map(|(&d, &t)| d.div_ceil(t)).collect();
+        Ok(TilingScheme { dims: dims.to_vec(), tile_shape: tile_shape.to_vec(), tiles_per_dim })
     }
 
     /// Array shape being tiled.
@@ -66,19 +93,9 @@ impl TilingScheme {
         &self.tile_shape
     }
 
-    /// Tiles along each dimension.
-    pub fn tiles_per_dim(&self) -> &[usize] {
-        &self.tiles_per_dim
-    }
-
     /// Total number of tiles.
     pub fn num_tiles(&self) -> usize {
         self.tiles_per_dim.iter().product()
-    }
-
-    /// Element type.
-    pub fn elem_type(&self) -> ElemType {
-        self.elem
     }
 
     /// Converts a per-dimension tile coordinate to a linear tile index
@@ -157,113 +174,44 @@ impl TilingScheme {
             }
         }
     }
-}
 
-/// One stored tile: its (possibly compressed) bytes plus the compression
-/// flag from the mapping table.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TileData {
-    /// Tile payload (LZW stream when `compressed`, raw little-endian
-    /// elements otherwise).
-    pub bytes: Vec<u8>,
-    /// Whether `bytes` is LZW-compressed (the paper's per-tile flag).
-    pub compressed: bool,
-}
-
-impl TileData {
-    /// Decodes the tile back to raw element bytes.
-    pub fn decode(&self) -> Result<Vec<u8>> {
-        lzw::maybe_decompress(&self.bytes, self.compressed)
-    }
-}
-
-/// An in-memory tiled array: the mapping table (scheme + per-tile payloads).
-///
-/// The execution engine stores each [`TileData`] as a separate storage
-/// object and keeps OIDs in its own mapping table; this type is the
-/// self-contained equivalent used for computation and tests.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TileMap {
-    scheme: TilingScheme,
-    tiles: Vec<TileData>,
-}
-
-impl TileMap {
-    /// Tiles (and per-tile compresses) a whole array.
-    pub fn build(array: &NdArray, target_bytes: usize) -> Result<Self> {
-        let scheme = TilingScheme::new(array.dims(), array.elem_type(), target_bytes)?;
-        let mut tiles = Vec::with_capacity(scheme.num_tiles());
-        for i in 0..scheme.num_tiles() {
-            let (lo, shape) = scheme.tile_region(i);
-            let sub = array.subarray(&lo, &shape)?;
-            let (bytes, compressed) = lzw::maybe_compress(sub.data());
-            tiles.push(TileData { bytes, compressed });
-        }
-        Ok(TileMap { scheme, tiles })
-    }
-
-    /// The tiling scheme (mapping-table metadata).
-    pub fn scheme(&self) -> &TilingScheme {
-        &self.scheme
-    }
-
-    /// Stored tiles in linear order.
-    pub fn tiles(&self) -> &[TileData] {
-        &self.tiles
-    }
-
-    /// Bytes actually stored (compressed sizes), i.e. what would hit disk.
-    pub fn stored_bytes(&self) -> usize {
-        self.tiles.iter().map(|t| t.bytes.len()).sum()
-    }
-
-    /// How many tiles are stored compressed.
-    pub fn num_compressed(&self) -> usize {
-        self.tiles.iter().filter(|t| t.compressed).count()
-    }
-
-    /// Reassembles the full array from all tiles.
-    pub fn assemble(&self) -> Result<NdArray> {
-        let mut out = NdArray::zeros(self.scheme.dims.to_vec(), self.scheme.elem)?;
-        for (i, tile) in self.tiles.iter().enumerate() {
-            let (lo, shape) = self.scheme.tile_region(i);
-            let patch = NdArray::new(shape, self.scheme.elem, tile.decode()?)?;
-            out.write_subarray(&lo, &patch)?;
-        }
-        Ok(out)
-    }
-
-    /// Extracts the region `[lo, lo+shape)` touching **only** the tiles that
-    /// overlap it — the access path a clip query takes. Returns the region
-    /// and the number of tiles read (for I/O accounting).
-    pub fn read_region(&self, lo: &[usize], shape: &[usize]) -> Result<(NdArray, usize)> {
-        let needed = self.scheme.tiles_overlapping(lo, shape)?;
-        let mut out = NdArray::zeros(shape.to_vec(), self.scheme.elem)?;
-        for &ti in &needed {
-            let (tlo, tshape) = self.scheme.tile_region(ti);
-            let tile = NdArray::new(tshape.clone(), self.scheme.elem, self.tiles[ti].decode()?)?;
-            // Intersect [lo, lo+shape) with [tlo, tlo+tshape) per dimension.
-            let mut src_lo = Vec::with_capacity(lo.len());
-            let mut dst_lo = Vec::with_capacity(lo.len());
-            let mut cut = Vec::with_capacity(lo.len());
-            for d in 0..lo.len() {
-                let a = lo[d].max(tlo[d]);
-                let b = (lo[d] + shape[d]).min(tlo[d] + tshape[d]);
-                debug_assert!(a < b, "tile filter returned a non-overlapping tile");
-                src_lo.push(a - tlo[d]);
-                dst_lo.push(a - lo[d]);
-                cut.push(b - a);
-            }
-            let piece = tile.subarray(&src_lo, &cut)?;
-            out.write_subarray(&dst_lo, &piece)?;
-        }
-        Ok((out, needed.len()))
+    /// The tile pieces a read of `[lo, lo+shape)` assembles, one per tile
+    /// of [`TilingScheme::tiles_overlapping`] and in its order: each is the
+    /// intersection of the region with one tile.
+    pub fn pieces(&self, lo: &[usize], shape: &[usize]) -> Result<Vec<TilePiece>> {
+        let tiles = self.tiles_overlapping(lo, shape)?;
+        Ok(tiles
+            .into_iter()
+            .map(|tile| {
+                let (tlo, tile_shape) = self.tile_region(tile);
+                let mut piece = TilePiece {
+                    tile,
+                    tile_shape,
+                    in_tile: Vec::with_capacity(lo.len()),
+                    in_region: Vec::with_capacity(lo.len()),
+                    shape: Vec::with_capacity(lo.len()),
+                };
+                for d in 0..lo.len() {
+                    let a = lo[d].max(tlo[d]);
+                    let b = (lo[d] + shape[d]).min(tlo[d] + piece.tile_shape[d]);
+                    piece.in_tile.push(a - tlo[d]);
+                    piece.in_region.push(a - lo[d]);
+                    piece.shape.push(b - a);
+                }
+                piece
+            })
+            .collect())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lzw;
+    use crate::ndarray::NdArray;
+
+    /// The paper's tile target (§2.5.1).
+    const PAPER_TILE_BYTES: usize = 128 * 1024;
 
     fn iota(dims: Vec<usize>) -> NdArray {
         let mut a = NdArray::zeros(dims, ElemType::U16).unwrap();
@@ -273,14 +221,35 @@ mod tests {
         a
     }
 
+    /// Cuts `a` into the scheme's tiles, then reads `[lo, lo+shape)` back
+    /// from its pieces, as the raster store does with stored tiles.
+    /// Returns the region and the number of tiles read.
+    fn read_via_pieces(
+        a: &NdArray,
+        s: &TilingScheme,
+        lo: &[usize],
+        shape: &[usize],
+    ) -> (NdArray, usize) {
+        let mut out = NdArray::zeros(shape.to_vec(), a.elem_type()).unwrap();
+        let pieces = s.pieces(lo, shape).unwrap();
+        for p in &pieces {
+            let (tlo, tshape) = s.tile_region(p.tile);
+            assert_eq!(tshape, p.tile_shape);
+            let tile = a.subarray(&tlo, &tshape).unwrap();
+            out.write_subarray(&p.in_region, &tile.subarray(&p.in_tile, &p.shape).unwrap())
+                .unwrap();
+        }
+        (out, pieces.len())
+    }
+
     #[test]
     fn scheme_respects_target_size() {
         // 1000x1000 u16 = 2 MB; 128 KB target => ~16 tiles
-        let s = TilingScheme::new(&[1000, 1000], ElemType::U16, DEFAULT_TILE_BYTES).unwrap();
+        let s = TilingScheme::new(&[1000, 1000], ElemType::U16, PAPER_TILE_BYTES).unwrap();
         let tile_elems: usize = s.tile_shape().iter().product();
         let tile_bytes = tile_elems * 2;
         assert!(
-            (DEFAULT_TILE_BYTES / 2..=DEFAULT_TILE_BYTES * 2).contains(&tile_bytes),
+            (PAPER_TILE_BYTES / 2..=PAPER_TILE_BYTES * 2).contains(&tile_bytes),
             "tile_bytes = {tile_bytes}"
         );
         // proportional: square array gets square tiles
@@ -296,9 +265,18 @@ mod tests {
 
     #[test]
     fn small_array_is_one_tile() {
-        let s = TilingScheme::new(&[10, 10], ElemType::U8, DEFAULT_TILE_BYTES).unwrap();
+        let s = TilingScheme::new(&[10, 10], ElemType::U8, PAPER_TILE_BYTES).unwrap();
         assert_eq!(s.num_tiles(), 1);
         assert_eq!(s.tile_shape(), &[10, 10]);
+    }
+
+    #[test]
+    fn with_tile_shape_rebuilds_the_computed_scheme() {
+        let s = TilingScheme::new(&[300, 170], ElemType::U16, 4096).unwrap();
+        assert_eq!(TilingScheme::with_tile_shape(s.dims(), s.tile_shape()).unwrap(), s);
+        assert!(TilingScheme::with_tile_shape(&[10, 10], &[0, 5]).is_err());
+        assert!(TilingScheme::with_tile_shape(&[10, 10], &[5]).is_err());
+        assert!(TilingScheme::with_tile_shape(&[0, 10], &[5, 5]).is_err());
     }
 
     #[test]
@@ -329,19 +307,21 @@ mod tests {
     #[test]
     fn build_and_assemble_roundtrip() {
         let a = iota(vec![120, 75]);
-        let map = TileMap::build(&a, 1024).unwrap();
-        assert!(map.scheme().num_tiles() > 1);
-        assert_eq!(map.assemble().unwrap(), a);
+        let s = TilingScheme::new(a.dims(), a.elem_type(), 1024).unwrap();
+        assert!(s.num_tiles() > 1);
+        let (whole, read) = read_via_pieces(&a, &s, &[0, 0], a.dims());
+        assert_eq!(whole, a);
+        assert_eq!(read, s.num_tiles());
     }
 
     #[test]
     fn read_region_touches_only_needed_tiles() {
         let a = iota(vec![100, 100]); // 20 KB
-        let map = TileMap::build(&a, 1000).unwrap(); // ~500 elems per tile
-        let total = map.scheme().num_tiles();
+        let s = TilingScheme::new(a.dims(), a.elem_type(), 1000).unwrap(); // ~500 elems per tile
+        let total = s.num_tiles();
         assert!(total >= 16, "want many tiles, got {total}");
         // A small corner region must touch far fewer tiles than the total.
-        let (region, read) = map.read_region(&[5, 5], &[10, 10]).unwrap();
+        let (region, read) = read_via_pieces(&a, &s, &[5, 5], &[10, 10]);
         assert!(read < total / 2, "read {read} of {total}");
         assert_eq!(region, a.subarray(&[5, 5], &[10, 10]).unwrap());
     }
@@ -349,8 +329,8 @@ mod tests {
     #[test]
     fn read_region_across_tile_boundaries() {
         let a = iota(vec![64, 64]);
-        let map = TileMap::build(&a, 512).unwrap();
-        let (region, read) = map.read_region(&[10, 10], &[40, 40]).unwrap();
+        let s = TilingScheme::new(a.dims(), a.elem_type(), 512).unwrap();
+        let (region, read) = read_via_pieces(&a, &s, &[10, 10], &[40, 40]);
         assert_eq!(region, a.subarray(&[10, 10], &[40, 40]).unwrap());
         assert!(read > 1);
     }
@@ -366,12 +346,20 @@ mod tests {
                 a.set(&[r, c], u64::from(x >> 24)).unwrap();
             }
         }
-        let map = TileMap::build(&a, 512).unwrap();
-        let n = map.num_compressed();
-        assert!(n > 0, "no tiles compressed");
-        assert!(n < map.scheme().num_tiles(), "all tiles compressed");
-        assert_eq!(map.assemble().unwrap(), a);
-        assert!(map.stored_bytes() < a.byte_len());
+        let s = TilingScheme::new(a.dims(), a.elem_type(), 512).unwrap();
+        let mut compressed = 0;
+        let mut stored = 0;
+        for i in 0..s.num_tiles() {
+            let (lo, shape) = s.tile_region(i);
+            let tile = a.subarray(&lo, &shape).unwrap();
+            let (bytes, flag) = lzw::maybe_compress(tile.data());
+            assert_eq!(lzw::maybe_decompress(&bytes, flag).unwrap(), tile.data());
+            compressed += usize::from(flag);
+            stored += bytes.len();
+        }
+        assert!(compressed > 0, "no tiles compressed");
+        assert!(compressed < s.num_tiles(), "all tiles compressed");
+        assert!(stored < a.byte_len());
     }
 
     #[test]
@@ -382,15 +370,18 @@ mod tests {
         // Region poking past the edge is clamped, not an error.
         let ids = s.tiles_overlapping(&[8, 8], &[10, 10]).unwrap();
         assert!(!ids.is_empty());
+        let pieces = s.pieces(&[8, 8], &[10, 10]).unwrap();
+        assert_eq!(pieces.iter().map(|p| p.tile).collect::<Vec<_>>(), ids);
+        assert!(pieces.iter().all(|p| p.in_region[0] + p.shape[0] <= 2));
     }
 
     #[test]
     fn one_dimensional_tiling() {
         let a = iota(vec![5000]);
-        let map = TileMap::build(&a, 1024).unwrap();
-        assert!(map.scheme().num_tiles() >= 5);
-        assert_eq!(map.assemble().unwrap(), a);
-        let (r, _) = map.read_region(&[100], &[200]).unwrap();
+        let s = TilingScheme::new(a.dims(), a.elem_type(), 1024).unwrap();
+        assert!(s.num_tiles() >= 5);
+        assert_eq!(read_via_pieces(&a, &s, &[0], &[5000]).0, a);
+        let (r, _) = read_via_pieces(&a, &s, &[100], &[200]);
         assert_eq!(r, a.subarray(&[100], &[200]).unwrap());
     }
 }

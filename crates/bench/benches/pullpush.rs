@@ -2,7 +2,7 @@
 //! tiles a clip needs (pull) vs shipping the whole raster (push), for
 //! clip regions of growing size.
 
-use paradise_array::{BitDepth, Raster};
+use paradise_array::{BitDepth, PixelWindow, Raster};
 use paradise_bench::harness::{BenchmarkId, Criterion};
 use paradise_bench::{criterion_group, criterion_main};
 use paradise_exec::cluster::{Cluster, ClusterConfig};
@@ -24,17 +24,18 @@ fn bench_pullpush(c: &mut Criterion) {
     let mut g = c.benchmark_group("pull_vs_push");
     for pct in [2u32, 10, 50, 100] {
         // A clip region covering `pct`% of the raster's pixels.
-        let rows = (256 * pct / 100).max(1);
-        let cols = (512 * pct / 100).max(1);
+        let rows = (256 * pct as usize / 100).max(1);
+        let cols = (512 * pct as usize / 100).max(1);
+        let win = PixelWindow { row0: 0, row1: rows, col0: 0, col1: cols };
         g.bench_with_input(BenchmarkId::new("pull_tiles", pct), &pct, |b, _| {
-            b.iter(|| raster_store::fetch_region(&cluster, 1, &sr, 0, rows, 0, cols).unwrap())
+            b.iter(|| raster_store::fetch_region(&cluster, 1, &sr, win).unwrap())
         });
         g.bench_with_input(BenchmarkId::new("push_whole", pct), &pct, |b, _| {
             b.iter(|| {
                 // Push model: materialise the whole raster at the consumer,
                 // then cut the region out locally.
                 let whole = raster_store::fetch_whole(&cluster, 1, &sr).unwrap();
-                whole.array().subarray(&[0, 0], &[rows as usize, cols as usize]).unwrap()
+                whole.array().subarray(&[0, 0], &[rows, cols]).unwrap()
             })
         });
     }

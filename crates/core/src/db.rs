@@ -14,7 +14,8 @@ use std::sync::Arc;
 /// Which transport carries cross-node tuples and tile pulls.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportKind {
-    /// In-process bounded channels (the default).
+    /// In-process (the default): tuples move between endpoints by
+    /// ownership and are charged as network traffic.
     #[default]
     Local,
     /// Real TCP data servers with the `paradise-net` wire protocol and

@@ -16,7 +16,7 @@
 
 use crate::db::{Paradise, QueryResult};
 use crate::Result;
-use paradise_array::Raster;
+use paradise_array::{PixelWindow, Raster};
 use paradise_exec::cluster::NetSnapshot;
 use paradise_exec::metrics::QueryMetrics;
 use paradise_exec::ops::basic::sort_by_col;
@@ -184,50 +184,43 @@ pub fn q3(
             Ok(Raster::average_of(&refs)?)
         })?
     } else {
-        // Parallel plan: each node sums the pixels of the clip-region tiles
+        // Parallel plan: each node cuts the clip-region pieces of the tiles
         // it stores, shipping compact per-tile pieces; the coordinator
         // pastes the pieces — its work is proportional to the pixels
         // contributed, independent of the node count. A piece is one tuple:
-        // `row0, col0, rows, cols`, then `rows × cols` sums, all `Int`.
+        // `row0, col0, rows, cols`, then `rows × cols` pixels, all `Int`.
         let sr0 = &srs[0];
-        let Some((r0, r1, c0, c1)) = raster_store::pixel_region(sr0, &clip.bbox()) else {
+        let (w0, h0) = (sr0.width as usize, sr0.height as usize);
+        let Some(win) = PixelWindow::covering(&sr0.geo, w0, h0, &clip.bbox()) else {
             return Ok(finish(db, net0, m, &["average"], Vec::new(), t0));
         };
-        let (h, w) = ((r1 - r0) as usize, (c1 - c0) as usize);
+        let [h, w] = win.shape();
         let partials = run_phase(db.cluster(), &mut m, "local partial sums", |node| {
-            let mut pieces: Vec<Tuple> = Vec::new();
+            let mut out: Vec<Tuple> = Vec::new();
             for sr in &srs {
-                for idx in sr.tiles_for_region(r0, r1, c0, c1) {
-                    if sr.tiles[idx].node as usize != node {
+                for piece in sr.scheme()?.pieces(&win.lo(), &win.shape())? {
+                    let tile_ref = &sr.tiles[piece.tile];
+                    if tile_ref.node as usize != node {
                         continue; // another node owns this tile
                     }
-                    let bytes = db.cluster().fetch_tile(node, &sr.tiles[idx])?;
-                    let (tr0, tc0, th, tw) = sr.tile_region(idx);
+                    let bytes = db.cluster().fetch_tile(node, tile_ref)?;
                     let tile = paradise_array::NdArray::new(
-                        vec![th as usize, tw as usize],
+                        piece.tile_shape.clone(),
                         sr.depth.elem_type(),
                         bytes,
                     )?;
-                    let (a_r, b_r) = (tr0.max(r0), (tr0 + th).min(r1));
-                    let (a_c, b_c) = (tc0.max(c0), (tc0 + tw).min(c1));
-                    let (prows, pcols) = ((b_r - a_r) as usize, (b_c - a_c) as usize);
-                    let mut sums = vec![0u64; prows * pcols];
-                    for rr in a_r..b_r {
-                        for cc in a_c..b_c {
-                            let v = tile
-                                .get(&[(rr - tr0) as usize, (cc - tc0) as usize])
-                                .expect("in range");
-                            sums[(rr - a_r) as usize * pcols + (cc - a_c) as usize] += v;
-                        }
-                    }
-                    let header = [a_r - r0, a_c - c0, prows as u32, pcols as u32];
-                    let mut piece: Vec<Value> =
-                        header.iter().map(|&v| Value::Int(i64::from(v))).collect();
-                    piece.extend(sums.into_iter().map(|v| Value::Int(v as i64)));
-                    pieces.push(Tuple::new(piece));
+                    let part = tile.subarray(&piece.in_tile, &piece.shape)?;
+                    let header =
+                        [piece.in_region[0], piece.in_region[1], piece.shape[0], piece.shape[1]];
+                    let mut values: Vec<Value> =
+                        header.iter().map(|&v| Value::Int(v as i64)).collect();
+                    values.extend(
+                        (0..part.num_elems()).map(|i| Value::Int(part.get_linear(i) as i64)),
+                    );
+                    out.push(Tuple::new(values));
                 }
             }
-            Ok(pieces)
+            Ok(out)
         })?;
         let pieces = collect_rows(db, partials)?;
         run_sequential(&mut m, || {
@@ -244,8 +237,7 @@ pub fn q3(
                     }
                 }
             }
-            let mut out =
-                Raster::new(w, h, sr0.depth, raster_store::geo_of_region(sr0, r0, r1, c0, c1))?;
+            let mut out = Raster::new(w, h, sr0.depth, win.geo(&sr0.geo, w0, h0))?;
             for row in 0..h {
                 for col in 0..w {
                     let off = row * w + col;
@@ -301,11 +293,12 @@ pub fn q4(
         db.table("raster")?.schema.clone(),
         paradise_exec::Decluster::RoundRobin,
     );
-    run_sequential(&mut m, || {
+    let loaded = run_sequential(&mut m, || {
         result_table.load(db.cluster(), rows.iter().cloned())?;
         Ok(())
-    })?;
-    result_table.drop_table(db.cluster())?;
+    });
+    // Dropped whether or not the load succeeded.
+    loaded.and(result_table.drop_table(db.cluster()))?;
     Ok(finish(db, net0, m, &["date", "channel", "lowres"], rows, t0))
 }
 
@@ -372,11 +365,12 @@ pub fn q6(db: &Paradise, region: &Polygon) -> Result<QueryResult> {
         lc.schema.clone(),
         paradise_exec::Decluster::RoundRobin,
     );
-    run_sequential(&mut m, || {
+    let loaded = run_sequential(&mut m, || {
         result_table.load(db.cluster(), rows.iter().cloned())?;
         Ok(())
-    })?;
-    result_table.drop_table(db.cluster())?;
+    });
+    // Dropped whether or not the load succeeded.
+    loaded.and(result_table.drop_table(db.cluster()))?;
     Ok(finish(db, net0, m, &["id", "type", "shape"], rows, t0))
 }
 
@@ -600,11 +594,15 @@ pub fn q10(db: &Paradise, clip: &Polygon, threshold: f64) -> Result<QueryResult>
             Ok(())
         })?;
         Ok(rows)
-    })?;
-    // The operator has completed: its file (and all its extents) go away.
+    });
+    // The operator has completed or failed: either way its file (and all
+    // its extents) go away on every node.
+    let mut dropped = Ok(());
     for n in db.cluster().nodes() {
-        n.store.drop_entry(&op_file)?;
+        dropped = dropped.and(n.store.drop_entry(&op_file));
     }
+    let per_node = per_node?;
+    dropped?;
     let rows = collect_rows(db, per_node)?;
     Ok(finish(db, net0, m, &["date", "channel", "clip"], rows, t0))
 }

@@ -687,9 +687,9 @@ impl Plan {
                 op(3, format!("SeqScan raster [channel = {channel}]"), None),
             ],
             Plan::Q3 { date, .. } => vec![
-                op(0, "GlobalAverage  (QC, sequential)", None),
-                op(1, "PartialAverage [clipped tiles]", Some("local partial sums")),
-                op(2, format!("TileLocate raster [date = {date}]"), Some("locate rasters")),
+                op(0, "Average [clip(POLYGON)]  (node 0, sequential)", None),
+                op(1, "PullTiles [clip-region tiles -> node 0]", None),
+                op(2, format!("SeqScan raster [date = {date}]"), Some("locate rasters")),
             ],
             Plan::Q4 { date, channel, factor, .. } => vec![
                 op(0, "Gather -> QC", None),
@@ -724,7 +724,7 @@ impl Plan {
                 vec![
                     op(0, "Gather -> QC", None),
                     op(1, format!("Filter [{pred}]"), Some("circle selection")),
-                    op(2, "SeqScan landCover", None),
+                    op(2, "RTreeIndexScan landCover [shape overlaps circle bbox]", None),
                 ]
             }
             Plan::Q8 { name, box_len } => vec![
@@ -736,7 +736,11 @@ impl Plan {
                 ),
                 op(2, "RTreeIndexScan landCover  (inner, per box)", None),
                 op(2, "Broadcast city boxes  (QC)", None),
-                op(3, format!("Filter populatedPlaces [name = {name:?}]"), Some("select cities")),
+                op(
+                    3,
+                    format!("BTreeIndexScan populatedPlaces [name = {name:?}]"),
+                    Some("select cities"),
+                ),
             ],
             Plan::Q9 { date, channel, oil_type } => clip_join_tree(
                 format!("SeqScan raster [date = {date}, channel = {channel}]"),
@@ -762,7 +766,7 @@ impl Plan {
                     format!("PartialClosest [closest(shape, ({}, {}))]", point.x, point.y),
                     Some("local closest per type"),
                 ),
-                op(2, "RTreeNearest roads", None),
+                op(2, "SeqScan roads", None),
             ],
             Plan::Q12 { city_type } => vec![
                 op(0, "GlobalAggregate  (QC, sequential)", None),

@@ -56,11 +56,13 @@ pub trait WireTransport: Send + Sync {
 /// How tuples and tiles move between nodes.
 #[derive(Clone)]
 pub enum Transport {
-    /// In-process bounded channels (the default; zero-copy simulation).
+    /// In-process (the default): [`crate::phase::exchange`] moves tuples
+    /// between endpoints by ownership and charges each crossing tuple to
+    /// the network counters; no stream is opened.
     Local,
     /// A real wire protocol (e.g. `paradise-net` TCP with credit-based
-    /// flow control). Both transports share the bounded-window semantics
-    /// and the accounting choke point, so plans behave identically.
+    /// flow control). Both transports share the accounting choke point,
+    /// so plans behave identically.
     Tcp(Arc<dyn WireTransport>),
 }
 

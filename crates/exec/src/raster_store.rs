@@ -11,14 +11,15 @@
 use crate::cluster::{Cluster, NodeId};
 use crate::value::{StoredRaster, TileRef};
 use crate::Result;
-use paradise_array::{lzw, NdArray, Raster, TilingScheme};
-use paradise_geom::{Point, Polygon, Rect};
+use paradise_array::{lzw, NdArray, PixelWindow, Raster, TilingScheme};
+use paradise_geom::{Point, Polygon};
 
 /// Name of the per-node heap file holding raster tile objects.
 pub const TILE_FILE: &str = "__raster_tiles";
 
-/// Target tile payload. The paper uses 128 KB; the scaled-down benchmark
-/// data uses smaller rasters, so the engine takes it as a parameter.
+/// Target tile payload. The paper uses ~128 KB tiles (§2.5.1); the
+/// scaled-down benchmark data uses smaller rasters, so the engine defaults
+/// to 32 KB and takes the target as a parameter.
 pub const DEFAULT_TILE_BYTES: usize = 32 * 1024;
 
 /// Stores `raster` as tiles. With `decluster = false` every tile lands on
@@ -73,93 +74,51 @@ pub fn store_raster(
     })
 }
 
-/// The pixel region `[row0, row1) × [col0, col1)` of `sr` covered by the
-/// world rectangle `window`, snapped outward to whole pixels. `None` when
-/// disjoint.
-pub fn pixel_region(sr: &StoredRaster, window: &Rect) -> Option<(u32, u32, u32, u32)> {
-    let region = sr.geo.intersection(window)?;
-    let px_w = sr.geo.width() / f64::from(sr.width);
-    let px_h = sr.geo.height() / f64::from(sr.height);
-    let col0 = ((((region.lo.x - sr.geo.lo.x) / px_w).floor()) as i64)
-        .clamp(0, i64::from(sr.width) - 1) as u32;
-    let col1 = ((((region.hi.x - sr.geo.lo.x) / px_w).ceil()) as i64)
-        .clamp(i64::from(col0) + 1, i64::from(sr.width)) as u32;
-    let row0 = ((((sr.geo.hi.y - region.hi.y) / px_h).floor()) as i64)
-        .clamp(0, i64::from(sr.height) - 1) as u32;
-    let row1 = ((((sr.geo.hi.y - region.lo.y) / px_h).ceil()) as i64)
-        .clamp(i64::from(row0) + 1, i64::from(sr.height)) as u32;
-    Some((row0, row1, col0, col1))
-}
-
-/// World rectangle of a pixel region of `sr`.
-pub fn geo_of_region(sr: &StoredRaster, row0: u32, row1: u32, col0: u32, col1: u32) -> Rect {
-    let px_w = sr.geo.width() / f64::from(sr.width);
-    let px_h = sr.geo.height() / f64::from(sr.height);
-    Rect::from_corners(
-        Point::new(sr.geo.lo.x + f64::from(col0) * px_w, sr.geo.hi.y - f64::from(row1) * px_h),
-        Point::new(sr.geo.lo.x + f64::from(col1) * px_w, sr.geo.hi.y - f64::from(row0) * px_h),
-    )
-    .expect("pixel-aligned rect")
-}
-
-/// Materialises a pixel region of a stored raster, reading **only** the
-/// tiles the region overlaps and pulling remote ones (§2.5.2). Returns the
+/// Materialises a pixel window of a stored raster, reading **only** the
+/// tiles the window overlaps and pulling remote ones (§2.5.2). Returns the
 /// raster and the number of tiles read.
 pub fn fetch_region(
     cluster: &Cluster,
     requester: NodeId,
     sr: &StoredRaster,
-    row0: u32,
-    row1: u32,
-    col0: u32,
-    col1: u32,
+    win: PixelWindow,
 ) -> Result<(Raster, usize)> {
-    let h = (row1 - row0) as usize;
-    let w = (col1 - col0) as usize;
-    let mut out = NdArray::zeros(vec![h, w], sr.depth.elem_type())?;
-    let needed = sr.tiles_for_region(row0, row1, col0, col1);
+    let elem = sr.depth.elem_type();
+    let mut out = NdArray::zeros(win.shape().to_vec(), elem)?;
+    let pieces = sr.scheme()?.pieces(&win.lo(), &win.shape())?;
     // Fetch raw tiles serially (pull accounting and failpoint order stay
     // deterministic), decompress the batch on the worker pool, then place
     // the pieces serially in tile order.
-    let mut raw = Vec::with_capacity(needed.len());
-    for &idx in &needed {
-        let tile = &sr.tiles[idx];
+    let mut raw = Vec::with_capacity(pieces.len());
+    for piece in &pieces {
+        let tile = &sr.tiles[piece.tile];
         raw.push((cluster.fetch_tile_raw(requester, tile)?, tile.compressed));
     }
     let decoded = lzw::maybe_decompress_batch(&cluster.workers(), &raw)?;
-    for (&idx, bytes) in needed.iter().zip(decoded) {
-        let (tr0, tc0, th, tw) = sr.tile_region(idx);
-        let tile = NdArray::new(vec![th as usize, tw as usize], sr.depth.elem_type(), bytes)?;
-        // Intersect the tile with the requested region.
-        let a_r = row0.max(tr0);
-        let b_r = row1.min(tr0 + th);
-        let a_c = col0.max(tc0);
-        let b_c = col1.min(tc0 + tw);
-        debug_assert!(a_r < b_r && a_c < b_c);
-        let piece = tile.subarray(
-            &[(a_r - tr0) as usize, (a_c - tc0) as usize],
-            &[(b_r - a_r) as usize, (b_c - a_c) as usize],
-        )?;
-        out.write_subarray(&[(a_r - row0) as usize, (a_c - col0) as usize], &piece)?;
+    for (piece, bytes) in pieces.iter().zip(decoded) {
+        let tile = NdArray::new(piece.tile_shape.clone(), elem, bytes)?;
+        out.write_subarray(&piece.in_region, &tile.subarray(&piece.in_tile, &piece.shape)?)?;
     }
-    let geo = geo_of_region(sr, row0, row1, col0, col1);
-    Ok((Raster::from_array(out, sr.depth, geo)?, needed.len()))
+    let geo = win.geo(&sr.geo, sr.width as usize, sr.height as usize);
+    Ok((Raster::from_array(out, sr.depth, geo)?, pieces.len()))
 }
 
 /// Clips a stored raster by a polygon (queries 2–4, 9, 10, 14): fetches
 /// only the tiles under the polygon's bounding box, then masks pixels
-/// outside the polygon. Returns `None` when the polygon misses the raster.
+/// outside the polygon — the same window and mask as [`Raster::clip`] on
+/// the whole image. Returns `None` when the polygon misses the raster.
 pub fn clip_stored(
     cluster: &Cluster,
     requester: NodeId,
     sr: &StoredRaster,
     poly: &Polygon,
 ) -> Result<Option<(Raster, usize)>> {
-    let Some((r0, r1, c0, c1)) = pixel_region(sr, &poly.bbox()) else {
+    let (w, h) = (sr.width as usize, sr.height as usize);
+    let Some(win) = PixelWindow::covering(&sr.geo, w, h, &poly.bbox()) else {
         return Ok(None);
     };
-    let (region, tiles_read) = fetch_region(cluster, requester, sr, r0, r1, c0, c1)?;
-    match region.clip(poly) {
+    let (region, tiles_read) = fetch_region(cluster, requester, sr, win)?;
+    match region.mask_outside(poly) {
         Ok(clipped) => Ok(Some((clipped, tiles_read))),
         Err(paradise_array::ArrayError::EmptyClip) => Ok(None),
         Err(e) => Err(e.into()),
@@ -168,7 +127,8 @@ pub fn clip_stored(
 
 /// Materialises a whole stored raster.
 pub fn fetch_whole(cluster: &Cluster, requester: NodeId, sr: &StoredRaster) -> Result<Raster> {
-    Ok(fetch_region(cluster, requester, sr, 0, sr.height, 0, sr.width)?.0)
+    let win = PixelWindow { row0: 0, row1: sr.height as usize, col0: 0, col1: sr.width as usize };
+    Ok(fetch_region(cluster, requester, sr, win)?.0)
 }
 
 #[cfg(test)]
@@ -176,6 +136,7 @@ mod tests {
     use super::*;
     use crate::cluster::ClusterConfig;
     use paradise_array::BitDepth;
+    use paradise_geom::Rect;
 
     fn world() -> Rect {
         Rect::from_corners(Point::new(-180.0, -90.0), Point::new(180.0, 90.0)).unwrap()
@@ -212,13 +173,14 @@ mod tests {
         let total = sr.tiles.len();
         // Local fetch of a corner region: few tiles, no pulls.
         let base = cluster.net.snapshot();
-        let (region, read) = fetch_region(&cluster, 0, &sr, 0, 16, 0, 16).unwrap();
+        let corner = PixelWindow { row0: 0, row1: 16, col0: 0, col1: 16 };
+        let (region, read) = fetch_region(&cluster, 0, &sr, corner).unwrap();
         assert!(read < total / 2, "{read} of {total}");
         assert_eq!(region.pixel(3, 2).unwrap(), r.pixel(3, 2).unwrap());
         assert_eq!(cluster.net.since(base).pulls, 0, "local reads are not pulls");
         // Remote fetch from node 1 pulls.
         let base = cluster.net.snapshot();
-        let _ = fetch_region(&cluster, 1, &sr, 0, 16, 0, 16).unwrap();
+        let _ = fetch_region(&cluster, 1, &sr, corner).unwrap();
         let d = cluster.net.since(base);
         assert_eq!(d.pulls as usize, read);
         assert!(d.pull_bytes > 0);
@@ -262,16 +224,17 @@ mod tests {
         let r = gradient(360, 180);
         let sr = store_raster(&cluster, 0, &r, false, 1 << 20).unwrap();
         // Whole world.
-        assert_eq!(pixel_region(&sr, &world()), Some((0, 180, 0, 360)));
+        let whole = PixelWindow { row0: 0, row1: 180, col0: 0, col1: 360 };
+        let pixel_window = |r: &Rect| PixelWindow::covering(&sr.geo, 360, 180, r);
+        assert_eq!(pixel_window(&world()), Some(whole));
         // One-degree box at the top-left corner.
         let tl = Rect::from_corners(Point::new(-180.0, 89.0), Point::new(-179.0, 90.0)).unwrap();
-        assert_eq!(pixel_region(&sr, &tl), Some((0, 1, 0, 1)));
+        assert_eq!(pixel_window(&tl), Some(PixelWindow { row0: 0, row1: 1, col0: 0, col1: 1 }));
         // Disjoint.
         let off = Rect::from_corners(Point::new(300.0, 0.0), Point::new(310.0, 10.0)).unwrap();
-        assert_eq!(pixel_region(&sr, &off), None);
+        assert_eq!(pixel_window(&off), None);
         // geo roundtrip
-        let g = geo_of_region(&sr, 0, 180, 0, 360);
-        assert_eq!(g, world());
+        assert_eq!(whole.geo(&sr.geo, 360, 180), world());
     }
 
     #[test]

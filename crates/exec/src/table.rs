@@ -262,17 +262,19 @@ impl TableDef {
 
     /// Drops the table's fragments and indexes everywhere.
     pub fn drop_table(&self, cluster: &Cluster) -> Result<()> {
+        // Every entry is dropped even when dropping an earlier one fails.
+        let mut dropped = Ok(());
         for n in cluster.nodes() {
             for name in n.store.names() {
                 if name == self.fragment_file()
                     || name.starts_with(&format!("idx_{}_", self.name))
                     || name.starts_with(&format!("rtidx_{}_", self.name))
                 {
-                    n.store.drop_entry(&name)?;
+                    dropped = dropped.and(n.store.drop_entry(&name));
                 }
             }
         }
-        Ok(())
+        Ok(dropped?)
     }
 }
 

@@ -1,7 +1,7 @@
 //! Attribute values, including spatial shapes and (possibly remote) rasters.
 
 use crate::{ExecError, Result};
-use paradise_array::{BitDepth, Raster};
+use paradise_array::{BitDepth, Raster, TilingScheme};
 use paradise_geom::{Circle, Point, Polygon, Polyline, Rect, Shape, SwissCheese};
 use paradise_storage::Oid;
 use std::sync::Arc;
@@ -97,49 +97,23 @@ pub struct StoredRaster {
 }
 
 impl StoredRaster {
-    /// Tiles per row of the tile grid.
-    pub fn tile_cols(&self) -> u32 {
-        self.width.div_ceil(self.tile_w)
-    }
-
-    /// Tiles per column of the tile grid.
-    pub fn tile_rows(&self) -> u32 {
-        self.height.div_ceil(self.tile_h)
-    }
-
     /// Uncompressed pixel payload size in bytes.
     pub fn byte_len(&self) -> usize {
         self.width as usize * self.height as usize * self.depth.bytes()
     }
 
-    /// Linear tile indexes overlapping the pixel region
-    /// `[row0, row1) x [col0, col1)`.
-    pub fn tiles_for_region(&self, row0: u32, row1: u32, col0: u32, col1: u32) -> Vec<usize> {
-        if row0 >= row1 || col0 >= col1 {
-            return Vec::new();
+    /// The tile layout, rebuilt from the recorded tile shape. Fails when
+    /// the shape is degenerate or the mapping table does not hold one
+    /// entry per tile.
+    pub fn scheme(&self) -> Result<TilingScheme> {
+        let scheme = TilingScheme::with_tile_shape(
+            &[self.height as usize, self.width as usize],
+            &[self.tile_h as usize, self.tile_w as usize],
+        )?;
+        if scheme.num_tiles() != self.tiles.len() {
+            return Err(ExecError::Codec("raster mapping table does not match its tile grid"));
         }
-        let tr0 = row0 / self.tile_h;
-        let tr1 = (row1 - 1) / self.tile_h;
-        let tc0 = col0 / self.tile_w;
-        let tc1 = (col1 - 1) / self.tile_w;
-        let mut out = Vec::new();
-        for tr in tr0..=tr1.min(self.tile_rows() - 1) {
-            for tc in tc0..=tc1.min(self.tile_cols() - 1) {
-                out.push((tr * self.tile_cols() + tc) as usize);
-            }
-        }
-        out
-    }
-
-    /// Pixel-space origin and shape (rows, cols) of linear tile `idx`.
-    pub fn tile_region(&self, idx: usize) -> (u32, u32, u32, u32) {
-        let tc = idx as u32 % self.tile_cols();
-        let tr = idx as u32 / self.tile_cols();
-        let r0 = tr * self.tile_h;
-        let c0 = tc * self.tile_w;
-        let h = self.tile_h.min(self.height - r0);
-        let w = self.tile_w.min(self.width - c0);
-        (r0, c0, h, w)
+        Ok(scheme)
     }
 }
 
@@ -804,26 +778,33 @@ mod tests {
     #[test]
     fn stored_raster_tile_math() {
         let geo = Rect::from_corners(Point::new(0.0, 0.0), Point::new(1.0, 1.0)).unwrap();
-        let sr = StoredRaster {
+        let tile = TileRef { node: 0, oid: Oid { page: 1, slot: 0 }, compressed: false };
+        let mut sr = StoredRaster {
             depth: BitDepth::Eight,
             geo,
             width: 100,
             height: 90,
             tile_h: 32,
             tile_w: 40,
-            tiles: Vec::new(),
+            tiles: vec![tile; 9],
         };
-        assert_eq!(sr.tile_cols(), 3);
-        assert_eq!(sr.tile_rows(), 3);
+        let s = sr.scheme().unwrap();
+        assert_eq!(s.num_tiles(), 9);
         // full region covers all 9 tiles
-        assert_eq!(sr.tiles_for_region(0, 90, 0, 100).len(), 9);
+        assert_eq!(s.tiles_overlapping(&[0, 0], &[90, 100]).unwrap().len(), 9);
         // a region inside tile (1,1)
-        assert_eq!(sr.tiles_for_region(40, 50, 45, 60), vec![4]);
+        assert_eq!(s.tiles_overlapping(&[40, 45], &[10, 15]).unwrap(), vec![4]);
         // edge tile shapes are clipped
-        let (r0, c0, h, w) = sr.tile_region(8);
-        assert_eq!((r0, c0, h, w), (64, 80, 26, 20));
+        assert_eq!(s.tile_region(8), (vec![64, 80], vec![26, 20]));
         // empty region
-        assert!(sr.tiles_for_region(10, 10, 0, 5).is_empty());
+        assert!(s.tiles_overlapping(&[10, 0], &[0, 5]).unwrap().is_empty());
+        // a mapping table that disagrees with the grid, or a zero tile
+        // extent, is rejected rather than indexed
+        sr.tiles.pop();
+        assert!(sr.scheme().is_err());
+        sr.tiles.push(tile);
+        sr.tile_w = 0;
+        assert!(sr.scheme().is_err());
     }
 
     #[test]

@@ -318,6 +318,47 @@ fn poisoned_sender_fails_phase_cleanly_and_cluster_stays_usable() {
     assert_eq!(inbox[0].len() + inbox[1].len(), 2, "exchange works again once disarmed");
 }
 
+/// Names of every temporary file left in any node's store.
+fn temp_files(db: &Paradise) -> Vec<String> {
+    let mut names: Vec<String> =
+        db.cluster().nodes().iter().flat_map(|n| n.store.names()).collect();
+    names.retain(|n| n.contains("__tmp_"));
+    names
+}
+
+/// A query that fails midway still drops the temporary files it created:
+/// Q4's and Q6's result relations and Q10's operator-scoped file. A tiny
+/// buffer pool forces page write-back while they fill, so a failing page
+/// write fails the query inside the temporary's lifetime.
+#[test]
+fn failed_queries_drop_their_temporary_files() {
+    let _g = serial();
+    let world = World::generate(WorldSpec::tiny(19));
+    let us = tables::us_polygon();
+    let mut db = Paradise::create(
+        ParadiseConfig::new(fresh_dir("tmp-cleanup"), 2).with_grid_tiles(256).with_pool_pages(16),
+    )
+    .expect("create cluster");
+    db.define_table(raster_table().with_tile_bytes(4096));
+    db.define_table(land_cover_table());
+    db.load_table("raster", world.rasters.iter().cloned()).expect("load rasters");
+    db.load_table("landCover", world.land_cover.iter().cloned()).expect("load landCover");
+    db.create_rtree_index("landCover", queries::LC_SHAPE).expect("landCover rtree");
+    db.commit().expect("commit");
+    let d = tables::query_date();
+
+    let armed = failpoint::armed("volume.write_page", Policy::error("disk full"));
+    queries::q4(&db, d, QUERY_CHANNEL, &us, 8).expect_err("q4 with failing page writes");
+    queries::q6(&db, &us).expect_err("q6 with failing page writes");
+    queries::q10(&db, &us, 0.0).expect_err("q10 with failing page writes");
+    drop(armed);
+    assert_eq!(temp_files(&db), Vec::<String>::new(), "temporaries left after failed queries");
+    // The next queries succeed and leave nothing behind either.
+    queries::q4(&db, d, QUERY_CHANNEL, &us, 8).expect("q4 after disarm");
+    queries::q10(&db, &us, 0.0).expect("q10 after disarm");
+    assert_eq!(temp_files(&db), Vec::<String>::new());
+}
+
 // ---------------------------------------------------------------------
 // Disarmed cost
 // ---------------------------------------------------------------------

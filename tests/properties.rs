@@ -1,9 +1,12 @@
 //! Cross-crate randomized property tests: codec roundtrips, clip algebra,
-//! tiling/LZW invariants, index-vs-model equivalence, grid covering laws.
+//! stored-raster/LZW invariants, index-vs-model equivalence, grid covering
+//! laws.
 //! Cases are generated with the deterministic in-repo PRNG, so every run
 //! exercises the same inputs.
 
-use paradise_array::{lzw, ElemType, NdArray, TileMap};
+use paradise_array::{lzw, BitDepth, PixelWindow, Raster, TilingScheme};
+use paradise_exec::cluster::{Cluster, ClusterConfig};
+use paradise_exec::raster_store::{clip_stored, fetch_region, store_raster};
 use paradise_exec::tuple::Tuple;
 use paradise_exec::value::{Date, Value};
 use paradise_geom::{algorithms::clip, Grid, Point, Polygon, Rect};
@@ -131,23 +134,74 @@ fn grid_tiles_cover_their_shapes() {
     }
 }
 
+/// A point inside `r`.
+fn point_in(rng: &mut Rng, r: &Rect) -> Point {
+    Point::new(rng.gen_range(r.lo.x..r.hi.x), rng.gen_range(r.lo.y..r.hi.y))
+}
+
+/// A polygon near `geo`, sized relative to it: a star (often masked) or a
+/// rectangle (the unmasked fast path), sometimes poking past the edge.
+fn polygon_near(rng: &mut Rng, geo: &Rect) -> Polygon {
+    let c = point_in(rng, &geo.expand(geo.width().max(geo.height()) * 0.1));
+    let scale = geo.width().min(geo.height());
+    if rng.gen_range(0u32..4) == 0 {
+        let half = rng.gen_range(0.01f64..0.6) * scale;
+        let lo = Point::new(c.x - half, c.y - half * 0.7);
+        let hi = Point::new(c.x + half, c.y + half * 0.7);
+        return Polygon::from_rect(&Rect::from_corners(lo, hi).unwrap());
+    }
+    let n = rng.gen_range(3usize..12);
+    let ring: Vec<Point> = (0..n)
+        .map(|i| {
+            let r = rng.gen_range(0.005f64..0.5) * scale;
+            let a = std::f64::consts::TAU * i as f64 / n as f64;
+            Point::new(c.x + r * a.cos(), c.y + r * a.sin())
+        })
+        .collect();
+    Polygon::new(ring).unwrap()
+}
+
 #[test]
-fn tilemap_roundtrips_arbitrary_2d_arrays() {
+fn stored_rasters_read_back_like_the_in_memory_raster() {
     let mut rng = Rng::seed_from_u64(8);
-    for _ in 0..48 {
-        let h = rng.gen_range(1usize..40);
-        let w = rng.gen_range(1usize..40);
-        let target = rng.gen_range(16usize..512);
-        let mut a = NdArray::zeros(vec![h, w], ElemType::U16).unwrap();
-        for i in 0..a.num_elems() {
-            a.set_linear(i, rng.next_u64() % 65_536);
+    let cluster = Cluster::create(&ClusterConfig::for_test(1, "prop-raster")).unwrap();
+    for case in 0..48 {
+        let (w, h) = (rng.gen_range(1usize..60), rng.gen_range(1usize..60));
+        let depth = [BitDepth::Eight, BitDepth::Sixteen, BitDepth::TwentyFour][case % 3];
+        let geo = rect(&mut rng);
+        let mut raster = Raster::new(w, h, depth, geo).unwrap();
+        for row in 0..h {
+            for col in 0..w {
+                raster.set_pixel(col, row, rng.next_u64() as u32).unwrap();
+            }
         }
-        let map = TileMap::build(&a, target).unwrap();
-        assert_eq!(map.assemble().unwrap(), a.clone());
-        // Any sub-region read matches the direct subarray.
-        if h > 2 && w > 2 {
-            let (r, _) = map.read_region(&[1, 1], &[h - 2, w - 2]).unwrap();
-            assert_eq!(r, a.subarray(&[1, 1], &[h - 2, w - 2]).unwrap());
+        let target = rng.gen_range(16usize..2048);
+        let sr = store_raster(&cluster, 0, &raster, false, target).unwrap();
+        let scheme = TilingScheme::new(&[h, w], depth.elem_type(), target).unwrap();
+        assert_eq!(sr.tiles.len(), scheme.num_tiles(), "case {case}");
+        for _ in 0..4 {
+            // A random pixel window reads back the in-memory subarray,
+            // touching exactly the tiles the scheme lists.
+            let (row0, col0) = (rng.gen_range(0..h), rng.gen_range(0..w));
+            let (row1, col1) = (rng.gen_range(row0 + 1..h + 1), rng.gen_range(col0 + 1..w + 1));
+            let win = PixelWindow { row0, row1, col0, col1 };
+            let (region, read) = fetch_region(&cluster, 0, &sr, win).unwrap();
+            assert_eq!(
+                region.array(),
+                &raster.array().subarray(&win.lo(), &win.shape()).unwrap(),
+                "case {case} window {win:?}"
+            );
+            assert_eq!(read, scheme.tiles_overlapping(&win.lo(), &win.shape()).unwrap().len());
+            // A random polygon clips the stored raster exactly as it clips
+            // the in-memory one: same window, pixels, geo and mask.
+            let poly = polygon_near(&mut rng, &geo);
+            let stored = clip_stored(&cluster, 0, &sr, &poly).unwrap().map(|(r, _)| r);
+            let in_memory = match raster.clip(&poly) {
+                Ok(r) => Some(r),
+                Err(paradise_array::ArrayError::EmptyClip) => None,
+                Err(e) => panic!("case {case}: {e}"),
+            };
+            assert_eq!(stored, in_memory, "case {case} polygon {poly:?}");
         }
     }
 }

@@ -2,7 +2,8 @@
 //! must produce the same results as the programmatic plans.
 
 use paradise::queries;
-use paradise::{Paradise, ParadiseConfig};
+use paradise::sql::parse_statement;
+use paradise::{match_plan, Paradise, ParadiseConfig};
 use paradise_datagen::tables::{
     self, drainage_table, land_cover_table, populated_places_table, raster_table, roads_table,
     World, WorldSpec, OIL_FIELD, QUERY_CHANNEL,
@@ -38,131 +39,35 @@ fn sql_matches_programmatic_plans() {
     let (db, _world) = load("match");
     let us = tables::us_polygon();
     let d = tables::query_date();
-
-    // Q2
-    let sql = db
-        .sql(&format!(
-            "select raster.date, raster.data.clip({US}) from raster \
-             where raster.channel = 5 order by date"
-        ))
-        .unwrap();
-    let api = queries::q2(&db, QUERY_CHANNEL, &us).unwrap();
-    assert_eq!(sql.rows.len(), api.rows.len(), "Q2");
-
-    // Q3
-    let sql = db
-        .sql(&format!(
-            "select average(raster.data.clip({US})) from raster \
-             where raster.date = Date(\"1988-04-01\")"
-        ))
-        .unwrap();
-    assert_eq!(sql.rows.len(), 1, "Q3");
-
-    // Q4
-    let sql = db
-        .sql(&format!(
-            "select raster.date, raster.channel, \
-             raster.data.clip(ClosedPolygon({US})).lower_res(8) from raster \
-             where raster.channel = 5 and raster.date = Date(\"1988-04-01\")"
-        ))
-        .unwrap();
-    let api = queries::q4(&db, d, QUERY_CHANNEL, &us, 8).unwrap();
-    assert_eq!(sql.rows.len(), api.rows.len(), "Q4");
-
-    // Q5
-    let sql = db.sql("select * from populatedPlaces where name = \"Phoenix\"").unwrap();
-    let api = queries::q5(&db, "Phoenix").unwrap();
-    assert_eq!(sql.rows.len(), api.rows.len(), "Q5");
-    assert!(!sql.rows.is_empty());
-
-    // Q6
-    let sql = db.sql(&format!("select * from landCover where shape overlaps {US}")).unwrap();
-    let api = queries::q6(&db, &us).unwrap();
-    assert_eq!(sql.rows.len(), api.rows.len(), "Q6");
-
-    // Q7 (the paper's LCPYTYPE spelling)
-    let sql = db
-        .sql(
-            "select shape.area(), LCPYTYPE from landCover \
-             where shape < Circle(Point(-90, 40), 25) and shape.area() < 3",
-        )
-        .unwrap();
-    let api = queries::q7(&db, Point::new(-90.0, 40.0), 25.0, 3.0).unwrap();
-    assert_eq!(sql.rows.len(), api.rows.len(), "Q7");
-
-    // Q8
-    let sql = db
-        .sql(
-            "select landCover.shape, landCover.LCPYTYPE from landCover, populatedPlaces \
-             where populatedPlaces.name = \"Louisville\" and \
-             landCover.shape overlaps populatedPlaces.location.makeBox(8)",
-        )
-        .unwrap();
-    let api = queries::q8(&db, "Louisville", 8.0).unwrap();
-    assert_eq!(sql.rows.len(), api.rows.len(), "Q8");
-
-    // Q9
-    let sql = db
-        .sql(&format!(
-            "select landCover.shape, raster.data.clip(landCover.shape) \
-             from landCover, raster where landCover.LCPYTYPE = {OIL_FIELD} and \
-             raster.channel = 5 and raster.date = Date(\"1988-04-01\")"
-        ))
-        .unwrap();
-    let api = queries::q9(&db, d, QUERY_CHANNEL, OIL_FIELD).unwrap();
-    assert_eq!(sql.rows.len(), api.rows.len(), "Q9");
-
-    // Q10
-    let sql = db
-        .sql(&format!(
-            "select raster.date, raster.channel, raster.data.clip({US}) from raster \
-             where raster.data.clip({US}).average() > 25000"
-        ))
-        .unwrap();
-    let api = queries::q10(&db, &us, 25_000.0).unwrap();
-    assert_eq!(sql.rows.len(), api.rows.len(), "Q10");
-
-    // Q11
-    let sql =
-        db.sql("select closest(shape, Point(-89.4, 43.1)), type from roads group by type").unwrap();
-    let api = queries::q11(&db, Point::new(-89.4, 43.1)).unwrap();
-    assert_eq!(sql.rows.len(), api.rows.len(), "Q11");
-
-    // Q12
-    let sql = db
-        .sql(
-            "select closest(drainage.shape, populatedPlaces.location), \
-             populatedPlaces.location from drainage, populatedPlaces \
-             where populatedPlaces.location overlaps drainage.shape and \
-             populatedPlaces.type = 1 group by populatedPlaces.location",
-        )
-        .unwrap();
-    let api = queries::q12(&db, 1, true).unwrap();
-    assert_eq!(sql.rows.len(), api.rows.len(), "Q12");
-
-    // Q13
-    let sql =
-        db.sql("select * from drainage, roads where drainage.shape overlaps roads.shape").unwrap();
-    let api = queries::q13(&db).unwrap();
-    assert_eq!(sql.rows.len(), api.rows.len(), "Q13");
-
-    // Q14
-    let sql = db
-        .sql(&format!(
-            "select landCover.shape, raster.data.clip(landCover.shape) from landCover, raster \
-             where landCover.LCPYTYPE = {OIL_FIELD} and raster.channel = 5 and \
-             raster.date >= Date(\"1988-04-01\") and raster.date <= Date(\"1988-12-31\")"
-        ))
-        .unwrap();
-    let api = queries::q14(
-        &db,
-        d,
-        paradise_exec::value::Date::parse("1988-12-31").unwrap(),
-        QUERY_CHANNEL,
-        OIL_FIELD,
-    )
-    .unwrap();
-    assert_eq!(sql.rows.len(), api.rows.len(), "Q14");
+    for (name, sql) in paper_statements() {
+        let sql = db.sql(&sql).unwrap();
+        let api = match name {
+            "Q2" => queries::q2(&db, QUERY_CHANNEL, &us),
+            "Q3" => {
+                assert_eq!(sql.rows.len(), 1, "Q3");
+                continue;
+            }
+            "Q4" => queries::q4(&db, d, QUERY_CHANNEL, &us, 8),
+            "Q5" => {
+                assert!(!sql.rows.is_empty());
+                queries::q5(&db, "Phoenix")
+            }
+            "Q6" => queries::q6(&db, &us),
+            "Q7" => queries::q7(&db, Point::new(-90.0, 40.0), 25.0, 3.0),
+            "Q8" => queries::q8(&db, "Louisville", 8.0),
+            "Q9" => queries::q9(&db, d, QUERY_CHANNEL, OIL_FIELD),
+            "Q10" => queries::q10(&db, &us, 25_000.0),
+            "Q11" => queries::q11(&db, Point::new(-89.4, 43.1)),
+            "Q12" => queries::q12(&db, 1, true),
+            "Q13" => queries::q13(&db),
+            "Q14" => {
+                let hi = paradise_exec::value::Date::parse("1988-12-31").unwrap();
+                queries::q14(&db, d, hi, QUERY_CHANNEL, OIL_FIELD)
+            }
+            _ => unreachable!("{name}"),
+        };
+        assert_eq!(sql.rows.len(), api.unwrap().rows.len(), "{name}");
+    }
 }
 
 #[test]
@@ -369,5 +274,116 @@ fn lower_res_factor_must_be_one_positive_integer_literal() {
         let text: Vec<String> =
             plan.rows.iter().map(|t| t.get(0).unwrap().as_str().unwrap().to_string()).collect();
         assert!(text.iter().any(|l| l.contains(&format!("lower_res({factor})"))), "{text:?}");
+    }
+}
+
+/// The paper's Q2–Q14 texts (§3.1.2), with the plan each must match.
+fn paper_statements() -> Vec<(&'static str, String)> {
+    vec![
+        (
+            "Q2",
+            format!(
+                "select raster.date, raster.data.clip({US}) from raster \
+                 where raster.channel = 5 order by date"
+            ),
+        ),
+        (
+            "Q3",
+            format!(
+                "select average(raster.data.clip({US})) from raster \
+                 where raster.date = Date(\"1988-04-01\")"
+            ),
+        ),
+        (
+            "Q4",
+            format!(
+                "select raster.date, raster.channel, \
+                 raster.data.clip(ClosedPolygon({US})).lower_res(8) from raster \
+                 where raster.channel = 5 and raster.date = Date(\"1988-04-01\")"
+            ),
+        ),
+        ("Q5", "select * from populatedPlaces where name = \"Phoenix\"".to_string()),
+        ("Q6", format!("select * from landCover where shape overlaps {US}")),
+        (
+            "Q7",
+            "select shape.area(), LCPYTYPE from landCover \
+             where shape < Circle(Point(-90, 40), 25) and shape.area() < 3"
+                .to_string(),
+        ),
+        (
+            "Q8",
+            "select landCover.shape, landCover.LCPYTYPE from landCover, populatedPlaces \
+             where populatedPlaces.name = \"Louisville\" and \
+             landCover.shape overlaps populatedPlaces.location.makeBox(8)"
+                .to_string(),
+        ),
+        (
+            "Q9",
+            format!(
+                "select landCover.shape, raster.data.clip(landCover.shape) \
+                 from landCover, raster where landCover.LCPYTYPE = {OIL_FIELD} and \
+                 raster.channel = 5 and raster.date = Date(\"1988-04-01\")"
+            ),
+        ),
+        (
+            "Q10",
+            format!(
+                "select raster.date, raster.channel, raster.data.clip({US}) from raster \
+                 where raster.data.clip({US}).average() > 25000"
+            ),
+        ),
+        (
+            "Q11",
+            "select closest(shape, Point(-89.4, 43.1)), type from roads group by type".to_string(),
+        ),
+        (
+            "Q12",
+            "select closest(drainage.shape, populatedPlaces.location), \
+             populatedPlaces.location from drainage, populatedPlaces \
+             where populatedPlaces.location overlaps drainage.shape and \
+             populatedPlaces.type = 1 group by populatedPlaces.location"
+                .to_string(),
+        ),
+        ("Q13", "select * from drainage, roads where drainage.shape overlaps roads.shape".into()),
+        (
+            "Q14",
+            format!(
+                "select landCover.shape, raster.data.clip(landCover.shape) from landCover, raster \
+                 where landCover.LCPYTYPE = {OIL_FIELD} and raster.channel = 5 and \
+                 raster.date >= Date(\"1988-04-01\") and raster.date <= Date(\"1988-12-31\")"
+            ),
+        ),
+    ]
+}
+
+/// `EXPLAIN ANALYZE` renders the plan that runs: every operator line that
+/// names a phase was executed, every phase the query recorded annotates a
+/// line, and the access paths name the scan or index the code takes.
+#[test]
+fn explain_analyze_renders_the_access_path_that_runs() {
+    let (db, _world) = load("explain");
+    for (name, sql) in paper_statements() {
+        let plan = match_plan(&parse_statement(&sql).unwrap().select).unwrap();
+        assert_eq!(plan.name(), name, "{sql}");
+        let r = db.sql(&format!("explain analyze {sql}")).unwrap();
+        let lines: Vec<String> =
+            r.rows.iter().map(|t| t.get(0).unwrap().as_str().unwrap().to_string()).collect();
+        assert!(!lines.iter().any(|l| l.contains("[not executed]")), "{name}: {lines:#?}");
+        assert!(!r.metrics.phases.is_empty(), "{name} recorded no phase");
+        let tree = plan.describe();
+        for phase in &r.metrics.phases {
+            assert!(
+                tree.iter().any(|l| l.phase == Some(phase.name.as_str())),
+                "{name}: phase {:?} annotates no line: {lines:#?}",
+                phase.name
+            );
+        }
+        let access = match name {
+            "Q7" => "RTreeIndexScan landCover",
+            "Q8" => "BTreeIndexScan populatedPlaces",
+            "Q11" => "SeqScan roads",
+            _ => continue,
+        };
+        assert!(lines.iter().any(|l| l.contains(access)), "{name}: {lines:#?}");
     }
 }
