@@ -278,23 +278,11 @@ pub fn maybe_compress_batch(
     pool: &paradise_util::workers::WorkerPool,
     tiles: &[Vec<u8>],
 ) -> Vec<(Vec<u8>, bool)> {
-    pool.map_chunks(tiles, paradise_util::workers::BLOB_MORSEL, |chunk| {
-        Ok::<_, std::convert::Infallible>(chunk.iter().map(|t| maybe_compress(t)).collect())
-    })
-    .unwrap_or_else(|e| match e {})
-}
-
-/// [`maybe_decompress`] over a batch of `(bytes, compressed_flag)` tiles
-/// on a worker pool, one tile per morsel, outputs in input order. The
-/// first failing tile (lowest index) reports the error, exactly as a
-/// serial loop would.
-pub fn maybe_decompress_batch(
-    pool: &paradise_util::workers::WorkerPool,
-    tiles: &[(Vec<u8>, bool)],
-) -> Result<Vec<Vec<u8>>> {
-    pool.map_chunks(tiles, paradise_util::workers::BLOB_MORSEL, |chunk| {
-        chunk.iter().map(|(bytes, compressed)| maybe_decompress(bytes, *compressed)).collect()
-    })
+    // BLOB_MORSEL is 1: each morsel range holds exactly one tile.
+    let morsels = pool.run(tiles.len(), paradise_util::workers::BLOB_MORSEL, |r| {
+        Ok::<_, std::convert::Infallible>(maybe_compress(&tiles[r.start]))
+    });
+    morsels.unwrap_or_else(|e| match e {})
 }
 
 #[cfg(test)]

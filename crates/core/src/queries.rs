@@ -68,19 +68,25 @@ fn finish(
     rows: Vec<Tuple>,
     t0: Instant,
 ) -> QueryResult {
+    seal(db, net0, &mut metrics, t0);
+    QueryResult { columns: columns.iter().map(|s| s.to_string()).collect(), rows, metrics }
+}
+
+/// The metrics half of [`finish`]: records the traffic since `net0` and
+/// the wall clock since `t0`.
+pub(crate) fn seal(db: &Paradise, net0: NetSnapshot, metrics: &mut QueryMetrics, t0: Instant) {
     let d = db.cluster().net.since(net0);
     metrics.net_bytes = d.bytes;
     metrics.net_tuples = d.tuples;
     metrics.pulls = d.pulls;
     metrics.pull_bytes = d.pull_bytes;
     metrics.wall = t0.elapsed();
-    QueryResult { columns: columns.iter().map(|s| s.to_string()).collect(), rows, metrics }
 }
 
 /// Ships per-node rows to the query coordinator over the cluster's active
 /// transport, charging network traffic for every row (the QC is its own
 /// endpoint, Figure 2.1). Rows arrive in node order, then emission order.
-fn collect_rows(db: &Paradise, per_node: Vec<Vec<Tuple>>) -> Result<Vec<Tuple>> {
+pub(crate) fn collect_rows(db: &Paradise, per_node: Vec<Vec<Tuple>>) -> Result<Vec<Tuple>> {
     let qc = db.cluster().coordinator_id();
     let outbox =
         per_node.into_iter().map(|rows| rows.into_iter().map(|t| (qc, t)).collect()).collect();
@@ -383,29 +389,22 @@ pub fn q7(db: &Paradise, center: Point, radius: f64, max_area: f64) -> Result<Qu
     let lc = db.table("landCover")?;
     let circle = Circle::new(center, radius).map_err(ExecError::Geom)?;
     let bbox = circle.bbox();
-    // The index probe is cheap; the exact within-circle refinement per
-    // candidate is the hot loop, so it runs as tuple morsels on the worker
-    // pool (outputs merge in candidate order — deterministic).
-    let pool = db.cluster().workers();
     let per_node = run_phase(db.cluster(), &mut m, "circle selection", |node| {
         let idx = lc.rtree_index(db.cluster(), node, LC_SHAPE)?;
-        let candidates = idx.search(&bbox);
-        pool.map_chunks(&candidates, paradise_exec::workers::TUPLE_MORSEL, |chunk| {
-            let mut rows = Vec::new();
-            for (rect, packed) in chunk {
-                if !owns_ref_point(db, node, rect, &bbox) {
-                    continue;
-                }
-                let t = lc.read_tuple(db.cluster(), node, unpack_oid(*packed))?;
-                let Shape::Polygon(poly) = t.get(LC_SHAPE)?.as_shape()? else {
-                    continue;
-                };
-                if poly.within_circle(&circle) && poly.area() < max_area {
-                    rows.push(Tuple::new(vec![Value::Float(poly.area()), t.get(LC_TYPE)?.clone()]));
-                }
+        let mut rows = Vec::new();
+        for (rect, packed) in idx.search(&bbox) {
+            if !owns_ref_point(db, node, &rect, &bbox) {
+                continue;
             }
-            Ok(rows)
-        })
+            let t = lc.read_tuple(db.cluster(), node, unpack_oid(packed))?;
+            let Shape::Polygon(poly) = t.get(LC_SHAPE)?.as_shape()? else {
+                continue;
+            };
+            if poly.within_circle(&circle) && poly.area() < max_area {
+                rows.push(Tuple::new(vec![Value::Float(poly.area()), t.get(LC_TYPE)?.clone()]));
+            }
+        }
+        Ok(rows)
     })?;
     let rows = collect_rows(db, per_node)?;
     Ok(finish(db, net0, m, &["area", "type"], rows, t0))

@@ -33,6 +33,7 @@ pub fn run_sql(db: &Paradise, text: &str) -> Result<QueryResult> {
     let t0 = std::time::Instant::now();
     let outcome: Result<(Plan, QueryResult)> = (|| {
         let stmt = parse_statement(text).map_err(|e| ExecError::Other(e.to_string()))?;
+        check_qualifiers(db, &stmt.select)?;
         let plan = match_plan(&stmt.select)?;
         let result = match stmt.explain {
             ExplainMode::None => execute_plan(db, &plan)?,
@@ -70,6 +71,63 @@ pub fn run_sql(db: &Paradise, text: &str) -> Result<QueryResult> {
             Err(e)
         }
     }
+}
+
+/// Fails unless every qualified column `t.c` of the statement names a FROM
+/// table `t` that has a column `c`. `LCPYTYPE` (the DCW attribute name the
+/// paper's Q7–Q9 use) is landCover's `type`. The shape matcher reads
+/// columns by name, so without this check `landCover.name` would bind
+/// Q8's city name and `bogus.name` Q5's.
+fn check_qualifiers(db: &Paradise, stmt: &SelectStmt) -> Result<()> {
+    fn walk<'a>(e: &'a Expr, out: &mut Vec<(&'a str, &'a str)>) {
+        match e {
+            Expr::Column { table: Some(t), column } => out.push((t, column)),
+            Expr::Call { args, .. } => args.iter().for_each(|a| walk(a, out)),
+            Expr::Method { recv, args, .. } => {
+                walk(recv, out);
+                args.iter().for_each(|a| walk(a, out));
+            }
+            Expr::Binary { lhs, rhs, .. } => {
+                walk(lhs, out);
+                walk(rhs, out);
+            }
+            Expr::Column { table: None, .. } | Expr::Int(_) | Expr::Float(_) | Expr::Str(_) => {}
+        }
+    }
+    let mut qualified = Vec::new();
+    if let Projection::Exprs(exprs) = &stmt.projection {
+        exprs.iter().for_each(|e| walk(e, &mut qualified));
+    }
+    stmt.where_clause.iter().chain(&stmt.group_by).for_each(|e| walk(e, &mut qualified));
+    for (table, column) in qualified {
+        let Some(from) = stmt.tables.iter().find(|t| t.eq_ignore_ascii_case(table)) else {
+            return Err(err(format!("`{table}.{column}`: {table} is not a table in FROM")));
+        };
+        let lcpytype =
+            column.eq_ignore_ascii_case("LCPYTYPE") && from.eq_ignore_ascii_case("landCover");
+        let column = if lcpytype { "type" } else { column };
+        let has_column = |schema: &paradise_exec::Schema| {
+            schema.fields().iter().any(|f| f.name.eq_ignore_ascii_case(column))
+        };
+        let found = match crate::catalog::CatalogTable::from_name(&from.to_ascii_lowercase()) {
+            Some(catalog) => has_column(&catalog.schema()),
+            None => {
+                let table = match db.table(from) {
+                    Ok(table) => table,
+                    // FROM names match case-insensitively, like the shapes.
+                    Err(e) => {
+                        let names = db.table_names();
+                        db.table(names.iter().find(|t| t.eq_ignore_ascii_case(from)).ok_or(e)?)?
+                    }
+                };
+                has_column(&table.schema)
+            }
+        };
+        if !found {
+            return Err(err(format!("`{table}.{column}`: table {from} has no column {column}")));
+        }
+    }
+    Ok(())
 }
 
 fn err(msg: impl Into<String>) -> ExecError {
@@ -1061,22 +1119,25 @@ impl<'a> RowEval<'a> {
     }
 }
 
-/// The generic parallel plan: per-node scan, scalar predicate, projection.
-/// The predicate + projection run as tuple morsels on the worker pool
-/// ([`paradise_exec::workers`]); morsel-order merging keeps the output
-/// identical to the streaming scan for every worker count.
+/// The generic parallel plan: per-node scan, scalar predicate and
+/// projection, then the surviving rows travel to the QC through
+/// [`paradise_exec::phase::exchange`] like every other plan's results.
 fn generic_scan(db: &Paradise, stmt: &SelectStmt) -> Result<QueryResult> {
     let t0 = std::time::Instant::now();
+    let net0 = db.cluster().net.snapshot();
     let table = db.table(&stmt.tables[0])?;
     let eval = RowEval::bind(stmt, &table.schema)?;
     let mut m = QueryMetrics::default();
-    let pool = db.cluster().workers();
     let per_node = run_phase(db.cluster(), &mut m, "scan + filter + project", |node| {
-        let frag = table.fragment_tuples(db.cluster(), node)?;
-        paradise_exec::ops::basic::par_project(&pool, &frag, |t| eval.apply(t))
+        let mut rows = Vec::new();
+        for t in table.fragment_tuples(db.cluster(), node)? {
+            rows.extend(eval.apply(&t)?);
+        }
+        Ok(rows)
     })?;
-    let mut result = eval.finish(per_node.into_iter().flatten().collect(), m)?;
-    result.metrics.wall = t0.elapsed();
+    let rows = queries::collect_rows(db, per_node)?;
+    let mut result = eval.finish(rows, m)?;
+    queries::seal(db, net0, &mut result.metrics, t0);
     Ok(result)
 }
 

@@ -194,7 +194,7 @@ pub struct Node {
 pub struct Cluster {
     nodes: Vec<Arc<Node>>,
     grid: Grid,
-    /// Traffic counters (shared with network streams).
+    /// Traffic counters (shared with wire streams).
     pub net: Arc<NetStats>,
     pull_cost: std::time::Duration,
     temp_counter: AtomicU64,
@@ -341,19 +341,19 @@ impl Cluster {
         }
     }
 
-    /// Opens a stream between endpoints `src → dst` (a node or the QC,
-    /// [`Cluster::coordinator_id`]) with the given flow-control window,
-    /// over whichever transport the cluster runs. Every tuple crossing
-    /// distinct endpoints is charged to [`NetStats`] at [`TupleTx::send`].
+    /// Opens a wire stream between endpoints `src → dst` (a node or the
+    /// QC, [`Cluster::coordinator_id`]) with the given flow-control window.
+    /// Every tuple crossing distinct endpoints is charged to [`NetStats`]
+    /// at [`TupleTx::send`]. Under [`Transport::Local`] there is no wire —
+    /// [`crate::phase::exchange`] moves tuples by ownership — so this is
+    /// an error.
     pub fn stream(&self, window: usize, src: NodeId, dst: NodeId) -> Result<(TupleTx, TupleRx)> {
+        let Transport::Tcp(t) = &self.transport else {
+            return Err(ExecError::Other("the Local transport opens no streams".into()));
+        };
         self.streams_opened.inc();
-        match &self.transport {
-            Transport::Local => Ok(stream::network_stream(window, src, dst, self.net.clone())),
-            Transport::Tcp(t) => {
-                let (tx, rx) = t.open(window, src, dst)?;
-                Ok(stream::remote_stream(tx, rx, src, dst, self.net.clone()))
-            }
-        }
+        let (tx, rx) = t.open(window, src, dst)?;
+        Ok(stream::remote_stream(tx, rx, src, dst, self.net.clone()))
     }
 
     /// All nodes.
@@ -392,15 +392,6 @@ impl Cluster {
     /// `requester` is the node doing the work; a pull is accounted whenever
     /// the tile lives elsewhere.
     pub fn fetch_tile(&self, requester: NodeId, tile: &TileRef) -> Result<Vec<u8>> {
-        let raw = self.fetch_tile_raw(requester, tile)?;
-        Ok(paradise_array::lzw::maybe_decompress(&raw, tile.compressed)?)
-    }
-
-    /// Like [`Cluster::fetch_tile`] but returns the *stored* (possibly
-    /// LZW-compressed) bytes without decoding them. Region reads fetch raw
-    /// tiles serially — keeping pull accounting and failpoint ordering
-    /// deterministic — then decompress the batch on the worker pool.
-    pub fn fetch_tile_raw(&self, requester: NodeId, tile: &TileRef) -> Result<Vec<u8>> {
         let owner = tile.node as usize;
         let raw = match (&self.transport, owner == requester) {
             // A remote pull over a real transport goes through the wire:
@@ -424,6 +415,9 @@ impl Cluster {
             while t0.elapsed() < self.pull_cost {
                 std::hint::spin_loop();
             }
+        }
+        if tile.compressed {
+            return Ok(paradise_array::lzw::decompress(&raw)?);
         }
         Ok(raw)
     }
@@ -581,10 +575,9 @@ mod tests {
         assert!(commits("0").unwrap() >= 1, "commit not visible: {groups:?}");
         assert!(commits("1").is_some());
         assert_eq!(commits("qc"), None);
-        // stream() publishes into the registry too.
-        let before = snap["exec.streams_opened"];
-        let _ = cluster.stream(4, 0, 1).unwrap();
-        assert_eq!(cluster.obs().get("exec.streams_opened"), Some(before + 1));
+        // Local moves tuples by ownership: no stream to open or count.
+        assert!(cluster.stream(4, 0, 1).is_err());
+        assert_eq!(cluster.obs().get("exec.streams_opened"), Some(0));
     }
 
     #[test]

@@ -1,45 +1,8 @@
-//! Projection, sort and tuple concatenation.
+//! Sort and tuple concatenation.
 
 use crate::table::index_key;
 use crate::tuple::Tuple;
-use crate::workers::{WorkerPool, TUPLE_MORSEL};
 use crate::Result;
-
-/// Maps every tuple (projection with ADT method evaluation — clip,
-/// lower_res, area … happen inside `f`). `f` returning `None` drops the
-/// tuple (used when a clip produces an empty region).
-pub fn project(
-    input: Vec<Tuple>,
-    mut f: impl FnMut(Tuple) -> Result<Option<Tuple>>,
-) -> Result<Vec<Tuple>> {
-    let mut out = Vec::with_capacity(input.len());
-    for t in input {
-        if let Some(t) = f(t)? {
-            out.push(t);
-        }
-    }
-    Ok(out)
-}
-
-/// [`project`] with the mapping evaluated in [`TUPLE_MORSEL`]-sized
-/// morsels on a worker pool (the map takes the tuple by reference so
-/// morsels can share the input). Outputs merge in morsel order —
-/// byte-identical to the serial operator for every worker count.
-pub fn par_project(
-    pool: &WorkerPool,
-    input: &[Tuple],
-    f: impl Fn(&Tuple) -> Result<Option<Tuple>> + Sync,
-) -> Result<Vec<Tuple>> {
-    pool.map_chunks(input, TUPLE_MORSEL, |chunk| {
-        let mut out = Vec::with_capacity(chunk.len());
-        for t in chunk {
-            if let Some(t) = f(t)? {
-                out.push(t);
-            }
-        }
-        Ok(out)
-    })
-}
 
 /// Sorts tuples by column `col` using the order-preserving index encoding
 /// (query 2's `order by date`).
@@ -71,16 +34,6 @@ mod tests {
 
     fn t(v: i64) -> Tuple {
         Tuple::new(vec![Value::Int(v)])
-    }
-
-    #[test]
-    fn project_maps_and_drops() {
-        let out = project((0..6).map(t).collect(), |t| {
-            let v = t.get(0)?.as_int()?;
-            Ok(if v >= 3 { Some(t) } else { None })
-        })
-        .unwrap();
-        assert_eq!(out.len(), 3);
     }
 
     #[test]

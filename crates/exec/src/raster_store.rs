@@ -86,16 +86,8 @@ pub fn fetch_region(
     let elem = sr.depth.elem_type();
     let mut out = NdArray::zeros(win.shape().to_vec(), elem)?;
     let pieces = sr.scheme()?.pieces(&win.lo(), &win.shape())?;
-    // Fetch raw tiles serially (pull accounting and failpoint order stay
-    // deterministic), decompress the batch on the worker pool, then place
-    // the pieces serially in tile order.
-    let mut raw = Vec::with_capacity(pieces.len());
     for piece in &pieces {
-        let tile = &sr.tiles[piece.tile];
-        raw.push((cluster.fetch_tile_raw(requester, tile)?, tile.compressed));
-    }
-    let decoded = lzw::maybe_decompress_batch(&cluster.workers(), &raw)?;
-    for (piece, bytes) in pieces.iter().zip(decoded) {
+        let bytes = cluster.fetch_tile(requester, &sr.tiles[piece.tile])?;
         let tile = NdArray::new(piece.tile_shape.clone(), elem, bytes)?;
         out.write_subarray(&piece.in_region, &tile.subarray(&piece.in_tile, &piece.shape)?)?;
     }

@@ -28,18 +28,6 @@ pub enum DataType {
 }
 
 impl DataType {
-    /// Whether the type is one of the spatial ADTs.
-    pub fn is_spatial(&self) -> bool {
-        matches!(
-            self,
-            DataType::Point
-                | DataType::Polyline
-                | DataType::Polygon
-                | DataType::SwissCheese
-                | DataType::Circle
-        )
-    }
-
     /// Whether the type is a potentially very large attribute.
     pub fn is_large(&self) -> bool {
         matches!(self, DataType::Raster)
@@ -122,9 +110,6 @@ mod tests {
 
     #[test]
     fn type_categories() {
-        assert!(DataType::Polygon.is_spatial());
-        assert!(DataType::Point.is_spatial());
-        assert!(!DataType::Raster.is_spatial());
         assert!(DataType::Raster.is_large());
         assert!(!DataType::Int.is_large());
     }

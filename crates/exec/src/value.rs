@@ -216,14 +216,6 @@ impl Value {
         }
     }
 
-    /// Raster accessor.
-    pub fn as_raster(&self) -> Result<&RasterValue> {
-        match self {
-            Value::Raster(r) => Ok(r),
-            other => Err(type_err("raster", other)),
-        }
-    }
-
     /// Serialized size estimate in bytes — what shipping this value over a
     /// network stream costs. A stored raster costs only its mapping table.
     pub fn wire_size(&self) -> usize {

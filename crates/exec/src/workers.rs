@@ -11,13 +11,18 @@
 //! available parallelism ([`default_workers`]); kernels take it as an
 //! explicit `&WorkerPool` argument.
 //!
-//! Kernels driven through the pool:
+//! Exactly two kernels run through the pool, the two that measured faster
+//! on it than as plain loops (DESIGN.md §10):
 //!
-//! - PBSM tile buckets in [`crate::ops::spatial_join`] (plane-sweep filter
-//!   per tile, morsel = a run of sorted tiles),
-//! - per-tuple projection in [`crate::ops::basic::par_project`],
-//! - LZW tile compress/decompress batches in `paradise_array::lzw` (used
-//!   by [`crate::raster_store`]).
+//! - the PBSM tile sweep in [`crate::ops::spatial_join::local_tile_join`]
+//!   (plane-sweep filter per tile, morsel = [`TILE_MORSEL`] sorted tiles),
+//! - LZW compression of a raster's tiles at load, in
+//!   [`crate::raster_store::store_raster`] (morsel = [`BLOB_MORSEL`] tile).
+//!
+//! Every other kernel — region reads and their LZW decompression, generic
+//! scans, Q7's refinement — is a plain loop on the calling thread: each
+//! [`WorkerPool::run`] spawns scoped OS threads, which cost those kernels
+//! more than they saved.
 //!
 //! Per-run busy time and morsel counts accumulate in the pool's counters;
 //! [`register_pool_metrics`] publishes them into the cluster's obs
@@ -28,7 +33,7 @@ use std::sync::Arc;
 
 use paradise_obs::MetricsRegistry;
 pub use paradise_util::workers::{
-    default_workers, PoolSnapshot, WorkerPool, BLOB_MORSEL, TILE_MORSEL, TUPLE_MORSEL,
+    default_workers, PoolSnapshot, WorkerPool, BLOB_MORSEL, TILE_MORSEL,
 };
 
 /// Publishes the pool's counters into a metrics registry as lazy

@@ -1,13 +1,12 @@
-//! Determinism properties of the morsel-parallel operator kernels.
+//! Determinism properties of the morsel-parallel PBSM tile join.
 //!
-//! The contract under test (DESIGN.md §10): every pool-driven kernel is
+//! The contract under test (DESIGN.md §10): a pool-driven kernel is
 //! **byte-identical** to its serial counterpart for every worker count,
 //! because morsel boundaries depend only on the input length and outputs
 //! merge in morsel order. A worker pool is a performance knob, never a
 //! semantics knob.
 
 use paradise_exec::cluster::{Cluster, ClusterConfig};
-use paradise_exec::ops::basic::{par_project, project};
 use paradise_exec::ops::spatial_join::{local_tile_join, local_tile_join_quadratic};
 use paradise_exec::value::Value;
 use paradise_exec::workers::WorkerPool;
@@ -31,37 +30,6 @@ impl Rng {
     }
     fn f64(&mut self) -> f64 {
         (self.next() % 10_000) as f64 / 10.0 - 500.0
-    }
-}
-
-fn rows(n: usize, seed: u64) -> Vec<Tuple> {
-    let mut rng = Rng(seed);
-    (0..n)
-        .map(|i| {
-            Tuple::new(vec![
-                Value::Int((rng.next() % 97) as i64),
-                Value::Float(rng.f64()),
-                Value::Str(format!("row-{i}")),
-            ])
-        })
-        .collect()
-}
-
-#[test]
-fn par_project_is_byte_identical_to_serial() {
-    let input = rows(3000, 11);
-    let map_ref = |t: &Tuple| {
-        let f = t.get(1)?.as_float()?;
-        if f < 0.0 {
-            return Ok(None); // dropped tuple, like an empty clip
-        }
-        Ok(Some(Tuple::new(vec![Value::Float(f * 2.0)])))
-    };
-    let expected = project(input.clone(), |t| map_ref(&t)).unwrap();
-    for w in WORKER_COUNTS {
-        let pool = WorkerPool::new(w);
-        let got = par_project(&pool, &input, map_ref).unwrap();
-        assert_eq!(got, expected, "par_project diverged at {w} workers");
     }
 }
 

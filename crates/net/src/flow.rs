@@ -1,10 +1,8 @@
 //! Credit-based flow control.
 //!
-//! A wire stream mirrors the semantics of the engine's bounded channels
-//! (`network_stream` with a window of `W` tuples): at most
-//! `W` tuples are in flight between sender and receiver, and a sender
-//! whose receiver stalls blocks — identical backpressure behaviour on
-//! both transports.
+//! A wire stream is a bounded window of `W` tuples: at most `W` tuples
+//! are in flight between sender and receiver, and a sender whose
+//! receiver stalls blocks.
 //!
 //! Mechanically: the sender starts with `W` credits ([`CreditGate`]),
 //! spends one per tuple, and blocks (bounded by a timeout) at zero. The

@@ -183,11 +183,6 @@ impl SelectStmt {
     pub fn conjuncts(&self) -> Vec<&Expr> {
         self.where_clause.as_ref().map(|w| w.conjuncts()).unwrap_or_default()
     }
-
-    /// Case-insensitive table membership.
-    pub fn has_table(&self, name: &str) -> bool {
-        self.tables.iter().any(|t| t.eq_ignore_ascii_case(name))
-    }
 }
 
 #[cfg(test)]

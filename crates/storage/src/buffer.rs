@@ -154,11 +154,6 @@ impl BufferPool {
         self.frames_cached.clone()
     }
 
-    /// Number of frames currently cached.
-    pub fn cached_frames(&self) -> u64 {
-        self.frames_cached.get()
-    }
-
     fn pin(&self, frame: &Arc<Frame>) -> PageGuard {
         frame.pins.fetch_add(1, Ordering::AcqRel);
         PageGuard { frame: frame.clone(), clock: self.clock.clone() }
@@ -300,28 +295,6 @@ impl BufferPool {
     /// missing) between the individual loads.
     pub fn stats(&self) -> BufferStats {
         let _frames = self.frames.lock();
-        self.stats_locked()
-    }
-
-    /// Resets the statistics (between benchmark queries). Holds the
-    /// `frames` lock so the reset is atomic with respect to in-flight
-    /// requests — no increment lands between clearing `hits` and
-    /// clearing `misses`.
-    pub fn reset_stats(&self) {
-        let _frames = self.frames.lock();
-        self.reset_stats_locked();
-    }
-
-    /// Atomically snapshot **and** reset — the lost-update-free way to
-    /// accumulate deltas while a query is running concurrently.
-    pub fn take_stats(&self) -> BufferStats {
-        let _frames = self.frames.lock();
-        let s = self.stats_locked();
-        self.reset_stats_locked();
-        s
-    }
-
-    fn stats_locked(&self) -> BufferStats {
         BufferStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -330,7 +303,12 @@ impl BufferPool {
         }
     }
 
-    fn reset_stats_locked(&self) {
+    /// Resets the statistics (between benchmark queries). Holds the
+    /// `frames` lock so the reset is atomic with respect to in-flight
+    /// requests — no increment lands between clearing `hits` and
+    /// clearing `misses`.
+    pub fn reset_stats(&self) {
+        let _frames = self.frames.lock();
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
         self.writebacks.store(0, Ordering::Relaxed);
@@ -433,12 +411,11 @@ mod tests {
         assert_eq!(pool.stats().hits, 0);
     }
 
-    /// Regression (ISSUE 2 satellite): snapshots taken while a query is
-    /// hammering the pool must be internally consistent and must not lose
-    /// updates. With the old unlocked read-then-reset, increments landing
-    /// between the load and the store vanished, so the accumulated total
-    /// undercounted; `take_stats` holds the frames lock, making
-    /// snapshot+reset atomic against in-flight requests.
+    /// Snapshots taken while a query is hammering the pool must be
+    /// internally consistent and lose no update: `stats` holds the frames
+    /// lock, so a snapshot never lands between two counters' increments,
+    /// successive snapshots never go backwards, and the last one counts
+    /// every request.
     #[test]
     fn stats_snapshots_are_coherent_under_concurrency() {
         let (pool, vol) = pool(16, "g.vol");
@@ -461,35 +438,36 @@ mod tests {
                 })
             })
             .collect();
-        // Concurrently drain snapshots the whole time the workers run.
-        let mut acc = BufferStats::default();
+        // Snapshot concurrently the whole time the workers run.
+        let mut last = 0;
         while workers.iter().any(|w| !w.is_finished()) {
-            acc = acc.merge(pool.take_stats());
+            let s = pool.stats();
+            assert!(s.hits + s.misses >= last, "snapshot went backwards: {s:?}");
+            last = s.hits + s.misses;
         }
         for w in workers {
             w.join().unwrap();
         }
-        acc = acc.merge(pool.take_stats());
-        let total = acc.hits + acc.misses;
-        assert_eq!(total, THREADS as u64 * GETS, "snapshot accumulation lost updates: {acc:?}");
+        let s = pool.stats();
+        assert_eq!(s.hits + s.misses, THREADS as u64 * GETS, "snapshot lost updates: {s:?}");
     }
 
     #[test]
     fn frames_gauge_tracks_cache_population() {
         let (pool, vol) = pool(2, "h.vol");
         let e = vol.alloc_extent().unwrap();
-        assert_eq!(pool.cached_frames(), 0);
+        // The registered handle shares the pool's atomic.
+        let g = pool.frames_gauge();
+        assert_eq!(g.get(), 0);
         let _ = pool.get_new(e).unwrap();
         let _ = pool.get_new(e + 1).unwrap();
-        assert_eq!(pool.cached_frames(), 2);
+        assert_eq!(g.get(), 2);
         // Eviction decrements.
         let _ = pool.get_new(e + 2).unwrap();
-        assert_eq!(pool.cached_frames(), 2);
+        assert_eq!(g.get(), 2);
         // Clearing drops unpinned frames and the gauge follows.
         pool.flush_and_clear().unwrap();
-        assert_eq!(pool.cached_frames(), 0);
-        // The registered handle shares the atomic.
-        let g = pool.frames_gauge();
+        assert_eq!(g.get(), 0);
         let _ = pool.get(e).unwrap();
         assert_eq!(g.get(), 1);
     }

@@ -92,20 +92,6 @@ pub fn read_lob_range(
     Ok(out)
 }
 
-/// Total stored length of a LOB.
-pub fn lob_len(pool: &BufferPool, first: PageId) -> Result<usize> {
-    let mut pid = first;
-    let mut total = 0usize;
-    while pid != NO_PAGE {
-        let g = pool.get(pid)?;
-        let page = g.read();
-        let buf = page.bytes();
-        pid = u64::from_le_bytes(buf[0..8].try_into().unwrap());
-        total += u32::from_le_bytes(buf[8..12].try_into().unwrap()) as usize;
-    }
-    Ok(total)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,7 +110,6 @@ mod tests {
         let (pool, alloc) = setup("s.vol");
         let first = write_lob(&pool, &alloc, b"tiny").unwrap();
         assert_eq!(read_lob(&pool, first).unwrap(), b"tiny");
-        assert_eq!(lob_len(&pool, first).unwrap(), 4);
     }
 
     #[test]
@@ -132,7 +117,6 @@ mod tests {
         let (pool, alloc) = setup("e.vol");
         let first = write_lob(&pool, &alloc, b"").unwrap();
         assert_eq!(read_lob(&pool, first).unwrap(), Vec::<u8>::new());
-        assert_eq!(lob_len(&pool, first).unwrap(), 0);
     }
 
     #[test]
@@ -141,7 +125,6 @@ mod tests {
         let data: Vec<u8> = (0..3 * LOB_PAYLOAD + 100).map(|i| (i % 251) as u8).collect();
         let first = write_lob(&pool, &alloc, &data).unwrap();
         assert_eq!(read_lob(&pool, first).unwrap(), data);
-        assert_eq!(lob_len(&pool, first).unwrap(), data.len());
         // uses 4 pages
         assert_eq!(alloc.extents().len(), 1);
     }

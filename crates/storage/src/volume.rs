@@ -33,9 +33,6 @@ pub struct Volume {
     alloc_lock: Mutex<()>,
     /// Head of the free extent list.
     free_head: AtomicU64,
-    /// I/O counters (physical page reads/writes), for the experiments.
-    reads: AtomicU64,
-    writes: AtomicU64,
 }
 
 impl Volume {
@@ -51,8 +48,6 @@ impl Volume {
             num_pages: AtomicU64::new(1),
             alloc_lock: Mutex::new(()),
             free_head: AtomicU64::new(NO_PAGE),
-            reads: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
         };
         vol.write_header()?;
         vol.file.sync_all()?;
@@ -76,8 +71,6 @@ impl Volume {
             num_pages: AtomicU64::new(num_pages),
             alloc_lock: Mutex::new(()),
             free_head: AtomicU64::new(free_head),
-            reads: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
         })
     }
 
@@ -95,11 +88,6 @@ impl Volume {
         self.num_pages.load(Ordering::SeqCst)
     }
 
-    /// Physical (read, write) page counts since creation/open.
-    pub fn io_counts(&self) -> (u64, u64) {
-        (self.reads.load(Ordering::Relaxed), self.writes.load(Ordering::Relaxed))
-    }
-
     /// Reads page `pid` from disk.
     pub fn read_page(&self, pid: PageId) -> Result<Page> {
         if pid == 0 || pid >= self.num_pages() {
@@ -107,7 +95,6 @@ impl Volume {
         }
         let mut buf = [0u8; PAGE_SIZE];
         self.file.read_exact_at(&mut buf, pid * PAGE_SIZE as u64)?;
-        self.reads.fetch_add(1, Ordering::Relaxed);
         Ok(Page::from_bytes(buf))
     }
 
@@ -120,7 +107,6 @@ impl Volume {
             return Ok(());
         }
         self.file.write_all_at(page.bytes(), pid * PAGE_SIZE as u64)?;
-        self.writes.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -133,7 +119,6 @@ impl Volume {
             return Ok(());
         }
         self.file.write_all_at(bytes, pid * PAGE_SIZE as u64)?;
-        self.writes.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -279,8 +264,6 @@ mod tests {
         vol.write_page(first, &p).unwrap();
         let q = vol.read_page(first).unwrap();
         assert_eq!(q.get(0).unwrap(), b"page data");
-        let (r, w) = vol.io_counts();
-        assert!(r >= 1 && w >= 1);
     }
 
     #[test]

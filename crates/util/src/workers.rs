@@ -28,17 +28,13 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// Fixed morsel size (tuples) for row-shaped kernels (scans, joins,
-/// aggregation). Small enough to load-balance, large enough to amortise
-/// the claim.
-pub const TUPLE_MORSEL: usize = 1024;
-
 /// Fixed morsel size (tiles) for PBSM tile-bucket kernels: one morsel is a
 /// run of adjacent tiles in sorted tile order.
 pub const TILE_MORSEL: usize = 8;
 
-/// Fixed morsel size for large-blob kernels (LZW tile codecs): one blob
-/// per morsel, since a single tile is already thousands of bytes of work.
+/// Fixed morsel size for large-blob kernels (LZW tile compression): one
+/// blob per morsel, since a single tile is already thousands of bytes of
+/// work.
 pub const BLOB_MORSEL: usize = 1;
 
 /// Monotonic counters describing everything a pool has executed.
@@ -136,11 +132,25 @@ impl WorkerPool {
     /// output per morsel, **in morsel order**.
     ///
     /// `morsel_len` must be the kernel's fixed constant (e.g.
-    /// [`TUPLE_MORSEL`]) — never derived from the worker count — so that
+    /// [`TILE_MORSEL`]) — never derived from the worker count — so that
     /// morsel boundaries, and therefore all floating-point association
     /// orders, are identical for every pool size. On error the lowest
     /// failing morsel index wins, matching what a serial loop would report
     /// first.
+    ///
+    /// ```
+    /// use paradise_util::workers::WorkerPool;
+    ///
+    /// let pool = WorkerPool::new(2);
+    /// let words = ["tile", "sweep", "morsel", "refine"];
+    /// let upper: Vec<String> = pool
+    ///     .run(words.len(), 2, |r| {
+    ///         Ok::<Vec<String>, ()>(words[r].iter().map(|w| w.to_uppercase()).collect())
+    ///     })
+    ///     .unwrap()
+    ///     .concat();
+    /// assert_eq!(upper, ["TILE", "SWEEP", "MORSEL", "REFINE"]);
+    /// ```
     pub fn run<O, E, F>(&self, len: usize, morsel_len: usize, f: F) -> Result<Vec<O>, E>
     where
         O: Send,
@@ -236,32 +246,6 @@ impl WorkerPool {
         }
         Ok(out)
     }
-
-    /// Map a slice through the pool in fixed-size chunks and concatenate
-    /// the per-morsel output vectors in morsel order.
-    ///
-    /// ```
-    /// use paradise_util::workers::WorkerPool;
-    ///
-    /// let pool = WorkerPool::new(2);
-    /// let words = ["tile", "sweep", "morsel", "refine"];
-    /// let upper = pool
-    ///     .map_chunks(&words, 2, |chunk| {
-    ///         Ok::<_, ()>(chunk.iter().map(|w| w.to_uppercase()).collect())
-    ///     })
-    ///     .unwrap();
-    /// assert_eq!(upper, ["TILE", "SWEEP", "MORSEL", "REFINE"]);
-    /// ```
-    pub fn map_chunks<T, O, E, F>(&self, items: &[T], morsel_len: usize, f: F) -> Result<Vec<O>, E>
-    where
-        T: Sync,
-        O: Send,
-        E: Send,
-        F: Fn(&[T]) -> Result<Vec<O>, E> + Sync,
-    {
-        let per_morsel = self.run(items.len(), morsel_len, |r| f(&items[r]))?;
-        Ok(per_morsel.into_iter().flatten().collect())
-    }
 }
 
 #[cfg(test)]
@@ -271,14 +255,16 @@ mod tests {
     #[test]
     fn outputs_in_morsel_order_across_worker_counts() {
         let input: Vec<usize> = (0..10_007).collect();
-        let reference = WorkerPool::new(1)
-            .map_chunks(&input, 64, |c| Ok::<_, ()>(c.iter().map(|x| x * 3).collect()))
-            .unwrap();
+        let tripled = |pool: WorkerPool| -> Vec<usize> {
+            pool.run(input.len(), 64, |r| {
+                Ok::<Vec<usize>, ()>(input[r].iter().map(|x| x * 3).collect())
+            })
+            .unwrap()
+            .concat()
+        };
+        let reference = tripled(WorkerPool::new(1));
         for workers in [2, 4, 7] {
-            let pool = WorkerPool::new(workers);
-            let got = pool
-                .map_chunks(&input, 64, |c| Ok::<_, ()>(c.iter().map(|x| x * 3).collect()))
-                .unwrap();
+            let got = tripled(WorkerPool::new(workers));
             assert_eq!(got, reference, "workers={workers}");
         }
     }
@@ -329,7 +315,7 @@ mod tests {
         let input: Vec<f64> = (0..5_000).map(|i| 1.0 / (i as f64 + 1.0)).collect();
         let sums = |workers: usize| -> Vec<f64> {
             WorkerPool::new(workers)
-                .run(input.len(), TUPLE_MORSEL, |r| Ok::<_, ()>(input[r].iter().sum::<f64>()))
+                .run(input.len(), 1024, |r| Ok::<_, ()>(input[r].iter().sum::<f64>()))
                 .unwrap()
         };
         let reference = sums(1);

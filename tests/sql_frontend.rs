@@ -3,7 +3,7 @@
 
 use paradise::queries;
 use paradise::sql::parse_statement;
-use paradise::{match_plan, Paradise, ParadiseConfig};
+use paradise::{match_plan, Paradise, ParadiseConfig, TransportKind};
 use paradise_datagen::tables::{
     self, drainage_table, land_cover_table, populated_places_table, raster_table, roads_table,
     World, WorldSpec, OIL_FIELD, QUERY_CHANNEL,
@@ -11,9 +11,14 @@ use paradise_datagen::tables::{
 use paradise_geom::Point;
 
 fn load(tag: &str) -> (Paradise, World) {
+    load_over(tag, TransportKind::Local)
+}
+
+fn load_over(tag: &str, transport: TransportKind) -> (Paradise, World) {
     let world = World::generate(WorldSpec::paper_ratio(9, 1, 5000));
     let dir = std::env::temp_dir().join(format!("paradise-it-sql-{}-{tag}", std::process::id()));
-    let mut db = Paradise::create(ParadiseConfig::new(dir, 4).with_grid_tiles(1024)).unwrap();
+    let cfg = ParadiseConfig::new(dir, 4).with_grid_tiles(1024).with_transport(transport);
+    let mut db = Paradise::create(cfg).unwrap();
     db.define_table(raster_table().with_tile_bytes(4096));
     db.define_table(populated_places_table());
     db.define_table(roads_table());
@@ -82,6 +87,70 @@ fn generic_fallback_scan() {
     let distinct: std::collections::HashSet<&str> =
         r.rows.iter().map(|t| t.get(0).unwrap().as_str().unwrap()).collect();
     assert_eq!(distinct.len(), brute);
+}
+
+#[test]
+fn generic_scan_ships_its_rows_to_the_qc() {
+    // Like every benchmark plan, the scan's result rows cross from the
+    // nodes to the QC endpoint, and both transports charge them alike.
+    let sql = "select id, type from drainage where type = 3";
+    let mut runs = Vec::new();
+    for (tag, transport) in
+        [("gather-local", TransportKind::Local), ("gather-tcp", TransportKind::Tcp)]
+    {
+        let (db, _) = load_over(tag, transport);
+        let r = db.sql(sql).unwrap();
+        assert!(!r.rows.is_empty(), "{tag}");
+        assert_eq!(r.metrics.net_tuples, r.rows.len() as u64, "{tag}: one shipped tuple per row");
+        assert!(r.metrics.net_bytes > 0, "{tag}");
+        runs.push((r.rows, r.metrics.net_bytes));
+    }
+    assert!(runs[0] == runs[1], "Local and Tcp differ in rows or net_bytes");
+}
+
+#[test]
+fn qualified_columns_must_name_a_from_table_that_has_them() {
+    let (db, _) = load("qualifiers");
+    let q9 = |oil: &str, channel: &str, date: &str| {
+        format!(
+            "select landCover.shape, raster.data.clip(landCover.shape) from landCover, raster \
+             where {oil} = {OIL_FIELD} and {channel} = 5 and {date} = Date(\"1988-04-01\")"
+        )
+    };
+    // Each of these used to run as the benchmark shape in brackets.
+    for (sql, qualified) in [
+        (
+            // [Q8]
+            "select landCover.shape, landCover.LCPYTYPE from landCover, populatedPlaces \
+             where landCover.name = \"Louisville\" and \
+             landCover.shape overlaps populatedPlaces.location.makeBox(8)"
+                .to_string(),
+            "landCover.name",
+        ),
+        // [Q9]
+        (q9("raster.LCPYTYPE", "raster.channel", "raster.date"), "raster.LCPYTYPE"),
+        (q9("landCover.LCPYTYPE", "landCover.channel", "raster.date"), "landCover.channel"),
+        (q9("landCover.LCPYTYPE", "raster.channel", "landCover.date"), "landCover.date"),
+        // [Q5]
+        ("select * from populatedPlaces where bogus.name = \"Phoenix\"".to_string(), "bogus.name"),
+        (
+            // [Q2]
+            format!(
+                "select raster.date, raster.data.clip({US}) from raster \
+                 where populatedPlaces.channel = 5 order by date"
+            ),
+            "populatedPlaces.channel",
+        ),
+        // [Q6]
+        (format!("select * from landCover where roads.shape overlaps {US}"), "roads.shape"),
+    ] {
+        let e = db.sql(&sql).expect_err(&sql).to_string();
+        assert!(e.contains(&format!("`{qualified}`")), "{sql}: {e}");
+    }
+    // The paper's spelling of landCover's type still binds Q9.
+    let q9 = db.sql(&q9("landCover.LCPYTYPE", "raster.channel", "raster.date")).unwrap();
+    let api = queries::q9(&db, tables::query_date(), QUERY_CHANNEL, OIL_FIELD).unwrap();
+    assert_eq!(q9.rows.len(), api.rows.len());
 }
 
 #[test]

@@ -18,6 +18,8 @@ fn back_to_back_exchanges_deliver_every_stream_to_its_eos() {
     cluster.set_transport(Transport::Tcp(transport));
     let endpoints = cluster.coordinator_id() + 1;
     let per_batch = DEFAULT_WINDOW + 44;
+    let opened = || cluster.obs().get("exec.streams_opened").expect("streams_opened counter");
+    let opened0 = opened();
     let tuple =
         |src: usize, i: usize| Tuple::new(vec![Value::Int(src as i64), Value::Int(i as i64)]);
     for round in 0..40 {
@@ -39,5 +41,8 @@ fn back_to_back_exchanges_deliver_every_stream_to_its_eos() {
             assert!(*got == want, "round {round}: endpoint {dst} got a different inbox");
         }
     }
+    // One stream per (src, dst) pair of distinct endpoints, per round, and
+    // each is published in the cluster registry.
+    assert_eq!(opened() - opened0, 40 * (endpoints * (endpoints - 1)) as u64);
     cluster.shutdown_transport();
 }
