@@ -9,7 +9,8 @@
 //! This is a from-scratch variable-width LZW (TIFF/GIF style): codes start
 //! at 9 bits, the dictionary holds 256 literals plus `CLEAR` (256) and
 //! `END` (257); the width grows to 12 bits, after which the encoder emits
-//! `CLEAR` and resets. [`maybe_compress`] implements the adaptive flag.
+//! `CLEAR` and resets. [`maybe_compress`] implements the adaptive flag,
+//! abandoning a tile's encoding once its stream passes the savings budget.
 
 use crate::{ArrayError, Result};
 
@@ -27,10 +28,6 @@ struct BitWriter {
 }
 
 impl BitWriter {
-    fn new() -> Self {
-        BitWriter { out: Vec::new(), acc: 0, nbits: 0 }
-    }
-
     fn put(&mut self, code: u16, width: u32) {
         self.acc = (self.acc << width) | u32::from(code);
         self.nbits += width;
@@ -73,102 +70,101 @@ impl<'a> BitReader<'a> {
     }
 }
 
-/// Encoder dictionary: maps (prefix code, next byte) -> code using a flat
-/// hash-free table keyed by `prefix * 256 + byte` in a sorted-probe vector
-/// would be slow; instead use an array of per-prefix first-child plus
-/// sibling links (the classic trie encoding, O(1) amortised).
-struct EncDict {
-    /// first_child[code] = code of (code, some byte) chain head or u16::MAX
-    first_child: Vec<u16>,
-    /// sibling[code] = next entry with the same prefix or u16::MAX
-    sibling: Vec<u16>,
-    /// suffix byte of each code
-    suffix: Vec<u8>,
+/// Slots in the encoder's code table: a power of two a little over twice
+/// the 3,838 codes one dictionary generation assigns, so probes stay short.
+const TABLE_BITS: u32 = 13;
+const TABLE_SLOTS: usize = 1 << TABLE_BITS;
+
+/// The encoder's dictionary: an open-addressing hash table (linear probing)
+/// from the key `(prefix << 8) | byte` to its code. A slot packs
+/// `key << 12 | code` into one `u32` — a key has at most 20 bits and a code
+/// 12. Assigned codes start at [`FIRST_FREE`], so a live slot is never 0
+/// and 0 marks an empty one.
+struct CodeTable {
+    slots: Vec<u32>,
     next_code: u16,
+    /// Width of the next code written. It covers `next_code` itself, because
+    /// the decoder adds each entry one code later than the encoder.
+    width: u32,
 }
 
-impl EncDict {
+impl CodeTable {
     fn new() -> Self {
-        let mut d = EncDict {
-            first_child: Vec::with_capacity(MAX_CODES),
-            sibling: Vec::with_capacity(MAX_CODES),
-            suffix: Vec::with_capacity(MAX_CODES),
-            next_code: FIRST_FREE,
-        };
-        d.reset();
-        d
+        CodeTable { slots: vec![0; TABLE_SLOTS], next_code: FIRST_FREE, width: 9 }
     }
 
     fn reset(&mut self) {
-        self.first_child.clear();
-        self.sibling.clear();
-        self.suffix.clear();
-        self.first_child.resize(MAX_CODES, u16::MAX);
-        self.sibling.resize(MAX_CODES, u16::MAX);
-        self.suffix.resize(MAX_CODES, 0);
+        self.slots.fill(0);
         self.next_code = FIRST_FREE;
+        self.width = 9;
     }
 
-    /// Looks up (prefix, byte); returns its code if present.
-    fn find(&self, prefix: u16, byte: u8) -> Option<u16> {
-        let mut c = self.first_child[prefix as usize];
-        while c != u16::MAX {
-            if self.suffix[c as usize] == byte {
-                return Some(c);
+    /// The slot holding `key`, or the empty slot where it would go.
+    fn probe(&self, key: u32) -> usize {
+        let mut i = (key.wrapping_mul(0x9E37_79B1) >> (32 - TABLE_BITS)) as usize;
+        loop {
+            let slot = self.slots[i];
+            if slot == 0 || slot >> 12 == key {
+                return i;
             }
-            c = self.sibling[c as usize];
+            i = (i + 1) & (TABLE_SLOTS - 1);
         }
-        None
     }
 
-    /// Inserts (prefix, byte) as the next free code. Returns false when full.
-    fn insert(&mut self, prefix: u16, byte: u8) -> bool {
-        if (self.next_code as usize) >= MAX_CODES {
+    /// Assigns the next free code to `key` at its empty `slot`. Returns
+    /// false, assigning nothing, when all 4,096 codes are taken.
+    fn insert(&mut self, slot: usize, key: u32) -> bool {
+        if usize::from(self.next_code) >= MAX_CODES {
             return false;
         }
-        let code = self.next_code;
+        self.slots[slot] = key << 12 | u32::from(self.next_code);
         self.next_code += 1;
-        self.suffix[code as usize] = byte;
-        self.sibling[code as usize] = self.first_child[prefix as usize];
-        self.first_child[prefix as usize] = code;
-        true
-    }
-
-    fn code_width(&self) -> u32 {
-        // Width must cover next_code (the decoder is one entry behind).
-        let mut w = 9;
-        while (1u32 << w) < u32::from(self.next_code) + 1 {
-            w += 1;
+        if self.width < MAX_WIDTH && (1u32 << self.width) < u32::from(self.next_code) + 1 {
+            self.width += 1;
         }
-        w.min(MAX_WIDTH)
+        true
     }
 }
 
 /// Compresses `data` with LZW. Empty input yields an empty stream.
 pub fn compress(data: &[u8]) -> Vec<u8> {
-    if data.is_empty() {
-        return Vec::new();
-    }
-    let mut dict = EncDict::new();
-    let mut w = BitWriter::new();
-    w.put(CLEAR, dict.code_width());
-    let mut prefix = u16::from(data[0]);
-    for &byte in &data[1..] {
-        match dict.find(prefix, byte) {
-            Some(code) => prefix = code,
-            None => {
-                w.put(prefix, dict.code_width());
-                if !dict.insert(prefix, byte) {
-                    w.put(CLEAR, dict.code_width());
-                    dict.reset();
-                }
-                prefix = u16::from(byte);
-            }
+    compress_within(data, usize::MAX).expect("an unbounded budget always fits")
+}
+
+/// [`compress`], giving up with `None` as soon as the stream written so far
+/// is longer than `budget` bytes. The stream only grows, so `None` means
+/// exactly that `compress(data)` is longer than `budget`; otherwise the
+/// bytes are `compress(data)`'s.
+pub fn compress_within(data: &[u8], budget: usize) -> Option<Vec<u8>> {
+    let Some((&first, rest)) = data.split_first() else {
+        return Some(Vec::new());
+    };
+    let mut dict = CodeTable::new();
+    let mut w = BitWriter { out: Vec::with_capacity(budget.min(data.len())), acc: 0, nbits: 0 };
+    w.put(CLEAR, dict.width);
+    let mut prefix = u32::from(first);
+    for &byte in rest {
+        let key = prefix << 8 | u32::from(byte);
+        let slot = dict.probe(key);
+        let entry = dict.slots[slot];
+        if entry != 0 {
+            prefix = entry & 0xFFF;
+            continue;
         }
+        w.put(prefix as u16, dict.width);
+        if w.out.len() > budget {
+            return None;
+        }
+        if !dict.insert(slot, key) {
+            w.put(CLEAR, dict.width);
+            dict.reset();
+        }
+        prefix = u32::from(byte);
     }
-    w.put(prefix, dict.code_width());
-    w.put(END, dict.code_width());
-    w.finish()
+    w.put(prefix as u16, dict.width);
+    w.put(END, dict.width);
+    let out = w.finish();
+    (out.len() <= budget).then_some(out)
 }
 
 /// Decompresses an LZW stream produced by [`compress`].
@@ -250,14 +246,19 @@ pub fn decompress(stream: &[u8]) -> Result<Vec<u8>> {
 /// the tile significantly, the tile is stored in its uncompressed form").
 pub const MIN_SAVINGS: f64 = 0.10;
 
+/// The longest stream a tile of `len` bytes may compress to and still be
+/// stored compressed: `floor(len × (1 − MIN_SAVINGS))`.
+fn savings_budget(len: usize) -> usize {
+    ((len as f64) * (1.0 - MIN_SAVINGS)) as usize
+}
+
 /// Compresses `data`; returns `(bytes, compressed_flag)` — the flag records
 /// whether the bytes are LZW or raw, mirroring the mapping-table flag bit.
-pub fn maybe_compress(data: &[u8]) -> (Vec<u8>, bool) {
-    let packed = compress(data);
-    if (packed.len() as f64) <= (data.len() as f64) * (1.0 - MIN_SAVINGS) {
-        (packed, true)
-    } else {
-        (data.to_vec(), false)
+/// A tile that does not shrink enough is handed back as it came, uncopied.
+pub fn maybe_compress(data: Vec<u8>) -> (Vec<u8>, bool) {
+    match compress_within(&data, savings_budget(data.len())) {
+        Some(packed) => (packed, true),
+        None => (data, false),
     }
 }
 
@@ -276,13 +277,15 @@ pub fn maybe_decompress(bytes: &[u8], compressed: bool) -> Result<Vec<u8>> {
 /// a pure per-tile function, so the batch is trivially deterministic.
 pub fn maybe_compress_batch(
     pool: &paradise_util::workers::WorkerPool,
-    tiles: &[Vec<u8>],
+    tiles: Vec<Vec<u8>>,
 ) -> Vec<(Vec<u8>, bool)> {
     // BLOB_MORSEL is 1: each morsel range holds exactly one tile.
-    let morsels = pool.run(tiles.len(), paradise_util::workers::BLOB_MORSEL, |r| {
-        Ok::<_, std::convert::Infallible>(maybe_compress(&tiles[r.start]))
+    let packed = pool.run(tiles.len(), paradise_util::workers::BLOB_MORSEL, |r| {
+        let tile = &tiles[r.start];
+        Ok::<_, std::convert::Infallible>(compress_within(tile, savings_budget(tile.len())))
     });
-    morsels.unwrap_or_else(|e| match e {})
+    let packed = packed.unwrap_or_else(|e| match e {});
+    tiles.into_iter().zip(packed).map(|(raw, p)| p.map_or((raw, false), |p| (p, true))).collect()
 }
 
 #[cfg(test)]
@@ -353,7 +356,7 @@ mod tests {
     #[test]
     fn maybe_compress_flags() {
         let smooth = vec![0u8; 4096];
-        let (bytes, flag) = maybe_compress(&smooth);
+        let (bytes, flag) = maybe_compress(smooth.clone());
         assert!(flag);
         assert!(bytes.len() < smooth.len());
         assert_eq!(maybe_decompress(&bytes, flag).unwrap(), smooth);
@@ -365,7 +368,7 @@ mod tests {
                 (x >> 24) as u8
             })
             .collect();
-        let (bytes, flag) = maybe_compress(&noise);
+        let (bytes, flag) = maybe_compress(noise.clone());
         assert!(!flag, "noise should be stored raw");
         assert_eq!(bytes, noise);
         assert_eq!(maybe_decompress(&bytes, flag).unwrap(), noise);
@@ -377,6 +380,152 @@ mod tests {
         // Truncate mid-stream: should error, not panic.
         let cut = &packed[..packed.len() / 2];
         assert!(decompress(cut).is_err());
+    }
+
+    /// FNV-1a over a byte stream: a fixed, dependency-free digest.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+    }
+
+    fn xorshift_bytes(len: usize, mut x: u32) -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                (x & 0xFF) as u8
+            })
+            .collect()
+    }
+
+    /// A `w`×`h` 16-bit raster laid out like the generated benchmark
+    /// imagery: a latitude gradient plus uniform noise of ±`noise` counts.
+    fn raster16(w: usize, h: usize, noise: f64, seed: u64) -> Vec<u8> {
+        use crate::BitDepth;
+        use paradise_geom::{Point, Rect};
+        let geo = Rect::from_corners(Point::new(-180.0, -90.0), Point::new(180.0, 90.0)).unwrap();
+        let mut r = crate::Raster::new(w, h, BitDepth::Sixteen, geo).unwrap();
+        let mut rng = paradise_util::rng::Rng::seed_from_u64(seed);
+        for row in 0..h {
+            let lat = 90.0 - (row as f64 + 0.5) * 180.0 / h as f64;
+            let base = 20_000.0 + 15_000.0 * lat.to_radians().cos();
+            for col in 0..w {
+                let jitter = if noise > 0.0 { rng.gen_range(-noise..noise) } else { 0.0 };
+                r.set_pixel(col, row, (base + jitter).max(0.0) as u32).unwrap();
+            }
+        }
+        r.array().data().to_vec()
+    }
+
+    /// The fixed inputs whose encoded streams are pinned by digest.
+    fn golden_inputs() -> Vec<(&'static str, Vec<u8>)> {
+        vec![
+            ("empty", Vec::new()),
+            ("one_byte", vec![42]),
+            ("kwkwk", (0..1000).map(|i| if i % 2 == 0 { b'a' } else { b'b' }).collect()),
+            ("run", vec![7u8; 10_000]),
+            ("all_bytes", (0..=255u8).cycle().take(4096).collect()),
+            ("reset", (0..100_000u32).map(|i| (i * 31 % 251) as u8).collect()),
+            ("noise", xorshift_bytes(20_000, 0x1234_5678)),
+            ("ramp", (0..128 * 1024).map(|i| ((i / 64) % 251) as u8).collect()),
+            ("text", b"the quick brown fox jumps over the lazy dog. ".repeat(100)),
+            ("raster16_smooth", raster16(64, 32, 0.0, 1)),
+            ("raster16_noisy", raster16(64, 32, 300.0, 1)),
+            ("raster16_noisy_big", raster16(256, 128, 300.0, 7)),
+        ]
+    }
+
+    /// Length and FNV-1a digest of each golden input's stream, recorded
+    /// from the first-child/sibling-list encoder this hashed table replaced:
+    /// code assignment, widths and resets must not change a single bit.
+    const GOLDEN: [(&str, usize, u64); 12] = [
+        ("empty", 0, 0xcbf29ce484222325),
+        ("one_byte", 4, 0xf522ccaa88b162c7),
+        ("kwkwk", 74, 0x4f2cb86d759e0ad8),
+        ("run", 161, 0x261617acf3149584),
+        ("all_bytes", 1695, 0x22c1b82815782eef),
+        ("reset", 18333, 0xcb7326384d0530f4),
+        ("noise", 27313, 0x1f171dbe6863d96f),
+        ("ramp", 24290, 0x57d9aa805b727c9b),
+        ("text", 726, 0x966855384c935825),
+        ("raster16_smooth", 599, 0xdb9b15d3916f7a48),
+        ("raster16_noisy", 5220, 0x99e9cb3901fa001f),
+        ("raster16_noisy_big", 69207, 0x8160742e7531471a),
+    ];
+
+    #[test]
+    fn streams_match_golden_digests() {
+        let inputs = golden_inputs();
+        assert_eq!(inputs.len(), GOLDEN.len());
+        for ((name, data), (gname, len, digest)) in inputs.iter().zip(GOLDEN) {
+            assert_eq!(*name, gname);
+            let packed = compress(data);
+            assert_eq!((packed.len(), fnv1a(&packed)), (len, digest), "{name}");
+            roundtrip(data);
+        }
+    }
+
+    /// The stored form as the encoder decided it before the savings budget:
+    /// compress the whole tile, then compare against the threshold.
+    fn reference_maybe_compress(data: &[u8]) -> (Vec<u8>, bool) {
+        let packed = compress(data);
+        if (packed.len() as f64) <= (data.len() as f64) * (1.0 - MIN_SAVINGS) {
+            (packed, true)
+        } else {
+            (data.to_vec(), false)
+        }
+    }
+
+    /// Bytes from a four-symbol alphabet with probability `p`, uniform
+    /// noise otherwise: `p` near 0.5 compresses to about the 90% budget.
+    fn mixed_bytes(rng: &mut paradise_util::rng::Rng, len: usize, p: f64) -> Vec<u8> {
+        (0..len)
+            .map(|_| if rng.gen_bool(p) { rng.gen_range(0u8..4) } else { rng.gen_range(0u8..=255) })
+            .collect()
+    }
+
+    #[test]
+    fn budget_matches_whole_stream_threshold() {
+        let mut rng = paradise_util::rng::Rng::seed_from_u64(14);
+        let mut near_budget = 0;
+        for case in 0..16 {
+            let p = rng.gen_range(0.0..1.0);
+            let base = mixed_bytes(&mut rng, 1 + case * 50, p);
+            // Every prefix length: somewhere along it the threshold flips,
+            // so some streams cross the budget only on their last code.
+            for n in 0..=base.len() {
+                let data = &base[..n];
+                let packed = compress(data);
+                assert_eq!(
+                    maybe_compress(data.to_vec()),
+                    reference_maybe_compress(data),
+                    "{case}/{n}"
+                );
+                // The give-up test is exact: a budget one byte short of the
+                // stream is crossed only by its last byte, on the final code.
+                assert_eq!(compress_within(data, packed.len()).as_ref(), Some(&packed));
+                if let Some(tight) = packed.len().checked_sub(1) {
+                    assert_eq!(compress_within(data, tight), None, "{case}/{n}");
+                }
+                let budget = savings_budget(n);
+                near_budget += usize::from(packed.len().abs_diff(budget) <= 1);
+            }
+        }
+        assert!(near_budget > 0, "no input landed on the savings budget");
+    }
+
+    #[test]
+    fn batch_matches_per_tile_decision() {
+        let mut rng = paradise_util::rng::Rng::seed_from_u64(3);
+        let tiles: Vec<Vec<u8>> =
+            (0..9).map(|i| mixed_bytes(&mut rng, 4096, f64::from(i) / 8.0)).collect();
+        let expect: Vec<_> = tiles.iter().map(|t| reference_maybe_compress(t)).collect();
+        for workers in [1, 2, 3] {
+            let pool = paradise_util::workers::WorkerPool::new(workers);
+            assert_eq!(maybe_compress_batch(&pool, tiles.clone()), expect, "{workers} workers");
+        }
     }
 
     #[test]

@@ -96,6 +96,11 @@ impl NdArray {
         &self.data
     }
 
+    /// The raw payload, moved out of the array.
+    pub fn into_data(self) -> Vec<u8> {
+        self.data
+    }
+
     /// Whether the array exceeds the inline-storage threshold for a page of
     /// `page_size` bytes. Paper §2.5.1: arrays larger than 70% of a SHORE
     /// page become separate objects; smaller ones are inlined in the tuple.

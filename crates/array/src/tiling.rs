@@ -352,7 +352,7 @@ mod tests {
         for i in 0..s.num_tiles() {
             let (lo, shape) = s.tile_region(i);
             let tile = a.subarray(&lo, &shape).unwrap();
-            let (bytes, flag) = lzw::maybe_compress(tile.data());
+            let (bytes, flag) = lzw::maybe_compress(tile.data().to_vec());
             assert_eq!(lzw::maybe_decompress(&bytes, flag).unwrap(), tile.data());
             compressed += usize::from(flag);
             stored += bytes.len();

@@ -1,5 +1,7 @@
 //! LZW compression micro-benchmarks (paper §2.5.1): raster-like smooth
-//! data vs incompressible noise, and the adaptive `maybe_compress` flag.
+//! data vs incompressible noise vs generated 16-bit imagery, and the
+//! adaptive `maybe_compress` flag, which stops encoding a tile as soon as
+//! its stream passes the savings budget.
 
 use paradise_array::lzw;
 use paradise_bench::harness::{BenchmarkId, Criterion, Throughput};
@@ -19,9 +21,30 @@ fn noisy_tile(len: usize) -> Vec<u8> {
         .collect()
 }
 
+/// The benchmark world's imagery (`paradise_datagen`): 16-bit pixels of a
+/// latitude gradient plus uniform noise of ±300 counts. Its tiles stay raw,
+/// so `maybe_compress` gives up part-way through each of them.
+fn raster16_tile(len: usize) -> Vec<u8> {
+    let (w, h) = (256, len / 512);
+    let mut rng = paradise_util::rng::Rng::seed_from_u64(1);
+    let mut out = Vec::with_capacity(len);
+    for row in 0..h {
+        let lat = 90.0 - (row as f64 + 0.5) * 180.0 / h as f64;
+        let base = 20_000.0 + 15_000.0 * lat.to_radians().cos();
+        for _ in 0..w {
+            let v = (base + rng.gen_range(-300.0..300.0)) as u16;
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+    out
+}
+
 fn bench_lzw(c: &mut Criterion) {
     let mut g = c.benchmark_group("lzw");
-    for (name, data) in [("smooth", smooth_tile(128 * 1024)), ("noisy", noisy_tile(128 * 1024))] {
+    let len = 128 * 1024;
+    for (name, data) in
+        [("smooth", smooth_tile(len)), ("noisy", noisy_tile(len)), ("raster16", raster16_tile(len))]
+    {
         g.throughput(Throughput::Bytes(data.len() as u64));
         g.bench_with_input(BenchmarkId::new("compress", name), &data, |b, d| {
             b.iter(|| lzw::compress(d))
@@ -31,7 +54,7 @@ fn bench_lzw(c: &mut Criterion) {
             b.iter(|| lzw::decompress(p).unwrap())
         });
         g.bench_with_input(BenchmarkId::new("maybe_compress", name), &data, |b, d| {
-            b.iter(|| lzw::maybe_compress(d))
+            b.iter(|| lzw::maybe_compress(d.clone()))
         });
     }
     g.finish();

@@ -1122,6 +1122,9 @@ impl<'a> RowEval<'a> {
 /// The generic parallel plan: per-node scan, scalar predicate and
 /// projection, then the surviving rows travel to the QC through
 /// [`paradise_exec::phase::exchange`] like every other plan's results.
+/// Each node evaluates only the rows it is home to
+/// ([`paradise_exec::Decluster::is_home`]), so a spatially replicated
+/// tuple is returned once and its other replicas are never decoded.
 fn generic_scan(db: &Paradise, stmt: &SelectStmt) -> Result<QueryResult> {
     let t0 = std::time::Instant::now();
     let net0 = db.cluster().net.snapshot();
@@ -1130,9 +1133,12 @@ fn generic_scan(db: &Paradise, stmt: &SelectStmt) -> Result<QueryResult> {
     let mut m = QueryMetrics::default();
     let per_node = run_phase(db.cluster(), &mut m, "scan + filter + project", |node| {
         let mut rows = Vec::new();
-        for t in table.fragment_tuples(db.cluster(), node)? {
-            rows.extend(eval.apply(&t)?);
-        }
+        table.scan_fragment(db.cluster(), node, |_, row| {
+            if table.decluster.is_home(db.cluster(), node, row)? {
+                rows.extend(eval.apply(&row.to_tuple()?)?);
+            }
+            Ok(())
+        })?;
         Ok(rows)
     })?;
     let rows = queries::collect_rows(db, per_node)?;

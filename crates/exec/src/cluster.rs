@@ -190,6 +190,32 @@ pub struct Node {
     pub scan_decoded: Counter,
 }
 
+/// What the load-time tile codec did (`array.*` in the QC registry): tiles
+/// stored LZW-compressed and tiles stored raw, with the raw bytes that went
+/// in and the stored bytes that came out.
+#[derive(Debug, Clone)]
+pub struct TileCodecStats {
+    /// `array.tiles_compressed`.
+    pub compressed: Counter,
+    /// `array.tiles_raw`.
+    pub raw: Counter,
+    /// `array.tile_bytes_in`: raw tile payload bytes handed to the codec.
+    pub bytes_in: Counter,
+    /// `array.tile_bytes_out`: tile bytes stored.
+    pub bytes_out: Counter,
+}
+
+impl TileCodecStats {
+    fn register(obs: &MetricsRegistry) -> Self {
+        TileCodecStats {
+            compressed: obs.counter("array.tiles_compressed"),
+            raw: obs.counter("array.tiles_raw"),
+            bytes_in: obs.counter("array.tile_bytes_in"),
+            bytes_out: obs.counter("array.tile_bytes_out"),
+        }
+    }
+}
+
 /// A simulated cluster: the query coordinator's view of all nodes.
 pub struct Cluster {
     nodes: Vec<Arc<Node>>,
@@ -208,6 +234,7 @@ pub struct Cluster {
     /// starts). Disabled by default.
     events: Arc<EventLog>,
     streams_opened: Counter,
+    tile_codec: TileCodecStats,
     /// Intra-node worker pool for morsel-parallel kernels
     /// ([`crate::workers`]), shared by every node in the simulated cluster
     /// and sized from the host's available parallelism.
@@ -237,6 +264,7 @@ impl Cluster {
         }
         trace.set_lane_name(nodes.len() as u32, "QC");
         let streams_opened = obs.counter("exec.streams_opened");
+        let tile_codec = TileCodecStats::register(&obs);
         let workers = Arc::new(WorkerPool::new(default_workers()));
         register_pool_metrics(&obs, &workers);
         Ok(Cluster {
@@ -250,6 +278,7 @@ impl Cluster {
             trace,
             events: Arc::new(EventLog::new()),
             streams_opened,
+            tile_codec,
             workers,
         })
     }
@@ -258,6 +287,11 @@ impl Cluster {
     /// through (cheap `Arc` clone).
     pub fn workers(&self) -> Arc<WorkerPool> {
         self.workers.clone()
+    }
+
+    /// The load-time tile codec counters.
+    pub fn tile_codec(&self) -> &TileCodecStats {
+        &self.tile_codec
     }
 
     /// The cluster-wide metrics registry.

@@ -8,9 +8,10 @@
 //! then eliminate the duplicates.
 
 use crate::cluster::{Cluster, NodeId};
-use crate::tuple::Tuple;
+use crate::tuple::{Row, Tuple};
 use crate::value::Value;
 use crate::{ExecError, Result};
+use paradise_geom::Rect;
 
 /// How a table's tuples are spread across nodes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,22 +55,9 @@ impl Decluster {
                 vec![(hash_value(tuple.get(*col)?) as usize) % n]
             }
             Decluster::Spatial { col } => {
-                let shape = match tuple.get(*col)? {
-                    Value::Shape(s) => s.bbox(),
-                    Value::Raster(r) => match r {
-                        crate::value::RasterValue::Mem(m) => m.geo(),
-                        crate::value::RasterValue::Stored(s) => s.geo,
-                    },
-                    other => {
-                        return Err(ExecError::Type {
-                            expected: "shape or raster",
-                            got: other.kind().to_string(),
-                        })
-                    }
-                };
                 let mut nodes: Vec<NodeId> = cluster
                     .grid()
-                    .tile_ids_for_rect(&shape)
+                    .tile_ids_for_rect(&spatial_bbox(tuple.get(*col)?)?)
                     .into_iter()
                     .map(|t| cluster.node_for_tile(t))
                     .collect();
@@ -78,6 +66,23 @@ impl Decluster {
                 nodes
             }
         })
+    }
+
+    /// Whether `node` is the home of a stored row, so that a scan keeping
+    /// only home rows sees each tuple exactly once. Round-robin and hash
+    /// tuples live on one node only. A spatially declustered tuple's home
+    /// is the node owning the grid tile of its bounding box's lower-left
+    /// corner — the PBSM reference point of the box alone. Shapes are read
+    /// in place, so a replica skipped here is never decoded.
+    pub fn is_home(&self, cluster: &Cluster, node: NodeId, row: &Row) -> Result<bool> {
+        let Decluster::Spatial { col } = self else {
+            return Ok(true);
+        };
+        let bbox = match row.shape(*col) {
+            Ok(shape) => shape.bbox(),
+            Err(_) => spatial_bbox(&row.get(*col)?)?,
+        };
+        Ok(cluster.node_for_tile(cluster.grid().tile_of_point(&bbox.lo)) == node)
     }
 
     /// The grid tiles a tuple's spatial column covers (used by the spatial
@@ -90,6 +95,19 @@ impl Decluster {
                 Ok(cluster.grid().tile_ids_for_shape(shape))
             }
             _ => Err(ExecError::Other("tiles_for on non-spatial declustering".into())),
+        }
+    }
+}
+
+/// The extent a spatial declustering column places: a shape's bounding box
+/// or a raster's geographic rectangle.
+fn spatial_bbox(v: &Value) -> Result<Rect> {
+    match v {
+        Value::Shape(s) => Ok(s.bbox()),
+        Value::Raster(crate::value::RasterValue::Mem(m)) => Ok(m.geo()),
+        Value::Raster(crate::value::RasterValue::Stored(s)) => Ok(s.geo),
+        other => {
+            Err(ExecError::Type { expected: "shape or raster", got: other.kind().to_string() })
         }
     }
 }
@@ -166,6 +184,19 @@ mod tests {
         let mut sorted = dests.clone();
         sorted.dedup();
         assert_eq!(sorted, dests);
+        // Exactly one replica is home, for a shape and for a raster column.
+        let raster =
+            paradise_array::Raster::new(8, 4, paradise_array::BitDepth::Eight, c.grid().universe())
+                .unwrap();
+        let r = Tuple::new(vec![Value::Raster(crate::value::RasterValue::Mem(raster.into()))]);
+        for t in [t, r] {
+            let bytes = t.encode();
+            let row = Row::new(&bytes).unwrap();
+            let dests = d.route(&c, &t, 0).unwrap();
+            let homes: Vec<_> =
+                dests.iter().filter(|&&n| d.is_home(&c, n, &row).unwrap()).collect();
+            assert_eq!(homes.len(), 1, "{dests:?}");
+        }
     }
 
     #[test]

@@ -35,14 +35,17 @@ pub fn store_raster(
     let dims = [raster.height(), raster.width()];
     let scheme = TilingScheme::new(&dims, raster.depth().elem_type(), tile_bytes)?;
     let (tile_h, tile_w) = (scheme.tile_shape()[0], scheme.tile_shape()[1]);
-    // Cut the raster into tile payloads (cheap memory moves), then LZW-encode
-    // the whole batch on the worker pool — the codec dominates store cost.
+    // Cut the raster into tile payloads, then LZW-encode the whole batch on
+    // the worker pool — the codec dominates store cost. Payloads move
+    // through the codec: a tile stored raw is the buffer cut here.
     let mut payloads = Vec::with_capacity(scheme.num_tiles());
     for i in 0..scheme.num_tiles() {
         let (lo, shape) = scheme.tile_region(i);
-        payloads.push(raster.array().subarray(&lo, &shape)?.data().to_vec());
+        payloads.push(raster.array().subarray(&lo, &shape)?.into_data());
     }
-    let encoded = lzw::maybe_compress_batch(&cluster.workers(), &payloads);
+    let codec = cluster.tile_codec();
+    codec.bytes_in.add(payloads.iter().map(|p| p.len() as u64).sum());
+    let encoded = lzw::maybe_compress_batch(&cluster.workers(), payloads);
     // Inserts stay serial, in tile order: object ids are handed out in
     // insertion order, so the mapping table is identical for any pool size.
     let mut tiles = Vec::with_capacity(scheme.num_tiles());
@@ -59,6 +62,8 @@ pub fn store_raster(
         } else {
             home
         };
+        if compressed { &codec.compressed } else { &codec.raw }.inc();
+        codec.bytes_out.add(bytes.len() as u64);
         let file = cluster.node(owner).store.create_file(TILE_FILE)?;
         let oid = file.insert(&bytes)?;
         tiles.push(TileRef { node: owner as u32, oid, compressed });
@@ -247,5 +252,44 @@ mod tests {
         assert!(compressed < sr.tiles.len(), "noisy tiles should stay raw");
         let back = fetch_whole(&cluster, 0, &sr).unwrap();
         assert_eq!(back.array().data(), r.array().data());
+    }
+
+    #[test]
+    fn codec_counters_report_each_tile() {
+        let cluster = Cluster::create(&ClusterConfig::for_test(1, "rs7")).unwrap();
+        let codec = cluster.tile_codec();
+        let counts =
+            || [&codec.compressed, &codec.raw, &codec.bytes_in, &codec.bytes_out].map(|c| c.get());
+        // A smooth latitude gradient compresses in every tile.
+        let mut smooth = Raster::new(128, 64, BitDepth::Sixteen, world()).unwrap();
+        for row in 0..64 {
+            for col in 0..128 {
+                smooth.set_pixel(col, row, 20_000 + 40 * row as u32).unwrap();
+            }
+        }
+        let sr = store_raster(&cluster, 0, &smooth, false, 1024).unwrap();
+        let n = sr.tiles.len() as u64;
+        let [compressed, raw, bytes_in, bytes_out] = counts();
+        assert_eq!((compressed, raw), (n, 0));
+        assert_eq!(bytes_in, smooth.array().byte_len() as u64);
+        assert!(bytes_out < bytes_in * 9 / 10, "{bytes_out} of {bytes_in}");
+        // Generated imagery: a latitude gradient plus ±300 of noise per
+        // 16-bit pixel — no tile shrinks by the savings threshold.
+        let mut noisy = Raster::new(128, 64, BitDepth::Sixteen, world()).unwrap();
+        let mut rng = paradise_util::rng::Rng::seed_from_u64(5);
+        for row in 0..64 {
+            let lat = 90.0 - (row as f64 + 0.5) * 180.0 / 64.0;
+            for col in 0..128 {
+                let v = 20_000.0 + 15_000.0 * lat.to_radians().cos() + rng.gen_range(-300.0..300.0);
+                noisy.set_pixel(col, row, v as u32).unwrap();
+            }
+        }
+        let sr = store_raster(&cluster, 0, &noisy, false, 1024).unwrap();
+        let m = sr.tiles.len() as u64;
+        assert!(sr.tiles.iter().all(|t| !t.compressed));
+        let after = counts();
+        assert_eq!((after[0], after[1]), (n, m));
+        let noisy_bytes = noisy.array().byte_len() as u64;
+        assert_eq!((after[2] - bytes_in, after[3] - bytes_out), (noisy_bytes, noisy_bytes));
     }
 }

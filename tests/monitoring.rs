@@ -58,6 +58,12 @@ fn catalog_metrics_is_node_labelled_and_filters_with_like() {
         .any(|t| str_col(t, 0) == "buffer.capacity" && str_col(t, 1) == "0" && int_col(t, 2) > 0));
     // …and the QC group carries the cluster-wide ones.
     assert!(r.rows.iter().any(|t| str_col(t, 0) == "net.bytes" && str_col(t, 1) == "qc"));
+    // The load-time tile codec counters are registered once, for the QC.
+    for name in ["array.tiles_compressed", "array.tiles_raw", "array.tile_bytes_in"] {
+        let at: Vec<String> =
+            r.rows.iter().filter(|t| str_col(t, 0) == name).map(|t| str_col(t, 1)).collect();
+        assert_eq!(at, vec!["qc"], "{name}");
+    }
 
     // LIKE narrows by metric name, per node.
     let r = db.sql("select * from paradise.metrics where name like 'wal%'").expect("like");
@@ -204,6 +210,8 @@ fn metrics_endpoint_serves_prometheus_text() {
     assert!(body.contains("node=\"0\""), "{body}");
     assert!(body.contains("node=\"1\""), "{body}");
     assert!(body.contains("paradise_net_bytes_total{node=\"qc\"}"), "{body}");
+    assert!(body.contains("paradise_array_tiles_compressed_total{node=\"qc\"} 0"), "{body}");
+    assert!(body.contains("paradise_array_tiles_raw_total{node=\"qc\"} 0"), "{body}");
     // Every exposition line is either a comment or name{labels} value.
     for line in body.lines().filter(|l| !l.is_empty() && !l.starts_with('#')) {
         assert!(line.contains("{node=\""), "unlabelled sample: {line}");

@@ -51,7 +51,7 @@ fn maybe_compress_roundtrips() {
     for _ in 0..64 {
         let n = rng.gen_range(0usize..2048);
         let data = rng.bytes(n);
-        let (bytes, flag) = lzw::maybe_compress(&data);
+        let (bytes, flag) = lzw::maybe_compress(data.clone());
         assert_eq!(lzw::maybe_decompress(&bytes, flag).unwrap(), data);
     }
 }

@@ -109,6 +109,34 @@ fn generic_scan_ships_its_rows_to_the_qc() {
 }
 
 #[test]
+fn generic_scan_returns_each_replicated_row_once() {
+    // Roads and drainage are spatially declustered: a feature whose box
+    // spans grid tiles of several nodes is stored on each of them, yet the
+    // scan returns it once, under either transport.
+    for (tag, transport) in [("once-local", TransportKind::Local), ("once-tcp", TransportKind::Tcp)]
+    {
+        let (db, world) = load_over(tag, transport);
+        let type_of = |t: &paradise_exec::Tuple| t.get(1).unwrap().as_int().unwrap();
+        for (sql, table, rows, keep) in [
+            (
+                "select id, type from drainage where type = 3",
+                "drainage",
+                &world.drainage,
+                (|ty| ty == 3) as fn(i64) -> bool,
+            ),
+            ("select * from roads where type < 5", "roads", &world.roads, |ty| ty < 5),
+        ] {
+            let stored = db.table(table).unwrap().stored_count(db.cluster());
+            assert!(stored > rows.len() as u64, "{tag}: {table} holds no replicas");
+            let brute = rows.iter().filter(|t| keep(type_of(t))).count();
+            let r = db.sql(sql).unwrap();
+            assert_eq!(r.rows.len(), brute, "{tag}: {sql}");
+            assert_eq!(r.metrics.net_tuples, brute as u64, "{tag}: {sql}");
+        }
+    }
+}
+
+#[test]
 fn qualified_columns_must_name_a_from_table_that_has_them() {
     let (db, _) = load("qualifiers");
     let q9 = |oil: &str, channel: &str, date: &str| {
