@@ -2,15 +2,17 @@
 //! indexed nested loops with an R*-tree vs naive nested loops, on two sets
 //! of polyline bounding boxes with exact refinement.
 //!
-//! The PBSM tile join runs twice, on a 1-thread and a 2-thread
+//! The PBSM tile join is the engine's columnar kernel over encoded
+//! records ([`JoinInput`], built once outside the timed loop as a fragment
+//! scan builds it; each iteration joins a copy). It runs twice, on a 1-thread and a 2-thread
 //! [`WorkerPool`] (`pbsm_tile/1t/n`, `pbsm_tile/2t/n`): their ratio is the
-//! real wall-clock speedup of the morsel-parallel plane sweep on the
-//! host the bench runs on.
+//! real wall-clock speedup of the morsel-parallel sweep, refine and decode
+//! on the host the bench runs on.
 
 use paradise_bench::harness::{BenchmarkId, Criterion};
 use paradise_bench::{criterion_group, criterion_main};
 use paradise_exec::cluster::{Cluster, ClusterConfig};
-use paradise_exec::ops::spatial_join::local_tile_join;
+use paradise_exec::ops::spatial_join::{local_tile_join, JoinInput};
 use paradise_exec::tuple::Tuple;
 use paradise_exec::value::Value;
 use paradise_exec::workers::WorkerPool;
@@ -46,10 +48,14 @@ fn bench_spatial_join(c: &mut Criterion) {
         let right = lines(n, 1234);
         // PBSM-style tile join (single node owns every tile), serial and
         // on two real threads.
+        let (left_in, right_in) =
+            (JoinInput::from_tuples(&left, 1).unwrap(), JoinInput::from_tuples(&right, 1).unwrap());
         for threads in [1usize, 2] {
             let pool = WorkerPool::new(threads);
             g.bench_with_input(BenchmarkId::new(format!("pbsm_tile/{threads}t"), n), &n, |b, _| {
-                b.iter(|| local_tile_join(&cluster, &pool, 0, &left, 1, &right, 1).unwrap())
+                b.iter(|| {
+                    local_tile_join(&cluster, &pool, 0, left_in.clone(), right_in.clone()).unwrap()
+                })
             });
         }
         // Indexed nested loops: bulk-load an R*-tree on the right side,

@@ -22,7 +22,7 @@ use crate::Result;
 use paradise_exec::metrics::QueryMetrics;
 use paradise_exec::phase::run_phase;
 use paradise_exec::value::{Date, Value};
-use paradise_exec::{ExecError, Tuple};
+use paradise_exec::{ExecError, Row, Tuple};
 use paradise_geom::{Circle, Point, Polygon, Rect, Shape};
 use paradise_sql::ast::{BinOp, ExplainMode, Expr, Projection, SelectStmt};
 use paradise_sql::parse_statement;
@@ -1088,17 +1088,25 @@ impl<'a> RowEval<'a> {
 
     /// The output row for `t`, or `None` when WHERE rejects it.
     fn apply(&self, t: &Tuple) -> Result<Option<Tuple>> {
-        if let Some(w) = &self.stmt.where_clause {
-            if !eval_predicate(w, t, self.schema)? {
-                return Ok(None);
-            }
+        Ok(if self.accepts(t)? { Some(self.project(t)?) } else { None })
+    }
+
+    /// Whether WHERE accepts the row; reads only the columns it names.
+    fn accepts(&self, row: &impl Columns) -> Result<bool> {
+        match &self.stmt.where_clause {
+            Some(w) => eval_predicate(w, row, self.schema),
+            None => Ok(true),
         }
-        Ok(Some(match &self.stmt.projection {
+    }
+
+    /// The select list evaluated over `t`.
+    fn project(&self, t: &Tuple) -> Result<Tuple> {
+        Ok(match &self.stmt.projection {
             Projection::Star => t.clone(),
             Projection::Exprs(exprs) => Tuple::new(
                 exprs.iter().map(|e| eval_expr(e, t, self.schema)).collect::<Result<_>>()?,
             ),
-        }))
+        })
     }
 
     /// Sorts the output rows and names the output columns.
@@ -1124,7 +1132,9 @@ impl<'a> RowEval<'a> {
 /// [`paradise_exec::phase::exchange`] like every other plan's results.
 /// Each node evaluates only the rows it is home to
 /// ([`paradise_exec::Decluster::is_home`]), so a spatially replicated
-/// tuple is returned once and its other replicas are never decoded.
+/// tuple is returned once and its other replicas are never decoded. WHERE
+/// reads its columns from the record in place, so only the rows it
+/// accepts are decoded whole.
 fn generic_scan(db: &Paradise, stmt: &SelectStmt) -> Result<QueryResult> {
     let t0 = std::time::Instant::now();
     let net0 = db.cluster().net.snapshot();
@@ -1134,8 +1144,8 @@ fn generic_scan(db: &Paradise, stmt: &SelectStmt) -> Result<QueryResult> {
     let per_node = run_phase(db.cluster(), &mut m, "scan + filter + project", |node| {
         let mut rows = Vec::new();
         table.scan_fragment(db.cluster(), node, |_, row| {
-            if table.decluster.is_home(db.cluster(), node, row)? {
-                rows.extend(eval.apply(&row.to_tuple()?)?);
+            if table.decluster.is_home(db.cluster(), node, row)? && eval.accepts(row)? {
+                rows.push(eval.project(&row.to_tuple()?)?);
             }
             Ok(())
         })?;
@@ -1147,9 +1157,28 @@ fn generic_scan(db: &Paradise, stmt: &SelectStmt) -> Result<QueryResult> {
     Ok(result)
 }
 
-fn eval_expr(e: &Expr, t: &Tuple, schema: &paradise_exec::Schema) -> Result<Value> {
+/// Where an expression reads its columns: a decoded tuple, or a record
+/// read in place, one column at a time.
+trait Columns {
+    /// Column `i`, as an owned value.
+    fn column(&self, i: usize) -> Result<Value>;
+}
+
+impl Columns for Tuple {
+    fn column(&self, i: usize) -> Result<Value> {
+        Ok(self.get(i)?.clone())
+    }
+}
+
+impl Columns for Row<'_> {
+    fn column(&self, i: usize) -> Result<Value> {
+        self.get(i)
+    }
+}
+
+fn eval_expr(e: &Expr, t: &impl Columns, schema: &paradise_exec::Schema) -> Result<Value> {
     match e {
-        Expr::Column { column, .. } => Ok(t.get(schema.index_of(column)?)?.clone()),
+        Expr::Column { column, .. } => t.column(schema.index_of(column)?),
         Expr::Method { recv, name, args } => {
             let r = eval_expr(recv, t, schema)?;
             match (r.as_shape().ok(), name.to_ascii_lowercase().as_str()) {
@@ -1175,7 +1204,7 @@ fn eval_expr(e: &Expr, t: &Tuple, schema: &paradise_exec::Schema) -> Result<Valu
     }
 }
 
-fn eval_predicate(e: &Expr, t: &Tuple, schema: &paradise_exec::Schema) -> Result<bool> {
+fn eval_predicate(e: &Expr, t: &impl Columns, schema: &paradise_exec::Schema) -> Result<bool> {
     match e {
         Expr::Binary { op: BinOp::And, lhs, rhs } => {
             Ok(eval_predicate(lhs, t, schema)? && eval_predicate(rhs, t, schema)?)

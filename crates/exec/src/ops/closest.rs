@@ -5,7 +5,7 @@ use crate::cluster::Cluster;
 use crate::metrics::QueryMetrics;
 use crate::phase::{exchange, run_phase, run_sequential};
 use crate::table::TableDef;
-use crate::tuple::{Row, Tuple};
+use crate::tuple::{Records, Tuple};
 use crate::value::Value;
 use crate::{ExecError, NodeId, Result};
 use paradise_geom::{Circle, Point, Rect};
@@ -148,7 +148,8 @@ pub fn closest_join(
     let n = cluster.num_nodes();
 
     // Step 3: per-node on-the-fly index over the inner fragments. The scan
-    // reads only each row's bounding box and keeps the encoded record;
+    // reads only each row's bounding box and keeps the encoded record (a
+    // record's index is its R*-tree payload);
     // candidates' distances are computed in place, and only matches are
     // decoded.
     let mut frags: Vec<Records> = Vec::with_capacity(n);
@@ -186,7 +187,7 @@ pub fn closest_join(
                 })?;
                 let local = use_semi_join
                     && semi_join_is_local(cluster, &trees[node], &p, |payload| {
-                        frags[node].distance(payload, inner_col, &p)
+                        distance(&frags[node], payload, inner_col, &p)
                     })?;
                 if local {
                     msgs.push((node, t));
@@ -218,12 +219,12 @@ pub fn closest_join(
                     &trees[node],
                     &p,
                     &cluster.grid().universe(),
-                    |payload| frags[node].distance(payload, inner_col, &p),
+                    |payload| distance(&frags[node], payload, inner_col, &p),
                     || (0..frags[node].len() as u64).collect(),
                 )?;
                 if let Some((payload, d)) = found {
                     let mut row = t.values;
-                    row.extend(frags[node].row(payload)?.to_tuple()?.values);
+                    row.extend(frags[node].row(payload as usize)?.to_tuple()?.values);
                     row.push(Value::Float(d));
                     out.push((qc, Tuple::new(row)));
                 }
@@ -259,35 +260,10 @@ pub fn closest_join(
     })
 }
 
-/// One node's inner fragment as its encoded records, back to back in one
-/// buffer; a record's index is its R*-tree payload.
-#[derive(Default)]
-struct Records {
-    bytes: Vec<u8>,
-    ends: Vec<usize>,
-}
-
-impl Records {
-    fn push(&mut self, record: &[u8]) {
-        self.bytes.extend_from_slice(record);
-        self.ends.push(self.bytes.len());
-    }
-
-    fn len(&self) -> usize {
-        self.ends.len()
-    }
-
-    fn row(&self, payload: u64) -> Result<Row<'_>> {
-        let i = payload as usize;
-        let start = if i == 0 { 0 } else { self.ends[i - 1] };
-        Row::new(&self.bytes[start..self.ends[i]])
-    }
-
-    /// Exact distance from record `payload`'s shape column to `p`, read in
-    /// place.
-    fn distance(&self, payload: u64, col: usize, p: &Point) -> Result<f64> {
-        Ok(self.row(payload)?.shape(col)?.distance_to_point(p))
-    }
+/// Exact distance from record `payload`'s shape column to `p`, read in
+/// place.
+fn distance(frag: &Records, payload: u64, col: usize, p: &Point) -> Result<f64> {
+    Ok(frag.row(payload as usize)?.shape(col)?.distance_to_point(p))
 }
 
 #[cfg(test)]

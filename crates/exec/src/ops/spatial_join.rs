@@ -13,173 +13,298 @@
 //! the node owning that tile — each pair is therefore reported exactly
 //! once cluster-wide.
 //!
-//! Inside one node the filter step is a **plane sweep**, not the quadratic
-//! all-pairs test: each tile's two bucket lists are sorted by bbox `lo.x`
-//! and swept forward so every x-overlapping pair is enumerated exactly
-//! once, then checked for y-overlap, the reference-point rule, and the
-//! exact refinement. Tile buckets are processed as fixed-size morsels on
-//! a worker pool ([`crate::workers`]) in sorted tile order —
-//! **the reference-point rule is evaluated per tile, never per morsel**,
-//! so morsel boundaries cannot re-introduce duplicates, and morsel-order
-//! merging keeps the output deterministic for every worker count.
+//! Inside one node the join runs over columns, not decoded tuples:
+//!
+//! 1. **Scan.** Each input fragment is scanned once without decoding
+//!    ([`JoinInput`]; the two fragments are one pool morsel each): the
+//!    encoded records are kept back to back in *sweep order* (bbox `lo.x`,
+//!    ties by scan order), beside a column of shape bounding boxes read in
+//!    place ([`ShapeRef`]) and, for polylines, each record's segment boxes,
+//!    computed once per record.
+//! 2. **Bucket.** Record indexes are bucketed by the tiles the node owns,
+//!    in index order, so every tile's lists arrive sorted for the sweep:
+//!    no per-tile sort and no hash map.
+//! 3. **Filter + refine.** Each tile present on both sides is a forward
+//!    plane sweep that enumerates every x-overlapping pair exactly once,
+//!    then checks y-overlap, the reference-point rule and the exact test:
+//!    [`chains_cross`], the kernel of `Polyline::crosses`, reading the
+//!    vertices in place and the precomputed segment boxes. Tiles run as
+//!    [`TILE_MORSEL`]-sized morsels on the worker pool ([`crate::workers`])
+//!    in sorted tile order — **the reference-point rule is evaluated per
+//!    tile, never per morsel**, so morsel boundaries cannot re-introduce
+//!    duplicates — and emit `(left, right)` record-index pairs.
+//! 4. **Materialise.** The filter columns are freed; each record a pair
+//!    names is decoded once, on the pool, and the output rows are built
+//!    with [`concat()`] in pair order, on the pool too.
+//!
+//! Morsel-order merging keeps the output identical for every worker count.
 
 use crate::cluster::Cluster;
 use crate::metrics::QueryMetrics;
 use crate::ops::basic::concat;
 use crate::phase::run_phase;
 use crate::table::TableDef;
-use crate::tuple::Tuple;
-use crate::workers::{WorkerPool, TILE_MORSEL};
+use crate::tuple::{Records, Row, Tuple};
+use crate::value::{EncodedPoints, ShapeRef};
+use crate::workers::{WorkerPool, ROW_MORSEL, TILE_MORSEL};
 use crate::{ExecError, NodeId, Result};
+use paradise_geom::algorithms::segment::Segment;
+use paradise_geom::polyline::{chains_cross, SegmentChain};
 use paradise_geom::{Grid, Rect, Shape, TileId};
-use std::collections::HashMap;
+use std::cmp::Ordering;
 
-/// Per-tile bucket lists: tuple indexes of both sides whose bounding boxes
-/// touch the tile, for every tile (owned by `node`) present on *both*
-/// sides, in ascending tile order.
-type TileBuckets = Vec<(TileId, Vec<usize>, Vec<usize>)>;
+/// One node's fragment of a join input, as columns: the encoded records in
+/// sweep order (by shape bbox `lo.x`, ties by scan order), each record's
+/// shape bounding box and, for polylines, its segments' bounding boxes.
+/// Nothing is decoded until a record is known to join.
+#[derive(Debug, Clone, Default)]
+pub struct JoinInput {
+    records: Records,
+    /// Offset in `records.bytes()` of each record's shape payload.
+    shape_at: Vec<usize>,
+    /// Each record's shape bounding box.
+    boxes: Vec<Rect>,
+    /// The segment boxes of every polyline, record after record: record
+    /// `i`'s end at `seg_ends[i]` (none for other kinds).
+    seg_boxes: Vec<Rect>,
+    seg_ends: Vec<usize>,
+}
 
-/// One side's buckets plus its per-tuple bounding boxes.
-type SideBuckets = (HashMap<TileId, Vec<usize>>, Vec<Rect>);
+impl JoinInput {
+    /// Scans `table`'s fragment on `node` once, joining on shape column
+    /// `col`.
+    pub fn scan(table: &TableDef, cluster: &Cluster, node: NodeId, col: usize) -> Result<Self> {
+        let mut scanned = Scanned::default();
+        table.scan_fragment(cluster, node, |_, row| scanned.push(row, col))?;
+        Ok(scanned.into_sweep_order())
+    }
 
-/// Buckets tuple indexes by the tiles their bounding boxes cover, keeping
-/// only tiles `node` owns (other replicas handle the rest), and returns
-/// the per-tuple bounding boxes alongside.
-fn bucket_by_tile(
-    cluster: &Cluster,
-    node: NodeId,
-    tuples: &[Tuple],
-    col: usize,
-) -> Result<SideBuckets> {
-    let grid = cluster.grid();
-    let mut buckets: HashMap<TileId, Vec<usize>> = HashMap::new();
-    let mut boxes: Vec<Rect> = Vec::with_capacity(tuples.len());
-    for (i, t) in tuples.iter().enumerate() {
-        let b = t.get(col)?.as_shape()?.bbox();
-        boxes.push(b);
-        for tile in grid.tile_ids_for_rect(&b) {
-            if cluster.node_for_tile(tile) == node {
-                buckets.entry(tile).or_default().push(i);
+    /// The input holding `tuples`, encoded, joining on shape column `col`.
+    pub fn from_tuples(tuples: &[Tuple], col: usize) -> Result<Self> {
+        let mut scanned = Scanned::default();
+        for t in tuples {
+            scanned.push(&Row::new(&t.encode())?, col)?;
+        }
+        Ok(scanned.into_sweep_order())
+    }
+
+    /// Record `i`'s polyline, read in place; `None` for another kind.
+    fn chain(&self, i: usize) -> Option<RecordChain<'_>> {
+        let points = EncodedPoints::reread(self.records.bytes(), self.shape_at[i])?;
+        let first = if i == 0 { 0 } else { self.seg_ends[i - 1] };
+        let seg_boxes = &self.seg_boxes[first..self.seg_ends[i]];
+        Some(RecordChain { points, seg_boxes, bbox: self.boxes[i] })
+    }
+
+    /// Record `i`'s shape, decoded.
+    fn shape(&self, i: usize) -> Result<Shape> {
+        Ok(ShapeRef::decode(self.records.bytes(), &mut self.shape_at[i].clone())?.to_shape())
+    }
+
+    /// The records alone: the filter columns are freed.
+    fn into_records(self) -> Records {
+        self.records
+    }
+}
+
+/// Decodes every record of `records` that `used` names, once each, on
+/// `pool`; the others stay `None`.
+fn decode_used(
+    pool: &WorkerPool,
+    records: &Records,
+    used: impl Iterator<Item = u32>,
+) -> Result<Vec<Option<Tuple>>> {
+    let mut marked = vec![false; records.len()];
+    for i in used {
+        marked[i as usize] = true;
+    }
+    let ids: Vec<usize> = (0..records.len()).filter(|&i| marked[i]).collect();
+    let decoded = pool.run(ids.len(), ROW_MORSEL, |range| {
+        ids[range].iter().map(|&i| records.row(i)?.to_tuple()).collect::<Result<Vec<_>>>()
+    })?;
+    let mut out = vec![None; records.len()];
+    for (i, t) in ids.into_iter().zip(decoded.into_iter().flatten()) {
+        out[i] = Some(t);
+    }
+    Ok(out)
+}
+
+/// A fragment as scanned: records in storage order, each with its shape
+/// bounding box and the offset of its shape payload in the record.
+#[derive(Default)]
+struct Scanned {
+    records: Records,
+    boxes: Vec<Rect>,
+    shape_offsets: Vec<usize>,
+    /// Polyline segments in all the records.
+    segments: usize,
+}
+
+impl Scanned {
+    fn push(&mut self, row: &Row, col: usize) -> Result<()> {
+        let shape = row.shape(col)?;
+        if let ShapeRef::Polyline(pts) = &shape {
+            self.segments += pts.len() - 1;
+        }
+        self.boxes.push(shape.bbox());
+        self.shape_offsets.push(row.shape_offset(col)?);
+        self.records.push(row.as_bytes());
+        Ok(())
+    }
+
+    /// Copies the records into sweep order and computes each polyline's
+    /// segment boxes. In sweep order every tile's bucket lists are sorted
+    /// as they are filled, and a tile's sweep reads its records' columns
+    /// front to back.
+    fn into_sweep_order(self) -> JoinInput {
+        let boxes = &self.boxes;
+        let mut order: Vec<usize> = (0..boxes.len()).collect();
+        order.sort_unstable_by(|&a, &b| {
+            boxes[a].lo.x.partial_cmp(&boxes[b].lo.x).unwrap_or(Ordering::Equal).then(a.cmp(&b))
+        });
+        let n = order.len();
+        let mut input = JoinInput {
+            records: Records::with_capacity(n, self.records.bytes().len()),
+            shape_at: Vec::with_capacity(n),
+            boxes: Vec::with_capacity(n),
+            seg_boxes: Vec::with_capacity(self.segments),
+            seg_ends: Vec::with_capacity(n),
+        };
+        for i in order {
+            let at = input.records.push(self.records.get(i)) + self.shape_offsets[i];
+            if let Some(pts) = EncodedPoints::reread(input.records.bytes(), at) {
+                let segment = |v: usize| Segment::new(pts.point(v - 1), pts.point(v));
+                input.seg_boxes.extend((1..pts.len()).map(|v| segment(v).bbox()));
+            }
+            input.seg_ends.push(input.seg_boxes.len());
+            input.shape_at.push(at);
+            input.boxes.push(boxes[i]);
+        }
+        input
+    }
+}
+
+/// A polyline record as [`chains_cross`] reads it: vertices in place in
+/// the encoded record, segment boxes from the input's column.
+struct RecordChain<'a> {
+    points: EncodedPoints<'a>,
+    seg_boxes: &'a [Rect],
+    bbox: Rect,
+}
+
+impl SegmentChain for RecordChain<'_> {
+    fn bbox(&self) -> Rect {
+        self.bbox
+    }
+
+    fn num_segments(&self) -> usize {
+        self.seg_boxes.len()
+    }
+
+    fn segment(&self, i: usize) -> Segment {
+        Segment::new(self.points.point(i), self.points.point(i + 1))
+    }
+
+    fn segment_bbox(&self, i: usize) -> Rect {
+        self.seg_boxes[i]
+    }
+}
+
+/// The exact test, [`Shape::overlaps`]: polyline pairs run the crossing
+/// kernel in place, any other pair of kinds is decoded first.
+fn overlaps(left: &JoinInput, li: usize, right: &JoinInput, ri: usize) -> Result<bool> {
+    Ok(match (left.chain(li), right.chain(ri)) {
+        (Some(a), Some(b)) => chains_cross(&a, &b),
+        _ => left.shape(li)?.overlaps(&right.shape(ri)?),
+    })
+}
+
+/// One side's record indexes bucketed by tile: tile `t`'s records are
+/// `ids[starts[t]..starts[t + 1]]`, in sweep order. Only tiles the node
+/// owns hold records; other replicas handle the rest.
+struct Buckets {
+    starts: Vec<usize>,
+    ids: Vec<u32>,
+}
+
+impl Buckets {
+    /// A counting pass sizes every bucket, then a second pass fills them,
+    /// both over the records in sweep order.
+    fn new(grid: &Grid, owned: &[bool], boxes: &[Rect]) -> Buckets {
+        let mut starts = vec![0; owned.len() + 1];
+        for b in boxes {
+            for_owned_tile(grid, owned, b, |t| starts[t + 1] += 1);
+        }
+        for t in 0..owned.len() {
+            starts[t + 1] += starts[t];
+        }
+        let mut next = starts.clone();
+        let mut ids = vec![0; starts[owned.len()]];
+        for (i, b) in boxes.iter().enumerate() {
+            for_owned_tile(grid, owned, b, |t| {
+                ids[next[t]] = i as u32;
+                next[t] += 1;
+            });
+        }
+        Buckets { starts, ids }
+    }
+
+    fn tile(&self, t: TileId) -> &[u32] {
+        &self.ids[self.starts[t as usize]..self.starts[t as usize + 1]]
+    }
+}
+
+/// Calls `f` for every tile `b` covers that `owned` marks.
+fn for_owned_tile(grid: &Grid, owned: &[bool], b: &Rect, mut f: impl FnMut(usize)) {
+    let range = grid.tiles_for_rect(b);
+    for row in range.row0..=range.row1 {
+        for col in range.col0..=range.col1 {
+            let t = grid.tile_id(col, row) as usize;
+            if owned[t] {
+                f(t);
             }
         }
     }
-    Ok((buckets, boxes))
 }
 
-/// The sorted per-tile work list: tiles present in both inputs.
-fn tile_worklist(
-    cluster: &Cluster,
-    node: NodeId,
-    left: &[Tuple],
-    lcol: usize,
-    right: &[Tuple],
-    rcol: usize,
-) -> Result<(TileBuckets, Vec<Rect>, Vec<Rect>)> {
-    let (lbuckets, lboxes) = bucket_by_tile(cluster, node, left, lcol)?;
-    let (mut rbuckets, rboxes) = bucket_by_tile(cluster, node, right, rcol)?;
-    let mut tiles: TileBuckets = lbuckets
-        .into_iter()
-        .filter_map(|(tile, lids)| rbuckets.remove(&tile).map(|rids| (tile, lids, rids)))
-        .collect();
-    // Sorted tile order makes the per-node output deterministic (the
-    // buckets come out of a HashMap) and gives morsels a stable identity.
-    tiles.sort_unstable_by_key(|(tile, _, _)| *tile);
-    Ok((tiles, lboxes, rboxes))
-}
-
-/// Candidate test shared by the sweep and the quadratic reference: bbox
-/// intersection (the y-overlap check of the sweep), the PBSM
-/// reference-point rule **for this tile**, then the exact refinement.
-#[allow(clippy::too_many_arguments)]
-fn emit_if_reference_pair(
-    grid: &Grid,
-    tile: TileId,
-    li: usize,
-    ri: usize,
-    lboxes: &[Rect],
-    rboxes: &[Rect],
-    left: &[Tuple],
-    lcol: usize,
-    right: &[Tuple],
-    rcol: usize,
-    out: &mut Vec<Tuple>,
-) -> Result<()> {
-    // Filter: bounding boxes must intersect (the sweep guarantees x; this
-    // also checks y).
-    let Some(ix) = lboxes[li].intersection(&rboxes[ri]) else {
-        return Ok(());
-    };
-    // Reference point: report the pair only in the tile holding the
-    // intersection's lower-left corner.
-    if grid.tile_of_point(&ix.lo) != tile {
-        return Ok(());
-    }
-    // Refine: exact geometry test.
-    let ls: &Shape = left[li].get(lcol)?.as_shape()?;
-    let rs: &Shape = right[ri].get(rcol)?.as_shape()?;
-    if ls.overlaps(rs) {
-        out.push(concat(&left[li], &right[ri]));
-    }
-    Ok(())
-}
-
-/// Plane-sweep filter over one tile's bucket lists: both lists are sorted
-/// by bbox `lo.x` (ties by tuple index) and swept forward, enumerating
-/// every x-overlapping pair exactly once before the y/reference/refine
-/// checks.
-#[allow(clippy::too_many_arguments)]
+/// Filter + refine over one tile's lo.x-sorted lists: the forward sweep
+/// enumerates every x-overlapping pair exactly once; a pair is kept when
+/// the boxes also overlap in y, the intersection's lower-left corner lies
+/// in `tile` (the reference-point rule), and the shapes overlap.
 fn sweep_tile(
     grid: &Grid,
     tile: TileId,
-    lids: &[usize],
-    rids: &[usize],
-    lboxes: &[Rect],
-    rboxes: &[Rect],
-    left: &[Tuple],
-    lcol: usize,
-    right: &[Tuple],
-    rcol: usize,
-    out: &mut Vec<Tuple>,
+    (lids, rids): (&[u32], &[u32]),
+    left: &JoinInput,
+    right: &JoinInput,
+    out: &mut Vec<(u32, u32)>,
 ) -> Result<()> {
-    fn sort_by_lo_x(ids: &[usize], boxes: &[Rect]) -> Vec<usize> {
-        let mut sorted = ids.to_vec();
-        sorted.sort_unstable_by(|&a, &b| {
-            boxes[a]
-                .lo
-                .x
-                .partial_cmp(&boxes[b].lo.x)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        sorted
-    }
-    let ls = sort_by_lo_x(lids, lboxes);
-    let rs = sort_by_lo_x(rids, rboxes);
-
+    let (lb, rb) = (&left.boxes, &right.boxes);
+    let mut check = |li: u32, ri: u32| -> Result<()> {
+        let (l, r) = (li as usize, ri as usize);
+        let Some(ix) = lb[l].intersection(&rb[r]) else {
+            return Ok(());
+        };
+        if grid.tile_of_point(&ix.lo) == tile && overlaps(left, l, right, r)? {
+            out.push((li, ri));
+        }
+        Ok(())
+    };
     let (mut i, mut j) = (0usize, 0usize);
-    while i < ls.len() && j < rs.len() {
-        if lboxes[ls[i]].lo.x <= rboxes[rs[j]].lo.x {
+    while i < lids.len() && j < rids.len() {
+        let (li, ri) = (lids[i], rids[j]);
+        if lb[li as usize].lo.x <= rb[ri as usize].lo.x {
             // The left box starts first: pair it with every right box that
             // starts before it ends.
-            let li = ls[i];
-            let hi_x = lboxes[li].hi.x;
-            let mut k = j;
-            while k < rs.len() && rboxes[rs[k]].lo.x <= hi_x {
-                emit_if_reference_pair(
-                    grid, tile, li, rs[k], lboxes, rboxes, left, lcol, right, rcol, out,
-                )?;
-                k += 1;
+            let hi_x = lb[li as usize].hi.x;
+            for &rk in rids[j..].iter().take_while(|&&rk| rb[rk as usize].lo.x <= hi_x) {
+                check(li, rk)?;
             }
             i += 1;
         } else {
-            let ri = rs[j];
-            let hi_x = rboxes[ri].hi.x;
-            let mut k = i;
-            while k < ls.len() && lboxes[ls[k]].lo.x <= hi_x {
-                emit_if_reference_pair(
-                    grid, tile, ls[k], ri, lboxes, rboxes, left, lcol, right, rcol, out,
-                )?;
-                k += 1;
+            let hi_x = rb[ri as usize].hi.x;
+            for &lk in lids[i..].iter().take_while(|&&lk| lb[lk as usize].lo.x <= hi_x) {
+                check(lk, ri)?;
             }
             j += 1;
         }
@@ -187,62 +312,55 @@ fn sweep_tile(
     Ok(())
 }
 
-/// Filter + refine join of two local tuple batches over the cluster grid,
-/// reporting only pairs whose reference tile belongs to `node`.
+/// The local PBSM join of two inputs over the cluster grid, reporting only
+/// pairs whose reference tile belongs to `node`: output rows are `left ++
+/// right` tuples, in ascending reference tile, then sweep order.
 ///
-/// Inputs are the node's fragments of spatially-declustered (and therefore
-/// possibly replicated) tables. The filter is a per-tile plane sweep; tile
-/// buckets run as [`TILE_MORSEL`]-sized morsels on `pool` and the outputs
-/// are merged in morsel (= sorted tile) order, so the result is identical
-/// for every worker count.
+/// The inputs are the node's fragments of spatially-declustered (and
+/// therefore possibly replicated) tables; the join consumes them, freeing
+/// their filter columns before it decodes. Tiles run as
+/// [`TILE_MORSEL`]-sized morsels and materialisation as
+/// [`ROW_MORSEL`]-sized ones on `pool`, merged in morsel order, so the
+/// result is identical for every worker count.
 pub fn local_tile_join(
     cluster: &Cluster,
     pool: &WorkerPool,
     node: NodeId,
-    left: &[Tuple],
-    lcol: usize,
-    right: &[Tuple],
-    rcol: usize,
+    left: JoinInput,
+    right: JoinInput,
 ) -> Result<Vec<Tuple>> {
-    let (tiles, lboxes, rboxes) = tile_worklist(cluster, node, left, lcol, right, rcol)?;
     let grid = cluster.grid();
-    let per_morsel = pool.run(tiles.len(), TILE_MORSEL, |range| {
-        let mut out = Vec::new();
-        for (tile, lids, rids) in &tiles[range] {
-            sweep_tile(
-                grid, *tile, lids, rids, &lboxes, &rboxes, left, lcol, right, rcol, &mut out,
-            )?;
-        }
-        Ok::<_, ExecError>(out)
-    })?;
-    Ok(per_morsel.into_iter().flatten().collect())
-}
-
-/// The pre-sweep quadratic filter (every left×right bbox pair per tile),
-/// kept as the reference implementation for the plane sweep's equivalence
-/// tests. Semantics are identical to [`local_tile_join`]; only the
-/// candidate-enumeration order differs.
-pub fn local_tile_join_quadratic(
-    cluster: &Cluster,
-    node: NodeId,
-    left: &[Tuple],
-    lcol: usize,
-    right: &[Tuple],
-    rcol: usize,
-) -> Result<Vec<Tuple>> {
-    let (tiles, lboxes, rboxes) = tile_worklist(cluster, node, left, lcol, right, rcol)?;
-    let grid = cluster.grid();
-    let mut out = Vec::new();
-    for (tile, lids, rids) in &tiles {
-        for &li in lids {
-            for &ri in rids {
-                emit_if_reference_pair(
-                    grid, *tile, li, ri, &lboxes, &rboxes, left, lcol, right, rcol, &mut out,
-                )?;
+    let owned: Vec<bool> =
+        (0..grid.num_tiles()).map(|t| cluster.node_for_tile(t) == node).collect();
+    let (lbuckets, rbuckets) =
+        (Buckets::new(grid, &owned, &left.boxes), Buckets::new(grid, &owned, &right.boxes));
+    let tiles: Vec<TileId> = (0..grid.num_tiles())
+        .filter(|&t| !lbuckets.tile(t).is_empty() && !rbuckets.tile(t).is_empty())
+        .collect();
+    let pairs = pool
+        .run(tiles.len(), TILE_MORSEL, |range| {
+            let mut out = Vec::new();
+            for &t in &tiles[range] {
+                let lists = (lbuckets.tile(t), rbuckets.tile(t));
+                sweep_tile(grid, t, lists, &left, &right, &mut out)?;
             }
-        }
+            Ok::<_, ExecError>(out)
+        })?
+        .concat();
+    // Only the records are read from here on.
+    let (left, right) = (left.into_records(), right.into_records());
+    let lrows = decode_used(pool, &left, pairs.iter().map(|p| p.0))?;
+    let rrows = decode_used(pool, &right, pairs.iter().map(|p| p.1))?;
+    drop((left, right));
+    fn decoded(rows: &[Option<Tuple>], i: u32) -> &Tuple {
+        rows[i as usize].as_ref().expect("every paired record is decoded")
     }
-    Ok(out)
+    let rows = pool.run(pairs.len(), ROW_MORSEL, |range| {
+        let rows =
+            pairs[range].iter().map(|&(l, r)| concat(decoded(&lrows, l), decoded(&rrows, r)));
+        Ok::<_, ExecError>(rows.collect::<Vec<_>>())
+    })?;
+    Ok(rows.into_iter().flatten().collect())
 }
 
 /// The full parallel spatial join of two spatially-declustered tables:
@@ -257,9 +375,16 @@ pub fn parallel_spatial_join(
 ) -> Result<Vec<Vec<Tuple>>> {
     let pool = cluster.workers();
     run_phase(cluster, metrics, "local spatial join", |node| {
-        let l = left.fragment_tuples(cluster, node)?;
-        let r = right.fragment_tuples(cluster, node)?;
-        local_tile_join(cluster, &pool, node, &l, lcol, &r, rcol)
+        // The two scans are independent: one morsel each.
+        let sides = [(left, lcol), (right, rcol)];
+        let [l, r]: [JoinInput; 2] = pool
+            .run(2, 1, |side| {
+                let (table, col) = sides[side.start];
+                JoinInput::scan(table, cluster, node, col)
+            })?
+            .try_into()
+            .expect("one input per side");
+        local_tile_join(cluster, &pool, node, l, r)
     })
 }
 
@@ -270,7 +395,7 @@ mod tests {
     use crate::decluster::Decluster;
     use crate::schema::{DataType, Field, Schema};
     use crate::value::Value;
-    use paradise_geom::{Point, Polyline};
+    use paradise_geom::{Point, Polygon, Polyline};
 
     fn cluster(n: usize, tag: &str) -> Cluster {
         Cluster::create(&ClusterConfig::for_test(n, tag)).unwrap()
@@ -294,6 +419,10 @@ mod tests {
                 Polyline::new(pts.iter().map(|&(x, y)| Point::new(x, y)).collect()).unwrap(),
             )),
         ])
+    }
+
+    fn input(tuples: &[Tuple]) -> JoinInput {
+        JoinInput::from_tuples(tuples, 1).unwrap()
     }
 
     /// Brute-force expected crossing pairs.
@@ -371,12 +500,12 @@ mod tests {
         // A pair visible on a node that doesn't own the reference tile must
         // not be reported by that node.
         let c = cluster(4, "sj3");
-        let l = vec![line("a", &[(-50.0, -50.0), (50.0, 50.0)])];
-        let r = vec![line("b", &[(-50.0, 50.0), (50.0, -50.0)])];
+        let l = input(&[line("a", &[(-50.0, -50.0), (50.0, 50.0)])]);
+        let r = input(&[line("b", &[(-50.0, 50.0), (50.0, -50.0)])]);
         let mut owners = Vec::new();
         let mut total = 0;
         for node in 0..4 {
-            let out = local_tile_join(&c, &c.workers(), node, &l, 1, &r, 1).unwrap();
+            let out = local_tile_join(&c, &c.workers(), node, l.clone(), r.clone()).unwrap();
             if !out.is_empty() {
                 owners.push(node);
             }
@@ -388,21 +517,55 @@ mod tests {
 
     #[test]
     fn join_output_shares_the_input_geometry() {
-        // `concat` copies pointers: every output row's shapes are the very
-        // allocations of the input tuples, not copies of their vertices.
-        let c = cluster(4, "sj4");
-        let l = vec![line("a", &[(-50.0, -50.0), (50.0, 50.0)])];
-        let r = vec![line("b", &[(-50.0, 50.0), (50.0, -50.0)])];
-        let out: Vec<Tuple> = (0..4)
-            .flat_map(|node| local_tile_join(&c, &c.workers(), node, &l, 1, &r, 1).unwrap())
-            .collect();
-        assert_eq!(out.len(), 1);
-        for (col, input) in [(1, &l[0]), (3, &r[0])] {
-            let (Value::Shape(got), Value::Shape(want)) = (&out[0].values[col], &input.values[1])
-            else {
-                panic!("shape columns")
-            };
-            assert!(std::sync::Arc::ptr_eq(got, want), "column {col} was copied");
-        }
+        // Each joining record is decoded once and `concat` copies pointers:
+        // the two rows of one left record share its shape allocation.
+        let c = cluster(1, "sj4");
+        let l = input(&[line("a", &[(-50.0, -50.0), (50.0, 50.0)])]);
+        let r = input(&[
+            line("b", &[(-50.0, 50.0), (50.0, -50.0)]),
+            line("c", &[(-40.0, 10.0), (40.0, -10.0)]),
+        ]);
+        let out = local_tile_join(&c, &c.workers(), 0, l, r).unwrap();
+        assert_eq!(out.len(), 2);
+        let (Value::Shape(first), Value::Shape(second)) = (&out[0].values[1], &out[1].values[1])
+        else {
+            panic!("shape columns")
+        };
+        assert!(std::sync::Arc::ptr_eq(first, second), "the left record was decoded twice");
+    }
+
+    #[test]
+    fn other_shape_kinds_refine_through_shape_overlaps() {
+        // A polygon side has no segment boxes: its pairs are decoded and
+        // tested with `Shape::overlaps`.
+        let c = cluster(1, "sj6");
+        let square = Polygon::from_rect(
+            &Rect::from_corners(Point::new(0.0, 0.0), Point::new(4.0, 4.0)).unwrap(),
+        );
+        let l = input(&[Tuple::new(vec![
+            Value::Str("sq".into()),
+            Value::from(Shape::Polygon(square)),
+        ])]);
+        let right = [
+            line("through", &[(-1.0, 2.0), (5.0, 2.0)]),
+            line("inside", &[(1.0, 1.0), (2.0, 2.0)]),
+            line("outside", &[(5.0, 0.5), (6.0, 3.5)]),
+        ];
+        let got = local_tile_join(&c, &c.workers(), 0, l, input(&right)).unwrap();
+        let ids: Vec<&str> = got.iter().map(|t| t.get(2).unwrap().as_str().unwrap()).collect();
+        assert_eq!(ids, ["through", "inside"]);
+    }
+
+    #[test]
+    fn rows_are_the_decoded_records_in_sweep_order() {
+        // Inside one tile rows follow the sweep (right boxes by ascending
+        // lo.x, not by record index); a record that joins nothing adds no
+        // row.
+        let c = cluster(1, "sj5");
+        let a = line("a", &[(0.5, 0.5), (10.0, 5.0)]);
+        let l = input(&[a.clone(), line("far", &[(100.0, 80.0), (110.0, 85.0)])]);
+        let right = [line("c", &[(6.0, 4.8), (9.0, 1.0)]), line("b", &[(1.0, 3.0), (3.0, 0.6)])];
+        let out = local_tile_join(&c, &c.workers(), 0, l, input(&right)).unwrap();
+        assert_eq!(out, vec![concat(&a, &right[1]), concat(&a, &right[0])]);
     }
 }

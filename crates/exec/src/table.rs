@@ -7,7 +7,7 @@ use crate::schema::Schema;
 use crate::tuple::{Row, Tuple};
 use crate::value::{RasterValue, Value};
 use crate::{ExecError, Result};
-use paradise_storage::{Oid, RTree};
+use paradise_storage::{HeapFile, Oid, RTree, Store};
 
 /// Load statistics (replication factor is the §2.7.1 tradeoff).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -72,15 +72,24 @@ impl TableDef {
         format!("rtidx_{}_{col}", self.name)
     }
 
+    /// Heap-file name, on every node holding any, of the list of raster
+    /// tiles this table's loads stored there (one object id per record):
+    /// the tiles [`TableDef::drop_table`] frees.
+    fn tiles_file(&self) -> String {
+        format!("tiles_{}", self.name)
+    }
+
     /// Loads tuples, routing each to its destination node(s) and
     /// materialising in-memory raster attributes as stored tiles on the
-    /// destination.
+    /// destination. Those tiles belong to this table; a raster that
+    /// arrives already stored keeps pointing at its owner's tiles.
     pub fn load(
         &self,
         cluster: &Cluster,
         tuples: impl IntoIterator<Item = Tuple>,
     ) -> Result<LoadStats> {
         let mut stats = LoadStats::default();
+        let tiles_file = self.tiles_file();
         // Ensure fragments exist on every node.
         for n in cluster.nodes() {
             n.store.create_file(&self.fragment_file())?;
@@ -99,6 +108,10 @@ impl TableDef {
                             self.decluster_rasters,
                             self.tile_bytes,
                         )?;
+                        for tile in &sr.tiles {
+                            let store = &cluster.node(tile.node as usize).store;
+                            store.create_file(&tiles_file)?.insert(&tile.oid.to_bytes())?;
+                        }
                         *v = Value::Raster(sr.into());
                     }
                 }
@@ -242,22 +255,40 @@ impl TableDef {
         Ok(tree)
     }
 
-    /// Drops the table's fragments and indexes everywhere.
+    /// Drops the table's fragments and indexes everywhere, and frees the
+    /// raster tiles its loads stored.
     pub fn drop_table(&self, cluster: &Cluster) -> Result<()> {
         // Every entry is dropped even when dropping an earlier one fails.
         let mut dropped = Ok(());
         for n in cluster.nodes() {
+            if let Some(owned) = n.store.file(&self.tiles_file()) {
+                dropped = dropped.and(free_tiles(&n.store, &owned));
+            }
             for name in n.store.names() {
                 if name == self.fragment_file()
+                    || name == self.tiles_file()
                     || name.starts_with(&format!("idx_{}_", self.name))
                     || name.starts_with(&format!("rtidx_{}_", self.name))
                 {
-                    dropped = dropped.and(n.store.drop_entry(&name));
+                    dropped = dropped.and(n.store.drop_entry(&name).map_err(ExecError::from));
                 }
             }
         }
-        Ok(dropped?)
+        dropped
     }
+}
+
+/// Deletes from `store`'s raster tile file every tile `owned` lists. A
+/// tile's LOB pages, if any, stay allocated until the tile file itself is
+/// freed (extent-granularity reclamation).
+fn free_tiles(store: &Store, owned: &HeapFile) -> Result<()> {
+    let tiles = store
+        .file(raster_store::TILE_FILE)
+        .ok_or_else(|| ExecError::NotFound(raster_store::TILE_FILE.into()))?;
+    owned.for_each(|_, bytes| {
+        let oid = Oid::from_bytes(bytes).ok_or(ExecError::Codec("bad tile object id"))?;
+        Ok::<_, ExecError>(tiles.delete(oid)?)
+    })
 }
 
 /// Packs an OID into the `u64` payload of an index entry (page numbers stay

@@ -163,7 +163,13 @@ impl<'a> Row<'a> {
 
     /// Shape column, read in place (see [`ShapeRef`]).
     pub fn shape(&self, col: usize) -> Result<ShapeRef<'a>> {
-        ShapeRef::decode(self.buf, &mut self.payload(col, 5, "shape")?)
+        ShapeRef::decode(self.buf, &mut self.shape_offset(col)?)
+    }
+
+    /// Offset in the record of shape column `col`'s payload, where
+    /// [`ShapeRef::decode`] reads it.
+    pub fn shape_offset(&self, col: usize) -> Result<usize> {
+        self.payload(col, 5, "shape")
     }
 
     /// Decodes every column into an owned tuple.
@@ -176,6 +182,56 @@ impl<'a> Row<'a> {
     /// `scan.decoded`).
     pub fn materialised(&self) -> bool {
         self.materialised.get()
+    }
+}
+
+/// Encoded records back to back in one buffer, addressed by their index:
+/// how an operator keeps a scanned fragment without decoding it.
+#[derive(Debug, Clone, Default)]
+pub struct Records {
+    bytes: Vec<u8>,
+    ends: Vec<usize>,
+}
+
+impl Records {
+    /// Room for `records` records of `bytes` bytes in all.
+    pub fn with_capacity(records: usize, bytes: usize) -> Records {
+        Records { bytes: Vec::with_capacity(bytes), ends: Vec::with_capacity(records) }
+    }
+
+    /// Appends a record; returns the offset of its first byte.
+    pub fn push(&mut self, record: &[u8]) -> usize {
+        let start = self.bytes.len();
+        self.bytes.extend_from_slice(record);
+        self.ends.push(self.bytes.len());
+        start
+    }
+
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// True when there is no record.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Record `i`'s bytes.
+    pub fn get(&self, i: usize) -> &[u8] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.bytes[start..self.ends[i]]
+    }
+
+    /// Record `i`, lent as a [`Row`].
+    pub fn row(&self, i: usize) -> Result<Row<'_>> {
+        Row::new(self.get(i))
+    }
+
+    /// Every record's bytes, back to back: the record [`Records::push`]
+    /// placed at `start` begins at `bytes()[start]`.
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
     }
 }
 

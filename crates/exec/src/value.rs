@@ -602,6 +602,37 @@ impl<'a> EncodedPoints<'a> {
             )
         })
     }
+
+    /// Number of vertices (at least two).
+    pub fn len(&self) -> usize {
+        self.0.len() / POINT_BYTES
+    }
+
+    /// Always false: a polyline has at least two vertices.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Vertex `i`.
+    pub fn point(&self, i: usize) -> Point {
+        let c = &self.0[i * POINT_BYTES..(i + 1) * POINT_BYTES];
+        Point::new(
+            f64::from_le_bytes(c[..8].try_into().unwrap()),
+            f64::from_le_bytes(c[8..].try_into().unwrap()),
+        )
+    }
+
+    /// The vertices of the polyline that [`ShapeRef::decode`] accepted at
+    /// `pos` of a record, read again from `buf`, a copy of that record or
+    /// a buffer holding it at the same offset; `None` for another kind.
+    /// Skips the validation `decode` did.
+    pub(crate) fn reread(buf: &'a [u8], pos: usize) -> Option<EncodedPoints<'a>> {
+        if buf[pos] != 1 {
+            return None;
+        }
+        let n = u32::from_le_bytes(buf[pos + 1..pos + 5].try_into().unwrap()) as usize;
+        Some(EncodedPoints(&buf[pos + 5..pos + 5 + n * POINT_BYTES]))
+    }
 }
 
 /// A shape column read from an encoded record. Polylines (roads, drainage)
@@ -638,6 +669,16 @@ impl<'a> ShapeRef<'a> {
         match self {
             ShapeRef::Polyline(pts) => Rect::hull(pts.iter()).expect("at least two vertices"),
             ShapeRef::Decoded(s) => s.bbox(),
+        }
+    }
+
+    /// The shape, owned.
+    pub fn to_shape(&self) -> Shape {
+        match self {
+            ShapeRef::Polyline(pts) => {
+                Shape::Polyline(Polyline::new(pts.iter().collect()).expect("validated vertices"))
+            }
+            ShapeRef::Decoded(s) => s.clone(),
         }
     }
 

@@ -11,11 +11,13 @@
 //! available parallelism ([`default_workers`]); kernels take it as an
 //! explicit `&WorkerPool` argument.
 //!
-//! Exactly two kernels run through the pool, the two that measured faster
+//! Exactly two clients run through the pool, the two that measured faster
 //! on it than as plain loops (DESIGN.md §10):
 //!
-//! - the PBSM tile sweep in [`crate::ops::spatial_join::local_tile_join`]
-//!   (plane-sweep filter per tile, morsel = [`TILE_MORSEL`] sorted tiles),
+//! - the PBSM join, [`crate::ops::spatial_join::parallel_spatial_join`]:
+//!   its two fragment scans (one morsel each), the plane-sweep filter and
+//!   refine (morsel = [`TILE_MORSEL`] sorted tiles) and the decoding and
+//!   row building of its matches (morsel = [`ROW_MORSEL`] rows),
 //! - LZW compression of a raster's tiles at load, in
 //!   [`crate::raster_store::store_raster`] (morsel = [`BLOB_MORSEL`] tile).
 //!
@@ -33,7 +35,7 @@ use std::sync::Arc;
 
 use paradise_obs::MetricsRegistry;
 pub use paradise_util::workers::{
-    default_workers, PoolSnapshot, WorkerPool, BLOB_MORSEL, TILE_MORSEL,
+    default_workers, PoolSnapshot, WorkerPool, BLOB_MORSEL, ROW_MORSEL, TILE_MORSEL,
 };
 
 /// Publishes the pool's counters into a metrics registry as lazy

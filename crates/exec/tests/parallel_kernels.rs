@@ -6,8 +6,11 @@
 //! merge in morsel order. A worker pool is a performance knob, never a
 //! semantics knob.
 
+mod common;
+
+use common::local_tile_join_quadratic;
 use paradise_exec::cluster::{Cluster, ClusterConfig};
-use paradise_exec::ops::spatial_join::{local_tile_join, local_tile_join_quadratic};
+use paradise_exec::ops::spatial_join::{local_tile_join, JoinInput};
 use paradise_exec::value::Value;
 use paradise_exec::workers::WorkerPool;
 use paradise_exec::Tuple;
@@ -42,6 +45,10 @@ fn line(id: &str, pts: &[(f64, f64)]) -> Tuple {
     ])
 }
 
+fn input(tuples: &[Tuple]) -> JoinInput {
+    JoinInput::from_tuples(tuples, 1).unwrap()
+}
+
 fn random_segments(n: usize, seed: u64) -> Vec<Tuple> {
     let mut rng = Rng(seed);
     (0..n)
@@ -58,11 +65,18 @@ fn plane_sweep_join_matches_quadratic_and_is_pool_invariant() {
     let cluster = Cluster::create(&ClusterConfig::for_test(2, "pk-sweep")).unwrap();
     let left = random_segments(150, 3);
     let right = random_segments(150, 5);
+    let (left_in, right_in) = (input(&left), input(&right));
     for node in 0..2 {
-        let expected = local_tile_join_quadratic(&cluster, node, &left, 1, &right, 1).unwrap();
+        let expected = local_tile_join_quadratic(&cluster, node, &left, 1, &right, 1);
         for w in WORKER_COUNTS {
-            let got =
-                local_tile_join(&cluster, &WorkerPool::new(w), node, &left, 1, &right, 1).unwrap();
+            let got = local_tile_join(
+                &cluster,
+                &WorkerPool::new(w),
+                node,
+                left_in.clone(),
+                right_in.clone(),
+            )
+            .unwrap();
             // Same pair set: the sweep only changes candidate-enumeration
             // order within a tile, so compare as multisets of pairs.
             let key = |t: &Tuple| format!("{t:?}");
@@ -75,10 +89,17 @@ fn plane_sweep_join_matches_quadratic_and_is_pool_invariant() {
         // And across worker counts the output must be byte-identical
         // (same order, not just the same set).
         let serial =
-            local_tile_join(&cluster, &WorkerPool::new(1), node, &left, 1, &right, 1).unwrap();
+            local_tile_join(&cluster, &WorkerPool::new(1), node, left_in.clone(), right_in.clone())
+                .unwrap();
         for w in WORKER_COUNTS {
-            let got =
-                local_tile_join(&cluster, &WorkerPool::new(w), node, &left, 1, &right, 1).unwrap();
+            let got = local_tile_join(
+                &cluster,
+                &WorkerPool::new(w),
+                node,
+                left_in.clone(),
+                right_in.clone(),
+            )
+            .unwrap();
             assert_eq!(got, serial, "tile join order diverged at {w} workers");
         }
     }
@@ -95,11 +116,11 @@ fn reference_point_rule_is_per_tile_not_per_morsel() {
     // once and the join would double-count. Per-tile evaluation reports it
     // exactly once regardless of how tiles are sliced into morsels.
     let cluster = Cluster::create(&ClusterConfig::for_test(1, "pk-refpoint")).unwrap();
-    let l = vec![line("diag-up", &[(-170.0, -85.0), (170.0, 85.0)])];
-    let r = vec![line("diag-down", &[(-170.0, 85.0), (170.0, -85.0)])];
+    let l = input(&[line("diag-up", &[(-170.0, -85.0), (170.0, 85.0)])]);
+    let r = input(&[line("diag-down", &[(-170.0, 85.0), (170.0, -85.0)])]);
     let pool = cluster.workers();
     let before = pool.snapshot();
-    let out = local_tile_join(&cluster, &pool, 0, &l, 1, &r, 1).unwrap();
+    let out = local_tile_join(&cluster, &pool, 0, l.clone(), r.clone()).unwrap();
     let delta = pool.snapshot().since(&before);
     assert!(
         delta.morsels > 1,
@@ -110,7 +131,7 @@ fn reference_point_rule_is_per_tile_not_per_morsel() {
     // The same invariant for every pool size.
     for w in WORKER_COUNTS {
         let pool = WorkerPool::new(w);
-        assert_eq!(local_tile_join(&cluster, &pool, 0, &l, 1, &r, 1).unwrap().len(), 1);
+        assert_eq!(local_tile_join(&cluster, &pool, 0, l.clone(), r.clone()).unwrap().len(), 1);
     }
 }
 
@@ -120,10 +141,12 @@ fn with_workers_one_reproduces_serial_engine_output() {
     // kernel). Here: the spatial join over every node of a cluster, run
     // once on a 1-worker pool and once on a 7-worker pool.
     let cluster = Cluster::create(&ClusterConfig::for_test(2, "pk-swap")).unwrap();
-    let left = random_segments(120, 13);
-    let right = random_segments(120, 17);
+    let left = input(&random_segments(120, 13));
+    let right = input(&random_segments(120, 17));
     let join_all = |pool: &WorkerPool| -> Vec<Vec<Tuple>> {
-        (0..2).map(|n| local_tile_join(&cluster, pool, n, &left, 1, &right, 1).unwrap()).collect()
+        (0..2)
+            .map(|n| local_tile_join(&cluster, pool, n, left.clone(), right.clone()).unwrap())
+            .collect()
     };
     let serial = join_all(&WorkerPool::new(1));
     let parallel = join_all(&WorkerPool::new(7));

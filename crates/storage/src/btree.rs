@@ -224,28 +224,6 @@ impl BTree {
         }
     }
 
-    /// All `(key, value)` pairs with `lo <= key <= hi`, in key order.
-    pub fn range(&self, lo: &[u8], hi: &[u8]) -> Result<Vec<(Vec<u8>, u64)>> {
-        let mut out = Vec::new();
-        let mut pid = self.find_leaf(lo)?;
-        loop {
-            let node = self.read_node(pid)?;
-            for (k, v) in &node.entries {
-                if k.as_slice() < lo {
-                    continue;
-                }
-                if k.as_slice() > hi {
-                    return Ok(out);
-                }
-                out.push((k.clone(), *v));
-            }
-            if node.extra == NO_PAGE {
-                return Ok(out);
-            }
-            pid = node.extra;
-        }
-    }
-
     /// Every `(key, value)` pair in key order (full index scan).
     pub fn scan_all(&self) -> Result<Vec<(Vec<u8>, u64)>> {
         // Walk down the leftmost spine, then the leaf chain.
@@ -387,7 +365,7 @@ mod tests {
         let t = tree("a.vol");
         assert_eq!(t.get(b"x").unwrap(), None);
         assert!(t.is_empty().unwrap());
-        assert!(t.range(b"a", b"z").unwrap().is_empty());
+        assert!(t.scan_all().unwrap().is_empty());
     }
 
     #[test]
@@ -433,20 +411,6 @@ mod tests {
     }
 
     #[test]
-    fn range_scan() {
-        let t = tree("e.vol");
-        for i in 0..1000u32 {
-            t.insert(&key(i), u64::from(i) * 10).unwrap();
-        }
-        let r = t.range(&key(100), &key(110)).unwrap();
-        assert_eq!(r.len(), 11);
-        assert_eq!(r[0], (key(100), 1000));
-        assert_eq!(r[10], (key(110), 1100));
-        // empty range
-        assert!(t.range(&key(2000), &key(3000)).unwrap().is_empty());
-    }
-
-    #[test]
     fn delete_removes_one_pair() {
         let t = tree("f.vol");
         t.insert(b"k", 1).unwrap();
@@ -481,8 +445,8 @@ mod tests {
         assert_eq!(t.get(&key(0)).unwrap(), Some(0));
         assert_eq!(t.get(&key(49_999)).unwrap(), Some(49_999));
         assert_eq!(t.get(&key(31_337)).unwrap(), Some(31_337));
-        let r = t.range(&key(1000), &key(1004)).unwrap();
-        assert_eq!(r.len(), 5);
+        let all = t.scan_all().unwrap();
+        assert_eq!(all[1000..1005], pairs[1000..1005]);
         // inserts still work after a bulk load
         t.insert(&key(50_000), 50_000).unwrap();
         assert_eq!(t.get(&key(50_000)).unwrap(), Some(50_000));

@@ -137,25 +137,6 @@ impl HeapFile {
         lob::read_lob(&self.pool, first)
     }
 
-    /// Reads only bytes `[offset, offset+len)` of the object at `oid` — for
-    /// large objects this touches only the LOB pages in range (the partial
-    /// fetch of §2.2); inline objects are sliced in memory.
-    pub fn read_range(&self, oid: Oid, offset: usize, len: usize) -> Result<Vec<u8>> {
-        let first = {
-            let g = self.pool.get(oid.page)?;
-            let page = g.read();
-            match body(page_record(&page, oid)?, oid)? {
-                Body::Inline(obj) => {
-                    let from = offset.min(obj.len());
-                    let to = offset.saturating_add(len).min(obj.len());
-                    return Ok(obj[from..to].to_vec());
-                }
-                Body::Lob(first) => first,
-            }
-        };
-        lob::read_lob_range(&self.pool, first, offset, len)
-    }
-
     /// Deletes the object at `oid`. LOB spill pages are reclaimed when the
     /// whole file is freed (extent-granularity reclamation, §2.5.2).
     pub fn delete(&self, oid: Oid) -> Result<()> {
@@ -297,16 +278,6 @@ mod tests {
         let big: Vec<u8> = (0..100_000).map(|i| (i % 253) as u8).collect();
         let oid = f.insert(&big).unwrap();
         assert_eq!(f.read(oid).unwrap(), big);
-        // Partial read touches only part of the chain.
-        assert_eq!(f.read_range(oid, 50_000, 10).unwrap(), &big[50_000..50_010]);
-    }
-
-    #[test]
-    fn inline_range_read() {
-        let f = file("d.vol");
-        let oid = f.insert(b"0123456789").unwrap();
-        assert_eq!(f.read_range(oid, 3, 4).unwrap(), b"3456");
-        assert_eq!(f.read_range(oid, 8, 10).unwrap(), b"89");
     }
 
     #[test]

@@ -56,42 +56,6 @@ pub fn read_lob(pool: &BufferPool, first: PageId) -> Result<Vec<u8>> {
     Ok(out)
 }
 
-/// Reads bytes `[offset, offset+len)` of a LOB, touching only the pages in
-/// range — the "only the subarray itself is fetched" delivery path (§2.2)
-/// and the tile-level pull (§2.5.2) rely on this.
-///
-/// Returns the available prefix when the range pokes past the end.
-pub fn read_lob_range(
-    pool: &BufferPool,
-    first: PageId,
-    offset: usize,
-    len: usize,
-) -> Result<Vec<u8>> {
-    let mut out = Vec::with_capacity(len);
-    let mut pid = first;
-    let mut pos = 0usize; // byte offset of the current page's payload start
-    while pid != NO_PAGE && out.len() < len {
-        let g = pool.get(pid)?;
-        let page = g.read();
-        let buf = page.bytes();
-        let next = u64::from_le_bytes(buf[0..8].try_into().unwrap());
-        let plen = u32::from_le_bytes(buf[8..12].try_into().unwrap()) as usize;
-        let page_start = pos;
-        let page_end = pos + plen;
-        if page_end > offset {
-            let from = offset.max(page_start) - page_start;
-            let to = (offset + len).min(page_end) - page_start;
-            out.extend_from_slice(&buf[LOB_HDR + from..LOB_HDR + to]);
-        }
-        pos = page_end;
-        pid = next;
-        if page_start >= offset + len {
-            break;
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,41 +91,6 @@ mod tests {
         assert_eq!(read_lob(&pool, first).unwrap(), data);
         // uses 4 pages
         assert_eq!(alloc.extents().len(), 1);
-    }
-
-    #[test]
-    fn range_read_touches_middle() {
-        let (pool, alloc) = setup("r.vol");
-        let data: Vec<u8> = (0..4 * LOB_PAYLOAD).map(|i| (i % 251) as u8).collect();
-        let first = write_lob(&pool, &alloc, &data).unwrap();
-        pool.flush_and_clear().unwrap();
-        pool.reset_stats();
-        // A range inside page 2 only.
-        let off = 2 * LOB_PAYLOAD + 10;
-        let got = read_lob_range(&pool, first, off, 100).unwrap();
-        assert_eq!(got, &data[off..off + 100]);
-        // Must have read at most pages 0,1,2 headers + payload page — but
-        // never page 3.
-        let s = pool.stats();
-        assert!(s.misses <= 3, "read {} pages", s.misses);
-    }
-
-    #[test]
-    fn range_read_spanning_pages() {
-        let (pool, alloc) = setup("sp.vol");
-        let data: Vec<u8> = (0..3 * LOB_PAYLOAD).map(|i| (i % 199) as u8).collect();
-        let first = write_lob(&pool, &alloc, &data).unwrap();
-        let off = LOB_PAYLOAD - 50;
-        let got = read_lob_range(&pool, first, off, 100).unwrap();
-        assert_eq!(got, &data[off..off + 100]);
-    }
-
-    #[test]
-    fn range_read_past_end_truncates() {
-        let (pool, alloc) = setup("t.vol");
-        let first = write_lob(&pool, &alloc, b"abcdef").unwrap();
-        assert_eq!(read_lob_range(&pool, first, 4, 100).unwrap(), b"ef");
-        assert_eq!(read_lob_range(&pool, first, 10, 5).unwrap(), b"");
     }
 
     #[test]

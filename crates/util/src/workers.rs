@@ -32,6 +32,10 @@ use std::time::{Duration, Instant};
 /// run of adjacent tiles in sorted tile order.
 pub const TILE_MORSEL: usize = 8;
 
+/// Fixed morsel size (rows) for a PBSM join's materialisation: decoding
+/// the records it matched and building its output rows.
+pub const ROW_MORSEL: usize = 1024;
+
 /// Fixed morsel size for large-blob kernels (LZW tile compression): one
 /// blob per morsel, since a single tile is already thousands of bytes of
 /// work.

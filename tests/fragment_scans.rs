@@ -92,12 +92,13 @@ fn scan_counters_report_rows_handed_out_and_rows_decoded() {
     assert!(decoded1 > decoded0, "each type's winner is decoded");
     assert!(decoded1 - decoded0 < rows1 - rows0, "Q11 decoded every row");
 
-    // Q13's PBSM materialises both fragments whole.
+    // Q13's PBSM keeps both fragments encoded: its scans hand out every
+    // row and decode none (the records that join are decoded afterwards).
     db.sql("select * from drainage, roads where drainage.shape overlaps roads.shape").unwrap();
     let (rows2, decoded2) = counters();
     let both = stored("roads") + stored("drainage");
     assert_eq!(rows2 - rows1, both);
-    assert_eq!(decoded2 - decoded1, both);
+    assert_eq!(decoded2 - decoded1, 0);
 
     // Both counters are listed per node in the catalog and on /metrics.
     let r = db.sql("select * from paradise.metrics where name like 'scan.%'").unwrap();

@@ -1,5 +1,6 @@
-//! The intra-node worker pool has exactly two clients: the PBSM tile sweep
-//! (Q13) and LZW compression of raster tiles at load. Region reads,
+//! The intra-node worker pool has exactly two clients: the PBSM join (Q13:
+//! its scans, tile sweep and materialisation) and LZW compression of
+//! raster tiles at load. Region reads,
 //! generic scans and the raster statements run as plain loops and record
 //! no pool run.
 

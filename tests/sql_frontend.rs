@@ -137,6 +137,37 @@ fn generic_scan_returns_each_replicated_row_once() {
 }
 
 #[test]
+fn generic_scan_decodes_only_the_rows_where_accepts() {
+    // WHERE reads `type` from each record in place; only the accepted
+    // rows are decoded whole, and they are the rows a full decode gives.
+    let (db, world) = load("decode-matches");
+    let decoded =
+        || -> u64 { db.cluster().nodes().iter().map(|n| n.obs.get("scan.decoded").unwrap()).sum() };
+    let before = decoded();
+    let r = db.sql("select id, type from drainage where type = 3").unwrap();
+    assert_eq!(decoded() - before, r.rows.len() as u64);
+    let mut got: Vec<(String, i64)> = r
+        .rows
+        .iter()
+        .map(|t| {
+            (t.get(0).unwrap().as_str().unwrap().to_string(), t.get(1).unwrap().as_int().unwrap())
+        })
+        .collect();
+    let mut want: Vec<(String, i64)> = world
+        .drainage
+        .iter()
+        .map(|t| {
+            (t.get(0).unwrap().as_str().unwrap().to_string(), t.get(1).unwrap().as_int().unwrap())
+        })
+        .filter(|(_, ty)| *ty == 3)
+        .collect();
+    got.sort();
+    want.sort();
+    assert!(!want.is_empty());
+    assert_eq!(got, want);
+}
+
+#[test]
 fn qualified_columns_must_name_a_from_table_that_has_them() {
     let (db, _) = load("qualifiers");
     let q9 = |oil: &str, channel: &str, date: &str| {
