@@ -31,7 +31,7 @@ fn lines(n: usize, seed: u64) -> Vec<Tuple> {
         .map(|i| {
             let (a, b) = (next(), next() * 0.5);
             Tuple::new(vec![
-                Value::Str(format!("l{i}")),
+                Value::Str(format!("l{i}").into()),
                 Value::from(Shape::Polyline(
                     Polyline::new(vec![Point::new(a, b), Point::new(a + 4.0, b + 3.0)]).unwrap(),
                 )),

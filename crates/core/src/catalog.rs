@@ -114,8 +114,8 @@ fn metric_rows(label: &str, samples: &[MetricSample]) -> Vec<Tuple> {
         .iter()
         .map(|s| {
             Tuple::new(vec![
-                Value::Str(s.name.clone()),
-                Value::Str(label.to_string()),
+                Value::Str(s.name.as_str().into()),
+                Value::Str(label.into()),
                 Value::Int(s.value as i64),
             ])
         })
@@ -125,7 +125,7 @@ fn metric_rows(label: &str, samples: &[MetricSample]) -> Vec<Tuple> {
 fn buffer_pool_row(label: &str, samples: &[MetricSample]) -> Tuple {
     let v = |name| Value::Int(sample_value(samples, name));
     Tuple::new(vec![
-        Value::Str(label.to_string()),
+        Value::Str(label.into()),
         v("buffer.capacity"),
         v("buffer.frames_cached"),
         v("buffer.hits"),
@@ -166,9 +166,9 @@ pub fn scan(db: &Paradise, table: CatalogTable, m: &mut QueryMetrics) -> Result<
                 .map(|r| {
                     Tuple::new(vec![
                         Value::Int(r.id as i64),
-                        Value::Str(r.statement),
-                        Value::Str(r.shape),
-                        Value::Str(r.status),
+                        Value::Str(r.statement.into()),
+                        Value::Str(r.shape.into()),
+                        Value::Str(r.status.into()),
                         Value::Int(r.rows as i64),
                         Value::Int(r.wall.as_micros() as i64),
                         Value::Int(r.simulated.as_micros() as i64),

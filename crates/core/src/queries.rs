@@ -22,7 +22,7 @@ use paradise_exec::metrics::QueryMetrics;
 use paradise_exec::ops::basic::sort_by_col;
 use paradise_exec::ops::closest::{closest_join, ClosestResult};
 use paradise_exec::ops::spatial_join::parallel_spatial_join;
-use paradise_exec::phase::{exchange, run_phase, run_sequential};
+use paradise_exec::phase::{exchange, run_phase, run_sequential, Outbox};
 use paradise_exec::raster_store;
 use paradise_exec::table::unpack_oid;
 use paradise_exec::value::{Date, RasterValue, StoredRaster, Value};
@@ -85,21 +85,31 @@ pub(crate) fn seal(db: &Paradise, net0: NetSnapshot, metrics: &mut QueryMetrics,
 
 /// Ships per-node rows to the query coordinator over the cluster's active
 /// transport, charging network traffic for every row (the QC is its own
-/// endpoint, Figure 2.1). Rows arrive in node order, then emission order.
-pub(crate) fn collect_rows(db: &Paradise, per_node: Vec<Vec<Tuple>>) -> Result<Vec<Tuple>> {
+/// endpoint, Figure 2.1), and records the exchange as `name`. Rows arrive
+/// in node order, then emission order.
+pub(crate) fn collect_rows(
+    db: &Paradise,
+    metrics: &mut QueryMetrics,
+    name: &str,
+    per_node: Vec<Vec<Tuple>>,
+) -> Result<Vec<Tuple>> {
     let qc = db.cluster().coordinator_id();
-    let outbox =
-        per_node.into_iter().map(|rows| rows.into_iter().map(|t| (qc, t)).collect()).collect();
-    Ok(exchange(db.cluster(), outbox)?.swap_remove(qc))
+    let outbox = per_node.into_iter().map(|rows| Outbox::to(qc, rows)).collect();
+    Ok(exchange(db.cluster(), metrics, name, outbox)?.swap_remove(qc))
 }
 
 /// Sends `rows` from the query coordinator to every node (a replicated
 /// small outer, §2.4) and returns each node's copy, in `rows` order.
-fn broadcast(db: &Paradise, rows: Vec<Tuple>) -> Result<Vec<Vec<Tuple>>> {
+fn broadcast(
+    db: &Paradise,
+    metrics: &mut QueryMetrics,
+    name: &str,
+    rows: Vec<Tuple>,
+) -> Result<Vec<Vec<Tuple>>> {
     let n = db.cluster().num_nodes();
-    let mut outbox: Vec<Vec<(NodeId, Tuple)>> = (0..n).map(|_| Vec::new()).collect();
-    outbox.push(rows.iter().flat_map(|t| (0..n).map(move |node| (node, t.clone()))).collect());
-    let mut inbox = exchange(db.cluster(), outbox)?;
+    let mut outbox: Vec<Outbox> = (0..n).map(|_| Outbox::default()).collect();
+    outbox.push(Outbox(vec![rows; n]));
+    let mut inbox = exchange(db.cluster(), metrics, name, outbox)?;
     inbox.truncate(n);
     Ok(inbox)
 }
@@ -136,7 +146,7 @@ pub fn q2(db: &Paradise, channel: i64, clip: &Polygon) -> Result<QueryResult> {
         })?;
         Ok(rows)
     })?;
-    let rows = collect_rows(db, per_node)?;
+    let rows = collect_rows(db, &mut m, "gather", per_node)?;
     let rows = run_sequential(&mut m, || sort_by_col(rows, 0))?;
     Ok(finish(db, net0, m, &["date", "clip"], rows, t0))
 }
@@ -228,7 +238,7 @@ pub fn q3(
             }
             Ok(out)
         })?;
-        let pieces = collect_rows(db, partials)?;
+        let pieces = collect_rows(db, &mut m, "gather pieces", partials)?;
         run_sequential(&mut m, || {
             let mut sums = vec![0u64; h * w];
             let mut counts = vec![0u32; h * w];
@@ -292,7 +302,7 @@ pub fn q4(
         })?;
         Ok(rows)
     })?;
-    let rows = collect_rows(db, per_node)?;
+    let rows = collect_rows(db, &mut m, "gather", per_node)?;
     // Copy-on-insert into a permanent result relation, then clean it up.
     let result_table = paradise_exec::TableDef::new(
         &db.cluster().fresh_temp_name("q4_result"),
@@ -315,9 +325,9 @@ pub fn q5(db: &Paradise, name: &str) -> Result<QueryResult> {
     let net0 = db.cluster().net.snapshot();
     let pp = db.table("populatedPlaces")?;
     let per_node = run_phase(db.cluster(), &mut m, "index probe", |node| {
-        pp.btree_probe(db.cluster(), node, PP_NAME, &Value::Str(name.to_string()))
+        pp.btree_probe(db.cluster(), node, PP_NAME, &Value::Str(name.into()))
     })?;
-    let rows = collect_rows(db, per_node)?;
+    let rows = collect_rows(db, &mut m, "gather", per_node)?;
     Ok(finish(db, net0, m, &["id", "containing_face", "type", "location", "name"], rows, t0))
 }
 
@@ -364,7 +374,7 @@ pub fn q6(db: &Paradise, region: &Polygon) -> Result<QueryResult> {
         }
         Ok(rows)
     })?;
-    let rows = collect_rows(db, per_node)?;
+    let rows = collect_rows(db, &mut m, "gather", per_node)?;
     // Insert into a permanent relation (then drop — benchmark hygiene).
     let result_table = paradise_exec::TableDef::new(
         &db.cluster().fresh_temp_name("q6_result"),
@@ -406,7 +416,7 @@ pub fn q7(db: &Paradise, center: Point, radius: f64, max_area: f64) -> Result<Qu
         }
         Ok(rows)
     })?;
-    let rows = collect_rows(db, per_node)?;
+    let rows = collect_rows(db, &mut m, "gather", per_node)?;
     Ok(finish(db, net0, m, &["area", "type"], rows, t0))
 }
 
@@ -421,9 +431,9 @@ pub fn q8(db: &Paradise, city_name: &str, box_len: f64) -> Result<QueryResult> {
     let lc = db.table("landCover")?;
     // Outer: the named cities (tiny), via the name index.
     let cities = run_phase(db.cluster(), &mut m, "select cities", |node| {
-        pp.btree_probe(db.cluster(), node, PP_NAME, &Value::Str(city_name.to_string()))
+        pp.btree_probe(db.cluster(), node, PP_NAME, &Value::Str(city_name.into()))
     })?;
-    let cities = collect_rows(db, cities)?;
+    let cities = collect_rows(db, &mut m, "gather cities", cities)?;
     let boxes: Vec<Tuple> = run_sequential(&mut m, || {
         let mut out = Vec::new();
         for t in &cities {
@@ -436,7 +446,7 @@ pub fn q8(db: &Paradise, city_name: &str, box_len: f64) -> Result<QueryResult> {
         }
         Ok(out)
     })?;
-    let boxes = broadcast(db, boxes)?;
+    let boxes = broadcast(db, &mut m, "broadcast boxes", boxes)?;
     let per_node = run_phase(db.cluster(), &mut m, "indexed NL spatial join", |node| {
         let idx = lc.rtree_index(db.cluster(), node, LC_SHAPE)?;
         let mut rows = Vec::new();
@@ -457,7 +467,7 @@ pub fn q8(db: &Paradise, city_name: &str, box_len: f64) -> Result<QueryResult> {
         }
         Ok(rows)
     })?;
-    let rows = collect_rows(db, per_node)?;
+    let rows = collect_rows(db, &mut m, "gather", per_node)?;
     Ok(finish(db, net0, m, &["shape", "type"], rows, t0))
 }
 
@@ -484,7 +494,7 @@ fn broadcast_oil_polygons(
         })?;
         Ok(out)
     })?;
-    let fields = collect_rows(db, per_node)?;
+    let fields = collect_rows(db, m, "gather oil fields", per_node)?;
     let polys = run_sequential(m, || {
         let mut seen = std::collections::HashSet::new();
         let mut polys = Vec::new();
@@ -495,7 +505,7 @@ fn broadcast_oil_polygons(
         }
         Ok(polys)
     })?;
-    broadcast(db, polys)
+    broadcast(db, m, "broadcast oil fields", polys)
 }
 
 /// **Q9** — clip one raster (date + channel) by every oil-field polygon:
@@ -556,7 +566,7 @@ fn q9_q14_impl(
         })?;
         Ok(rows)
     })?;
-    let rows = collect_rows(db, per_node)?;
+    let rows = collect_rows(db, &mut m, "gather", per_node)?;
     Ok(finish(db, net0, m, &["shape", "clip"], rows, t0))
 }
 
@@ -602,7 +612,7 @@ pub fn q10(db: &Paradise, clip: &Polygon, threshold: f64) -> Result<QueryResult>
     }
     let per_node = per_node?;
     dropped?;
-    let rows = collect_rows(db, per_node)?;
+    let rows = collect_rows(db, &mut m, "gather", per_node)?;
     Ok(finish(db, net0, m, &["date", "channel", "clip"], rows, t0))
 }
 
@@ -640,7 +650,7 @@ pub fn q11(db: &Paradise, point: Point) -> Result<QueryResult> {
             })
             .collect::<Vec<_>>())
     })?;
-    let partials = collect_rows(db, partials)?;
+    let partials = collect_rows(db, &mut m, "gather partials", partials)?;
     // Phase 2: the single global aggregate operator.
     let rows = run_sequential(&mut m, || {
         let mut merged: std::collections::HashMap<i64, (f64, Tuple)> =
@@ -714,7 +724,7 @@ pub fn q13(db: &Paradise) -> Result<QueryResult> {
     let roads = db.table("roads")?;
     let per_node =
         parallel_spatial_join(db.cluster(), &mut m, drainage, LINE_SHAPE, roads, LINE_SHAPE)?;
-    let rows = collect_rows(db, per_node)?;
+    let rows = collect_rows(db, &mut m, "gather", per_node)?;
     Ok(finish(db, net0, m, &["d_id", "d_type", "d_shape", "r_id", "r_type", "r_shape"], rows, t0))
 }
 

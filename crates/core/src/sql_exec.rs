@@ -139,7 +139,7 @@ fn eval_const(e: &Expr) -> Result<Value> {
     match e {
         Expr::Int(v) => Ok(Value::Int(*v)),
         Expr::Float(v) => Ok(Value::Float(*v)),
-        Expr::Str(s) => Ok(Value::Str(s.clone())),
+        Expr::Str(s) => Ok(Value::Str(s.as_str().into())),
         Expr::Call { func, args } => {
             let f = func.to_ascii_lowercase();
             match f.as_str() {
@@ -572,7 +572,7 @@ fn match_shape(stmt: &SelectStmt) -> Result<Plan> {
         if let Some(e) = find_cmp(stmt, "name", BinOp::Eq) {
             if let Value::Str(name) = eval_const(e)? {
                 check_conjuncts(stmt, "Q5", &[&is_cmp("name", BinOp::Eq)])?;
-                return Ok(Plan::Q5 { name });
+                return Ok(Plan::Q5 { name: name.to_string() });
             }
         }
     }
@@ -602,7 +602,7 @@ fn match_shape(stmt: &SelectStmt) -> Result<Plan> {
     // --- Q8 -------------------------------------------------------------
     if pair("landcover", "populatedplaces") && !proj_has_call(stmt, "closest") {
         let name = match find_cmp(stmt, "name", BinOp::Eq).map(eval_const).transpose()? {
-            Some(Value::Str(s)) => s,
+            Some(Value::Str(s)) => s.to_string(),
             _ => return Err(err("Q8 needs populatedPlaces.name = \"…\"")),
         };
         let box_len = find_make_box_len(stmt).ok_or_else(|| err("Q8 needs makeBox(L)"))?;
@@ -702,8 +702,9 @@ pub struct PlanLine {
     pub indent: usize,
     /// Operator description.
     pub text: String,
-    /// The measured phase that drives this operator (matched by name
-    /// against [`QueryMetrics::phases`] for `EXPLAIN ANALYZE`).
+    /// The measured phase or exchange that drives this operator (matched
+    /// by name against [`QueryMetrics::phases`], then
+    /// [`QueryMetrics::exchanges`], for `EXPLAIN ANALYZE`).
     pub phase: Option<&'static str>,
 }
 
@@ -740,7 +741,7 @@ impl Plan {
         match self {
             Plan::Q2 { channel, .. } => vec![
                 op(0, "Sort [date]  (QC, sequential)", None),
-                op(1, "Gather -> QC", None),
+                op(1, "Gather -> QC", Some("gather")),
                 op(2, "Clip + Project [data.clip(POLYGON)]", Some("scan + clip rasters")),
                 op(3, format!("SeqScan raster [channel = {channel}]"), None),
             ],
@@ -750,7 +751,7 @@ impl Plan {
                 op(2, format!("SeqScan raster [date = {date}]"), Some("locate rasters")),
             ],
             Plan::Q4 { date, channel, factor, .. } => vec![
-                op(0, "Gather -> QC", None),
+                op(0, "Gather -> QC", Some("gather")),
                 op(
                     1,
                     format!("Clip + LowerRes [clip(POLYGON).lower_res({factor})]"),
@@ -759,7 +760,7 @@ impl Plan {
                 op(2, format!("SeqScan raster [date = {date}, channel = {channel}]"), None),
             ],
             Plan::Q5 { name } => vec![
-                op(0, "Gather -> QC", None),
+                op(0, "Gather -> QC", Some("gather")),
                 op(
                     1,
                     format!("BTreeIndexScan populatedPlaces [name = {name:?}]"),
@@ -767,7 +768,7 @@ impl Plan {
                 ),
             ],
             Plan::Q6 { .. } => vec![
-                op(0, "Gather -> QC", None),
+                op(0, "Gather -> QC", Some("gather")),
                 op(
                     1,
                     "RTreeIndexScan landCover [shape overlaps POLYGON]",
@@ -780,20 +781,20 @@ impl Plan {
                     pred.push_str(&format!(" and area() < {max_area}"));
                 }
                 vec![
-                    op(0, "Gather -> QC", None),
+                    op(0, "Gather -> QC", Some("gather")),
                     op(1, format!("Filter [{pred}]"), Some("circle selection")),
                     op(2, "RTreeIndexScan landCover [shape overlaps circle bbox]", None),
                 ]
             }
             Plan::Q8 { name, box_len } => vec![
-                op(0, "Gather -> QC", None),
+                op(0, "Gather -> QC", Some("gather")),
                 op(
                     1,
                     format!("IndexedNLJoin [landCover.shape overlaps makeBox({box_len})]"),
                     Some("indexed NL spatial join"),
                 ),
                 op(2, "RTreeIndexScan landCover  (inner, per box)", None),
-                op(2, "Broadcast city boxes  (QC)", None),
+                op(2, "Broadcast city boxes  (QC)", Some("broadcast boxes")),
                 op(
                     3,
                     format!("BTreeIndexScan populatedPlaces [name = {name:?}]"),
@@ -809,7 +810,7 @@ impl Plan {
                 *oil_type,
             ),
             Plan::Q10 { threshold, .. } => vec![
-                op(0, "Gather -> QC", None),
+                op(0, "Gather -> QC", Some("gather")),
                 op(
                     1,
                     format!("Filter [clip(POLYGON).average() > {threshold}]"),
@@ -838,13 +839,13 @@ impl Plan {
                 ),
             ],
             Plan::Q13 => vec![
-                op(0, "Gather -> QC", None),
+                op(0, "Gather -> QC", Some("gather")),
                 op(1, "PBSMJoin [drainage.shape overlaps roads.shape]", Some("local spatial join")),
                 op(2, "SeqScan drainage  (co-partitioned on grid)", None),
                 op(2, "SeqScan roads  (co-partitioned on grid)", None),
             ],
             Plan::GenericScan { stmt } => {
-                let mut v = vec![op(0, "Gather -> QC", None)];
+                let mut v = vec![op(0, "Gather -> QC", Some("gather"))];
                 if let Some(col) = &stmt.order_by {
                     v.insert(0, op(0, format!("Sort [{col}]  (QC, sequential)"), None));
                 }
@@ -873,10 +874,10 @@ impl Plan {
 /// Shared Q9/Q14 operator tree (they differ only in the raster scan line).
 fn clip_join_tree(raster_scan: String, oil_type: i64) -> Vec<PlanLine> {
     vec![
-        op(0, "Gather -> QC", None),
+        op(0, "Gather -> QC", Some("gather")),
         op(1, "ClipJoin [raster x oil-field polygons]", Some("clip rasters by polygons")),
         op(2, raster_scan, None),
-        op(2, "Replicate oil fields  (QC)", None),
+        op(2, "Replicate oil fields  (QC)", Some("broadcast oil fields")),
         op(3, format!("Filter landCover [type = {oil_type}]"), Some("select oil fields")),
     ]
 }
@@ -929,6 +930,13 @@ fn explain_analyze(db: &Paradise, plan: &Plan) -> Result<QueryResult> {
                     ));
                 }
                 text.push_str(&format!("  [{}]", ann.join(" ")));
+            } else if let Some(x) = m.exchanges.iter().find(|x| x.name == phase) {
+                text.push_str(&format!(
+                    "  [measured wall={:.2?} tuples={} net={:.1}KB]",
+                    x.wall,
+                    x.net.tuples,
+                    x.net.bytes as f64 / 1024.0
+                ));
             } else {
                 text.push_str("  [not executed]");
             }
@@ -949,7 +957,7 @@ fn explain_analyze(db: &Paradise, plan: &Plan) -> Result<QueryResult> {
 fn plan_result(lines: Vec<String>, metrics: QueryMetrics) -> QueryResult {
     QueryResult {
         columns: vec!["QUERY PLAN".to_string()],
-        rows: lines.into_iter().map(|l| Tuple::new(vec![Value::Str(l)])).collect(),
+        rows: lines.into_iter().map(|l| Tuple::new(vec![Value::Str(l.into())])).collect(),
         metrics,
     }
 }
@@ -1151,7 +1159,7 @@ fn generic_scan(db: &Paradise, stmt: &SelectStmt) -> Result<QueryResult> {
         })?;
         Ok(rows)
     })?;
-    let rows = queries::collect_rows(db, per_node)?;
+    let rows = queries::collect_rows(db, &mut m, "gather", per_node)?;
     let mut result = eval.finish(rows, m)?;
     queries::seal(db, net0, &mut result.metrics, t0);
     Ok(result)

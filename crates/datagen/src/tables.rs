@@ -226,11 +226,11 @@ impl World {
             let ty =
                 if id % 40 == 7 || rng.gen_bool(0.02) { LARGE_CITY } else { 2 + (id as i64 % 4) };
             Tuple::new(vec![
-                Value::Str(format!("pp-{id}")),
-                Value::Str(format!("face-{}", id % 97)),
+                Value::Str(format!("pp-{id}").into()),
+                Value::Str(format!("face-{}", id % 97).into()),
                 Value::Int(ty),
                 Value::from(Shape::Point(p)),
-                Value::Str(name),
+                Value::Str(name.into()),
             ])
         };
         for i in 0..spec.populated_places {
@@ -266,7 +266,7 @@ impl World {
             let mut id = 0usize;
             let push = |id: usize, line: Polyline, rng: &mut StdRng, out: &mut Vec<Tuple>| {
                 out.push(Tuple::new(vec![
-                    Value::Str(format!("{prefix}-{id}")),
+                    Value::Str(format!("{prefix}-{id}").into()),
                     Value::Int(rng.gen_range(0..types)),
                     Value::from(Shape::Polyline(line)),
                 ]));
@@ -292,7 +292,7 @@ impl World {
         let mut lc_id = 0usize;
         let push_lc = |id: usize, ty: i64, poly: Polygon, out: &mut Vec<Tuple>| {
             out.push(Tuple::new(vec![
-                Value::Str(format!("lc-{id}")),
+                Value::Str(format!("lc-{id}").into()),
                 Value::Int(ty),
                 Value::from(Shape::Polygon(poly)),
             ]));

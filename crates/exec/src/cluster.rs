@@ -168,8 +168,14 @@ impl NetStats {
 
     /// Records one tuple shipped between distinct endpoints.
     pub fn ship(&self, bytes: usize) {
-        self.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-        self.tuples.fetch_add(1, Ordering::Relaxed);
+        self.ship_batch(bytes as u64, 1);
+    }
+
+    /// Records `tuples` tuples of `bytes` bytes in all shipped between
+    /// distinct endpoints.
+    pub fn ship_batch(&self, bytes: u64, tuples: u64) {
+        self.bytes.fetch_add(bytes, Ordering::Relaxed);
+        self.tuples.fetch_add(tuples, Ordering::Relaxed);
     }
 }
 

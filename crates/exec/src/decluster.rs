@@ -137,7 +137,7 @@ mod tests {
         let d = Decluster::Hash { col: 0 };
         let mut seen = std::collections::HashSet::new();
         for i in 0..200 {
-            let t = Tuple::new(vec![Value::Str(format!("key{i}"))]);
+            let t = Tuple::new(vec![Value::Str(format!("key{i}").into())]);
             let a = d.route(&c, &t, 0).unwrap();
             let b = d.route(&c, &t, 99).unwrap();
             assert_eq!(a, b, "hash must ignore seq");

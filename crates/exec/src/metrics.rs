@@ -47,11 +47,27 @@ impl PhaseTimes {
     }
 }
 
+/// One measured [`crate::phase::exchange`]: the coordinator-side step that
+/// moves tuples between endpoints between two phases. It is wall-clock
+/// time on this host, not part of the simulated (paper-model) time.
+#[derive(Debug, Clone, Default)]
+pub struct ExchangeTimes {
+    /// Exchange label (e.g. "gather", "broadcast").
+    pub name: String,
+    /// Wall-clock time of the whole exchange.
+    pub wall: Duration,
+    /// Traffic it charged: tuples and bytes that crossed an endpoint.
+    pub net: NetSnapshot,
+}
+
 /// Cost record of one query execution.
 #[derive(Debug, Clone, Default)]
 pub struct QueryMetrics {
     /// Parallel phases in execution order.
     pub phases: Vec<PhaseTimes>,
+    /// Exchanges between phases in execution order, measured on the host
+    /// and kept out of [`QueryMetrics::simulated_time`].
+    pub exchanges: Vec<ExchangeTimes>,
     /// Time spent in sequential operators (e.g. the single global
     /// aggregate of Q12, result assembly at the query coordinator).
     pub sequential: Duration,
@@ -115,12 +131,21 @@ fn dur_cell(d: Duration, width: usize) -> String {
 }
 
 /// The per-query report: a phases table (rows, busy critical path, total
-/// work, net traffic, buffer hit rate), the sequential remainder, and the
+/// work, net traffic, buffer hit rate), the measured exchanges (tuples,
+/// wall time, net traffic), the sequential remainder, and the
 /// simulated/wall/utilisation summary. This is the single formatting path
 /// for examples, the bench tables, and `EXPLAIN ANALYZE`.
 impl std::fmt::Display for QueryMetrics {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let name_w = self.phases.iter().map(|p| p.name.len()).max().unwrap_or(5).max(5);
+        let exchange_label = |x: &ExchangeTimes| format!("{} (exchange, measured)", x.name);
+        let name_w = self
+            .phases
+            .iter()
+            .map(|p| p.name.len())
+            .chain(self.exchanges.iter().map(|x| exchange_label(x).len()))
+            .max()
+            .unwrap_or(5)
+            .max(5);
         writeln!(
             f,
             "{:<name_w$} {:>9} {:>10} {:>10} {:>10} {:>14}",
@@ -141,6 +166,17 @@ impl std::fmt::Display for QueryMetrics {
                 p.net.bytes as f64 / 1024.0,
                 p.buffer.hits,
                 p.buffer.misses,
+            )?;
+        }
+        for x in &self.exchanges {
+            writeln!(
+                f,
+                "{:<name_w$} {:>9} {} {:>10} {:>10.1}",
+                exchange_label(x),
+                x.net.tuples,
+                dur_cell(x.wall, 10),
+                "-",
+                x.net.bytes as f64 / 1024.0,
             )?;
         }
         if self.sequential > Duration::ZERO {
@@ -215,6 +251,11 @@ mod tests {
             buffer: BufferStats { hits: 90, misses: 10, ..Default::default() },
             ..Default::default()
         });
+        m.exchanges.push(ExchangeTimes {
+            name: "gather".into(),
+            wall: ms(4),
+            net: NetSnapshot { bytes: 3072, tuples: 12, ..Default::default() },
+        });
         m.sequential = ms(3);
         m.net_bytes = 4096;
         m.net_tuples = 12;
@@ -223,6 +264,10 @@ mod tests {
         assert!(text.contains("scan + clip"), "{text}");
         assert!(text.contains("12"), "{text}");
         assert!(text.contains("90"), "{text}");
+        let gather = text.lines().find(|l| l.starts_with("gather")).expect("exchange line");
+        assert!(gather.contains("(exchange, measured)") && gather.contains("4.00ms"), "{text}");
+        assert!(gather.contains("3.0"), "exchange net KB: {text}");
+        assert_eq!(m.simulated_time(), ms(30 + 3), "exchanges stay out of the model");
         assert!(text.contains("sequential"), "{text}");
         assert!(text.contains("utilisation"), "{text}");
         assert!(text.contains("pulls 2"), "{text}");

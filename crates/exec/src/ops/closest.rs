@@ -3,11 +3,11 @@
 
 use crate::cluster::Cluster;
 use crate::metrics::QueryMetrics;
-use crate::phase::{exchange, run_phase, run_sequential};
+use crate::phase::{exchange, run_phase, run_sequential, Outbox};
 use crate::table::TableDef;
 use crate::tuple::{Records, Tuple};
 use crate::value::Value;
-use crate::{ExecError, NodeId, Result};
+use crate::{ExecError, Result};
 use paradise_geom::{Circle, Point, Rect};
 use paradise_storage::RTree;
 
@@ -179,7 +179,7 @@ pub fn closest_join(
         let mut outer_iter = outer_pts.into_iter();
         run_phase(cluster, metrics, "spatial semi-join", move |node| {
             let pts = outer_iter.next().expect("one batch per node");
-            let mut msgs: Vec<(NodeId, Tuple)> = Vec::new();
+            let mut msgs = Outbox::default();
             for t in pts {
                 let p = t.get(outer_col)?.as_shape()?.as_point().ok_or(crate::ExecError::Type {
                     expected: "point",
@@ -190,24 +190,24 @@ pub fn closest_join(
                         distance(&frags[node], payload, inner_col, &p)
                     })?;
                 if local {
-                    msgs.push((node, t));
+                    msgs.push(node, t);
                 } else {
                     // Replicate to every node: the closest feature could be
                     // anywhere (Figure 2.5's Madison case).
                     for dest in 0..cluster.num_nodes() {
-                        msgs.push((dest, t.clone()));
+                        msgs.push(dest, t.clone());
                     }
                 }
             }
             Ok(msgs)
         })?
     };
-    let inbox = exchange(cluster, outbox)?;
+    let inbox = exchange(cluster, metrics, "route to nodes", outbox)?;
 
     // Step 4b: join-with-aggregate per node (expanding circle probes). Each
     // match leaves for the QC as one (outer, inner, distance) row.
     let qc = cluster.coordinator_id();
-    let per_node: Vec<Vec<(NodeId, Tuple)>> = {
+    let per_node: Vec<Outbox> = {
         let (trees, frags) = (&trees, &frags);
         let mut inbox_iter = inbox.into_iter();
         run_phase(cluster, metrics, "join with aggregate", move |node| {
@@ -226,14 +226,14 @@ pub fn closest_join(
                     let mut row = t.values;
                     row.extend(frags[node].row(payload as usize)?.to_tuple()?.values);
                     row.push(Value::Float(d));
-                    out.push((qc, Tuple::new(row)));
+                    out.push(Tuple::new(row));
                 }
             }
-            Ok(out)
+            Ok(Outbox::to(qc, out))
         })?
     };
 
-    let rows = exchange(cluster, per_node)?.swap_remove(qc);
+    let rows = exchange(cluster, metrics, "gather", per_node)?.swap_remove(qc);
 
     // Final sequential global aggregate: min distance per outer point.
     let inner_arity = inner.schema.len();

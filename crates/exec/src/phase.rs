@@ -10,7 +10,7 @@
 //! path — the paper's cost model with one CPU per node.
 
 use crate::cluster::{Cluster, Transport};
-use crate::metrics::{PhaseTimes, QueryMetrics};
+use crate::metrics::{ExchangeTimes, PhaseTimes, QueryMetrics};
 use crate::tuple::Tuple;
 use crate::{ExecError, NodeId, Result};
 use std::time::Instant;
@@ -103,20 +103,60 @@ pub fn run_sequential<O>(
     Ok(out)
 }
 
+/// What one endpoint sends in an [`exchange`]: `self.0[dst]` is its batch
+/// for endpoint `dst`, in emission order. Endpoints past the end of the
+/// list receive nothing from it.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Outbox(pub Vec<Vec<Tuple>>);
+
+impl Outbox {
+    /// One batch, all of it for endpoint `dst`.
+    pub fn to(dst: NodeId, rows: Vec<Tuple>) -> Outbox {
+        let mut batches: Vec<Vec<Tuple>> = (0..dst).map(|_| Vec::new()).collect();
+        batches.push(rows);
+        Outbox(batches)
+    }
+
+    /// Appends `t` to the batch for endpoint `dst`.
+    pub fn push(&mut self, dst: NodeId, t: Tuple) {
+        if self.0.len() <= dst {
+            self.0.resize_with(dst + 1, Vec::new);
+        }
+        self.0[dst].push(t);
+    }
+}
+
+impl RowCounted for Outbox {
+    fn row_count(&self) -> Option<u64> {
+        Some(self.0.iter().map(|b| b.len() as u64).sum())
+    }
+}
+
 /// Moves tuples between cluster endpoints — the one way a tuple crosses a
 /// node boundary. Endpoints are the data-server nodes `0..n` plus the query
 /// coordinator `n` ([`Cluster::coordinator_id`]), so the same call
 /// repartitions (node → node), broadcasts (QC → nodes) and collects
-/// (nodes → QC). `outbox[src]` lists the `(dest, tuple)` pairs endpoint
-/// `src` emits; it may be shorter than `n + 1` when the QC sends nothing.
-/// Returns one inbox per endpoint (`n + 1` of them), each holding its
-/// tuples in source order, then emission order, under every transport.
+/// (nodes → QC). `outbox[src]` is what endpoint `src` sends; the list may
+/// be shorter than `n + 1` when the QC sends nothing. Returns one inbox per
+/// endpoint (`n + 1` of them), each holding its tuples in source order,
+/// then emission order, under every transport.
 ///
-/// Under [`Transport::Local`] tuples move by ownership; under `Tcp` each
-/// `(src, dst)` batch between distinct endpoints travels through its own
-/// flow-controlled wire stream. Both charge every tuple that crosses an
-/// endpoint boundary, and only those, to [`crate::cluster::NetStats`].
-pub fn exchange(cluster: &Cluster, outbox: Vec<Vec<(NodeId, Tuple)>>) -> Result<Vec<Vec<Tuple>>> {
+/// Under [`Transport::Local`] each batch moves into its inbox whole and is
+/// charged to [`crate::cluster::NetStats`] once, with its tuple count and
+/// summed [`Tuple::wire_size`]; under `Tcp` each `(src, dst)` batch between
+/// distinct endpoints travels through its own flow-controlled wire stream,
+/// charged per tuple as it is sent. Both charge the tuples that cross an
+/// endpoint boundary, and only those. The exchange's wall time and traffic
+/// go into `metrics` as a measured entry named `name`
+/// ([`QueryMetrics::exchanges`]), outside the simulated time.
+pub fn exchange(
+    cluster: &Cluster,
+    metrics: &mut QueryMetrics,
+    name: &str,
+    mut outbox: Vec<Outbox>,
+) -> Result<Vec<Vec<Tuple>>> {
+    let t0 = Instant::now();
+    let net0 = cluster.net.snapshot();
     let endpoints = cluster.coordinator_id() + 1;
     if outbox.len() > endpoints {
         return Err(ExecError::Other(format!(
@@ -124,44 +164,52 @@ pub fn exchange(cluster: &Cluster, outbox: Vec<Vec<(NodeId, Tuple)>>) -> Result<
             outbox.len()
         )));
     }
-    // batches[src][dst], in emission order.
-    let mut batches: Vec<Vec<Vec<Tuple>>> = Vec::with_capacity(outbox.len());
-    for msgs in outbox {
-        let mut per_dst: Vec<Vec<Tuple>> = (0..endpoints).map(|_| Vec::new()).collect();
-        for (dst, tuple) in msgs {
-            per_dst
-                .get_mut(dst)
-                .ok_or_else(|| ExecError::Other(format!("exchange: no endpoint {dst}")))?
-                .push(tuple);
-        }
-        batches.push(per_dst);
+    if outbox.iter().any(|o| o.0.len() > endpoints) {
+        return Err(ExecError::Other(format!("exchange: no endpoint {endpoints}")));
     }
     let local = matches!(cluster.transport(), Transport::Local);
     if !local {
-        ship_over_wire(cluster, &mut batches)?;
+        ship_over_wire(cluster, &mut outbox)?;
     }
-    let mut inbox: Vec<Vec<Tuple>> = (0..endpoints).map(|_| Vec::new()).collect();
-    for (src, per_dst) in batches.into_iter().enumerate() {
-        for (dst, batch) in per_dst.into_iter().enumerate() {
-            if local && dst != src {
-                for t in &batch {
-                    cluster.net.ship(t.wire_size());
-                }
-            }
-            inbox[dst].extend(batch);
+    // Tuples still to arrive at each endpoint, so an inbox grows once.
+    let mut pending = vec![0; endpoints];
+    for Outbox(batches) in &outbox {
+        for (dst, batch) in batches.iter().enumerate() {
+            pending[dst] += batch.len();
         }
     }
+    let mut inbox: Vec<Vec<Tuple>> = (0..endpoints).map(|_| Vec::new()).collect();
+    for (src, Outbox(batches)) in outbox.into_iter().enumerate() {
+        for (dst, mut batch) in batches.into_iter().enumerate() {
+            if local && dst != src && !batch.is_empty() {
+                let bytes = batch.iter().map(Tuple::wire_size).sum::<usize>();
+                cluster.net.ship_batch(bytes as u64, batch.len() as u64);
+            }
+            pending[dst] -= batch.len();
+            if inbox[dst].is_empty() {
+                inbox[dst] = batch;
+                inbox[dst].reserve_exact(pending[dst]);
+            } else {
+                inbox[dst].append(&mut batch);
+            }
+        }
+    }
+    metrics.exchanges.push(ExchangeTimes {
+        name: name.to_string(),
+        wall: t0.elapsed(),
+        net: cluster.net.since(net0),
+    });
     Ok(inbox)
 }
 
 /// The `Tcp` body of [`exchange`]: sends every non-empty batch between
 /// distinct endpoints over its own stream and replaces it with what the
 /// receiver got. Same-endpoint batches stay where they are.
-fn ship_over_wire(cluster: &Cluster, batches: &mut [Vec<Vec<Tuple>>]) -> Result<()> {
+fn ship_over_wire(cluster: &Cluster, outbox: &mut [Outbox]) -> Result<()> {
     let mut senders = Vec::new();
     let mut receivers = Vec::new();
-    for (src, per_dst) in batches.iter_mut().enumerate() {
-        for (dst, batch) in per_dst.iter_mut().enumerate() {
+    for (src, Outbox(batches)) in outbox.iter_mut().enumerate() {
+        for (dst, batch) in batches.iter_mut().enumerate() {
             if dst == src || batch.is_empty() {
                 continue;
             }
@@ -192,7 +240,7 @@ fn ship_over_wire(cluster: &Cluster, batches: &mut [Vec<Vec<Tuple>>]) -> Result<
     let mut link_err: Option<String> = None;
     for (src, dst, mut rx) in receivers {
         while let Some(t) = rx.recv() {
-            batches[src][dst].push(t);
+            outbox[src].0[dst].push(t);
         }
         if link_err.is_none() {
             link_err = rx.link_error();
@@ -218,7 +266,7 @@ fn ship_over_wire(cluster: &Cluster, batches: &mut [Vec<Vec<Tuple>>]) -> Result<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::ClusterConfig;
+    use crate::cluster::{ClusterConfig, NetSnapshot};
     use crate::value::Value;
 
     #[test]
@@ -260,18 +308,24 @@ mod tests {
         cluster.trace().set_enabled(false);
     }
 
+    fn t(v: i64) -> Tuple {
+        Tuple::new(vec![Value::Int(v)])
+    }
+
     #[test]
     fn route_accounts_cross_node_traffic_only() {
         let cluster = Cluster::create(&ClusterConfig::for_test(2, "exchange")).unwrap();
         let qc = cluster.coordinator_id();
-        let t = |v: i64| Tuple::new(vec![Value::Int(v)]);
         let base = cluster.net.snapshot();
+        let mut m = QueryMetrics::default();
         let inbox = exchange(
             &cluster,
+            &mut m,
+            "route",
             vec![
-                vec![(0, t(1)), (1, t(2)), (qc, t(4))], // node 0: one local, two remote
-                vec![(0, t(3)), (qc, t(5))],            // node 1: two remote
-                vec![(1, t(6))],                        // QC: a broadcast
+                Outbox(vec![vec![t(1)], vec![t(2)], vec![t(4)]]), // node 0: one local, two remote
+                Outbox(vec![vec![t(3)], vec![], vec![t(5)]]),     // node 1: two remote
+                Outbox::to(1, vec![t(6)]),                        // QC: a broadcast
             ],
         )
         .unwrap();
@@ -279,7 +333,80 @@ mod tests {
         let d = cluster.net.since(base);
         assert_eq!(d.tuples, 5, "only tuples crossing an endpoint are network traffic");
         assert_eq!(d.bytes, 5 * t(0).wire_size() as u64);
-        assert!(exchange(&cluster, vec![vec![(qc + 1, t(7))]]).is_err(), "no such endpoint");
+        assert!(
+            exchange(&cluster, &mut m, "route", vec![Outbox::to(qc + 1, vec![t(7)])]).is_err(),
+            "no such endpoint"
+        );
+    }
+
+    #[test]
+    fn batches_arrive_in_source_then_emission_order() {
+        let cluster = Cluster::create(&ClusterConfig::for_test(3, "exchange-order")).unwrap();
+        let qc = cluster.coordinator_id();
+        let mut m = QueryMetrics::default();
+        let mut outbox: Vec<Outbox> = Vec::new();
+        for src in 0..3 {
+            let mut o = Outbox::default();
+            for i in 0..4 {
+                // Interleave destinations: emission order within a batch
+                // survives, batches line up by source.
+                o.push(qc, t(src * 10 + i));
+                o.push((src as usize + 1) % 3, t(100 + src * 10 + i));
+            }
+            outbox.push(o);
+        }
+        let inbox = exchange(&cluster, &mut m, "gather", outbox).unwrap();
+        let want_qc: Vec<Tuple> =
+            (0..3).flat_map(|src| (0..4).map(move |i| t(src * 10 + i))).collect();
+        assert_eq!(inbox[qc], want_qc);
+        assert_eq!(inbox[1], (0..4).map(|i| t(100 + i)).collect::<Vec<_>>());
+        assert_eq!(inbox[0], (0..4).map(|i| t(120 + i)).collect::<Vec<_>>());
+        assert_eq!(m.exchanges.len(), 1);
+        assert_eq!(m.exchanges[0].name, "gather");
+        assert_eq!(m.exchanges[0].net.tuples, 24);
+        assert!(m.phases.is_empty() && m.simulated_time().is_zero(), "not a phase");
+    }
+
+    #[test]
+    fn unknown_endpoints_are_errors() {
+        let cluster = Cluster::create(&ClusterConfig::for_test(2, "exchange-bad")).unwrap();
+        let endpoints = cluster.coordinator_id() + 1;
+        let mut m = QueryMetrics::default();
+        let base = cluster.net.snapshot();
+        let mut o = Outbox::default();
+        o.push(endpoints, t(1));
+        let err = exchange(&cluster, &mut m, "route", vec![o]).unwrap_err();
+        assert!(err.to_string().contains(&format!("no endpoint {endpoints}")), "{err}");
+        let sources = (0..=endpoints).map(|_| Outbox::default()).collect();
+        assert!(exchange(&cluster, &mut m, "route", sources).is_err(), "too many sources");
+        assert_eq!(cluster.net.since(base), NetSnapshot::default(), "nothing charged");
+        assert!(m.exchanges.is_empty());
+    }
+
+    #[test]
+    fn batch_counters_sum_the_crossing_tuples_wire_sizes() {
+        let cluster = Cluster::create(&ClusterConfig::for_test(2, "exchange-bytes")).unwrap();
+        let qc = cluster.coordinator_id();
+        let row = |i: i64| {
+            Tuple::new(vec![
+                Value::Int(i),
+                Value::Str(format!("id-{}", "x".repeat(i as usize)).into()),
+            ])
+        };
+        let node0: Vec<Tuple> = (0..5).map(row).collect();
+        let node1: Vec<Tuple> = (5..8).map(row).collect();
+        let crossing: usize = node0.iter().chain(&node1).map(Tuple::wire_size).sum();
+        let base = cluster.net.snapshot();
+        let mut m = QueryMetrics::default();
+        let mut stay = Outbox::to(qc, node1);
+        stay.push(1, row(99)); // stays on node 1: not traffic
+        let inbox =
+            exchange(&cluster, &mut m, "gather", vec![Outbox::to(qc, node0), stay]).unwrap();
+        assert_eq!(inbox[qc].len(), 8);
+        assert_eq!(inbox[1], vec![row(99)]);
+        let d = cluster.net.since(base);
+        assert_eq!((d.tuples, d.bytes), (8, crossing as u64));
+        assert_eq!(m.exchanges[0].net, d);
     }
 
     #[test]

@@ -10,13 +10,14 @@
 //! ([`remote_stream`], used by `paradise-net` to run a stream over TCP
 //! with credit-based flow control). [`crate::cluster::Cluster::stream`]
 //! opens one; [`crate::phase::exchange`] is the one operator that does.
-//! Under the `Local` transport `exchange` moves tuples by ownership and
-//! opens no stream.
+//! Under the `Local` transport `exchange` moves each per-destination
+//! batch whole and opens no stream.
 //!
 //! Network accounting happens here, in [`TupleTx::send`] — the choke point
 //! every wire-transported tuple passes through — and in the `Local` body
-//! of `exchange`, so `Local` and `Tcp` transports report identical traffic
-//! for identical plans.
+//! of `exchange`, once per batch with the same tuple count and summed
+//! wire size, so `Local` and `Tcp` transports report identical traffic for
+//! identical plans.
 
 use crate::cluster::{NetStats, NodeId};
 use crate::tuple::Tuple;

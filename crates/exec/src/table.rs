@@ -363,10 +363,10 @@ mod tests {
 
     fn city(i: i64, x: f64, y: f64, name: &str) -> Tuple {
         Tuple::new(vec![
-            Value::Str(format!("pp-{i}")),
+            Value::Str(format!("pp-{i}").into()),
             Value::Int(i % 6),
             Value::from(Shape::Point(Point::new(x, y))),
-            Value::Str(name.to_string()),
+            Value::Str(name.into()),
         ])
     }
 

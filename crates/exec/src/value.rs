@@ -133,10 +133,10 @@ impl From<StoredRaster> for RasterValue {
     }
 }
 
-/// One attribute value, 24 bytes. Large attributes — shapes and rasters —
-/// are immutable and held by reference: copying a tuple into a temporary
-/// table or a join result copies pointers, not vertices, mapping tables or
-/// pixels (§2.5.2).
+/// One attribute value, 24 bytes. Strings, shapes and rasters are
+/// immutable and held by reference: copying a tuple into a temporary table
+/// or a join result copies pointers, not characters, vertices, mapping
+/// tables or pixels (§2.5.2).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// SQL NULL.
@@ -145,8 +145,8 @@ pub enum Value {
     Int(i64),
     /// 64-bit float.
     Float(f64),
-    /// UTF-8 string.
-    Str(String),
+    /// UTF-8 string, shared.
+    Str(Arc<str>),
     /// Calendar date.
     Date(Date),
     /// Spatial shape, shared.
@@ -303,10 +303,9 @@ impl Value {
             2 => Value::Float(f64::from_le_bytes(take(buf, pos, 8)?.try_into().unwrap())),
             3 => {
                 let n = read_u32(buf, pos)?;
-                Value::Str(
-                    String::from_utf8(take(buf, pos, n)?.to_vec())
-                        .map_err(|_| ExecError::Codec("bad utf8"))?,
-                )
+                let s = std::str::from_utf8(take(buf, pos, n)?)
+                    .map_err(|_| ExecError::Codec("bad utf8"))?;
+                Value::Str(s.into())
             }
             4 => Value::Date(Date(i64::from_le_bytes(take(buf, pos, 8)?.try_into().unwrap()))),
             5 => decode_shape(buf, pos)?.into(),
@@ -737,7 +736,7 @@ mod tests {
         roundtrip(Value::Null);
         roundtrip(Value::Int(-42));
         roundtrip(Value::Float(3.75));
-        roundtrip(Value::Str("Phoenix".to_string()));
+        roundtrip(Value::Str("Phoenix".into()));
         roundtrip(Value::Date(Date::from_ymd(1988, 4, 1)));
     }
 

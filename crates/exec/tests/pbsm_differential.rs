@@ -34,7 +34,7 @@ const STEP_Y: f64 = 180.0 / 32.0 / 4.0;
 fn line(id: String, pts: &[(i32, i32)]) -> Tuple {
     let pts = pts.iter().map(|&(x, y)| Point::new(f64::from(x) * STEP_X, f64::from(y) * STEP_Y));
     Tuple::new(vec![
-        Value::Str(id),
+        Value::Str(id.into()),
         Value::from(Shape::Polyline(Polyline::new(pts.collect()).unwrap())),
     ])
 }

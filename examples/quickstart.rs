@@ -38,7 +38,7 @@ fn main() {
         "cities",
         cities.iter().map(|&(name, pop, x, y)| {
             Tuple::new(vec![
-                Value::Str(name.to_string()),
+                Value::Str(name.into()),
                 Value::Int(pop),
                 Value::from(Shape::Point(Point::new(x, y))),
             ])

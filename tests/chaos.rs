@@ -18,6 +18,8 @@
 //! one mutex and disarms on entry.
 
 use paradise::exec::cluster::{Cluster, ClusterConfig, Transport};
+use paradise::exec::metrics::QueryMetrics;
+use paradise::exec::phase::{exchange, Outbox};
 use paradise::exec::value::Value;
 use paradise::exec::Tuple;
 use paradise::net::{NetConfig, TcpTransport};
@@ -243,7 +245,7 @@ fn sequoia_queries_under_fault_schedules_never_wrong_never_wedged() {
 }
 
 fn test_tuple(i: i64) -> Tuple {
-    Tuple::new(vec![Value::Int(i), Value::Str(format!("row-{i}"))])
+    Tuple::new(vec![Value::Int(i), Value::Str(format!("row-{i}").into())])
 }
 
 /// Lost credit grants starve the sender's window: the send fails with the
@@ -307,14 +309,15 @@ fn poisoned_sender_fails_phase_cleanly_and_cluster_stays_usable() {
     assert_eq!(encoded_rows(&queries::q6(&db, &us).expect("after poison")), base);
 
     // Repartition: same contract on a node-to-node exchange.
-    let outbox = |n: i64| vec![vec![(1usize, test_tuple(n))], vec![(0usize, test_tuple(n + 1))]];
+    let outbox =
+        |n: i64| vec![Outbox::to(1, vec![test_tuple(n)]), Outbox::to(0, vec![test_tuple(n + 1)])];
     let armed = failpoint::armed("exec.route_send", Policy::error("node poisoned"));
-    let err = paradise::exec::phase::exchange(db.cluster(), outbox(1))
+    let err = exchange(db.cluster(), &mut QueryMetrics::default(), "route", outbox(1))
         .expect_err("poisoned exchange must fail the phase");
     assert!(err.to_string().contains("exec.route_send"), "unexpected error: {err}");
     drop(armed);
-    let inbox =
-        paradise::exec::phase::exchange(db.cluster(), outbox(10)).expect("exchange after poison");
+    let inbox = exchange(db.cluster(), &mut QueryMetrics::default(), "route", outbox(10))
+        .expect("exchange after poison");
     assert_eq!(inbox[0].len() + inbox[1].len(), 2, "exchange works again once disarmed");
 }
 

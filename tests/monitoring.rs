@@ -32,7 +32,7 @@ fn build_db(cfg: ParadiseConfig) -> Paradise {
 
 fn str_col(t: &Tuple, i: usize) -> String {
     match t.get(i).expect("column") {
-        Value::Str(s) => s.clone(),
+        Value::Str(s) => s.to_string(),
         other => panic!("expected string column, got {other:?}"),
     }
 }

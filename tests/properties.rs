@@ -66,7 +66,7 @@ fn value_codec_roundtrips() {
         for v in [
             Value::Int(rng.next_u64() as i64),
             Value::Float(rng.gen_range(-1e12f64..1e12)),
-            Value::Str(s.clone()),
+            Value::Str(s.as_str().into()),
             Value::Date(Date(rng.gen_range(-1_000_000i64..1_000_000))),
             Value::Null,
         ] {
@@ -484,7 +484,12 @@ fn value_of_kind(rng: &mut Rng, kind: usize) -> Value {
         0 => Value::Null,
         1 => Value::Int(rng.next_u64() as i64),
         2 => Value::Float(rng.gen_range(-1e12f64..1e12)),
-        3 => Value::Str((0..rng.index(24)).map(|_| ['a', 'é', '7', '∑'][rng.index(4)]).collect()),
+        3 => Value::Str(
+            (0..rng.index(24))
+                .map(|_| ['a', 'é', '7', '∑'][rng.index(4)])
+                .collect::<String>()
+                .into(),
+        ),
         4 => Value::Date(Date(rng.gen_range(-1_000_000i64..1_000_000))),
         5 => Value::from(Shape::Point(point(rng))),
         6 => {

@@ -5,7 +5,8 @@
 //! the credit window keep credits flowing while each sender finishes.
 
 use paradise::exec::cluster::{Cluster, ClusterConfig, Transport};
-use paradise::exec::phase::exchange;
+use paradise::exec::metrics::QueryMetrics;
+use paradise::exec::phase::{exchange, Outbox};
 use paradise::exec::stream::DEFAULT_WINDOW;
 use paradise::exec::value::Value;
 use paradise::exec::Tuple;
@@ -24,15 +25,20 @@ fn back_to_back_exchanges_deliver_every_stream_to_its_eos() {
         |src: usize, i: usize| Tuple::new(vec![Value::Int(src as i64), Value::Int(i as i64)]);
     for round in 0..40 {
         // Every endpoint sends one batch to every other endpoint.
-        let outbox: Vec<Vec<(usize, Tuple)>> = (0..endpoints)
+        let outbox: Vec<Outbox> = (0..endpoints)
             .map(|src| {
-                (0..endpoints)
-                    .filter(|&dst| dst != src)
-                    .flat_map(|dst| (0..per_batch).map(move |i| (dst, tuple(src, i))))
-                    .collect()
+                Outbox(
+                    (0..endpoints)
+                        .map(|dst| {
+                            let n = if dst == src { 0 } else { per_batch };
+                            (0..n).map(|i| tuple(src, i)).collect()
+                        })
+                        .collect(),
+                )
             })
             .collect();
-        let inbox = exchange(&cluster, outbox).unwrap_or_else(|e| panic!("round {round}: {e}"));
+        let inbox = exchange(&cluster, &mut QueryMetrics::default(), "round", outbox)
+            .unwrap_or_else(|e| panic!("round {round}: {e}"));
         for (dst, got) in inbox.iter().enumerate() {
             let want: Vec<Tuple> = (0..endpoints)
                 .filter(|&src| src != dst)

@@ -140,7 +140,7 @@ fn q2_q6_identical_results_and_accounting_across_transports() {
 }
 
 fn test_tuple(i: i64) -> Tuple {
-    Tuple::new(vec![Value::Int(i), Value::Str(format!("row-{i}"))])
+    Tuple::new(vec![Value::Int(i), Value::Str(format!("row-{i}").into())])
 }
 
 /// Tuples sent through `Transport::Tcp` really cross a socket: the
@@ -248,7 +248,7 @@ fn catalog_metrics_over_tcp_reflects_wire_stats() {
     assert!(after > before, "the stats pull itself must cross the wire");
 
     let cell = |t: &Tuple, i: usize| match t.get(i).expect("col") {
-        Value::Str(s) => s.clone(),
+        Value::Str(s) => s.to_string(),
         other => panic!("expected string, got {other:?}"),
     };
     let val = |t: &Tuple, i: usize| match t.get(i).expect("col") {
