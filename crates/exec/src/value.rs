@@ -216,18 +216,21 @@ impl Value {
         }
     }
 
-    /// Serialized size estimate in bytes — what shipping this value over a
-    /// network stream costs. A stored raster costs only its mapping table.
+    /// Encoded size in bytes: exactly what [`Value::encode`] writes, and
+    /// what shipping this value over a network stream costs. A stored
+    /// raster costs only its mapping table.
     pub fn wire_size(&self) -> usize {
-        match self {
-            Value::Null => 1,
-            Value::Int(_) | Value::Float(_) | Value::Date(_) => 9,
-            Value::Str(s) => 5 + s.len(),
-            Value::Shape(s) => 5 + s.num_points() * 16,
-            Value::Raster(RasterValue::Mem(r)) => {
-                32 + r.byte_len() + r.mask().map_or(0, <[u8]>::len)
+        1 + match self {
+            Value::Null => 0,
+            Value::Int(_) | Value::Float(_) | Value::Date(_) => 8,
+            Value::Str(s) => 4 + s.len(),
+            Value::Shape(s) => shape_size(s),
+            Value::Raster(RasterValue::Stored(s)) => {
+                1 + RECT_BYTES + 16 + 4 + s.tiles.len() * TILE_REF_BYTES
             }
-            Value::Raster(RasterValue::Stored(s)) => 48 + s.tiles.len() * 16,
+            Value::Raster(RasterValue::Mem(r)) => {
+                1 + RECT_BYTES + 8 + r.array().data().len() + r.mask().map_or(0, <[u8]>::len)
+            }
         }
     }
 
@@ -449,6 +452,23 @@ pub fn encode_shape(s: &Shape, out: &mut Vec<u8>) {
             out.push(5);
             encode_rect(r, out);
         }
+    }
+}
+
+/// Bytes [`encode_shape`] writes for `s`.
+fn shape_size(s: &Shape) -> usize {
+    let points = |n: usize| 4 + n * POINT_BYTES;
+    1 + match s {
+        Shape::Point(_) => POINT_BYTES,
+        Shape::Polyline(l) => points(l.points().len()),
+        Shape::Polygon(p) => points(p.ring().len()),
+        Shape::SwissCheese(sc) => {
+            points(sc.shell().ring().len())
+                + 4
+                + sc.holes().iter().map(|h| points(h.ring().len())).sum::<usize>()
+        }
+        Shape::Circle(_) => POINT_BYTES + 8,
+        Shape::Rect(_) => RECT_BYTES,
     }
 }
 
@@ -855,6 +875,59 @@ mod tests {
             tiles: vec![TileRef { node: 0, oid: Oid { page: 1, slot: 0 }, compressed: false }; 4],
         }));
         assert!(stored.wire_size() * 10 < mem.wire_size(), "references must be cheap to ship");
+    }
+
+    #[test]
+    fn wire_size_is_the_encoded_length() {
+        let p = |x: f64, y: f64| Point::new(x, y);
+        let rect = Rect::from_corners(p(0.0, 0.0), p(10.0, 10.0)).unwrap();
+        let hole =
+            |x: f64| Polygon::from_rect(&Rect::from_corners(p(x, x), p(x + 1.0, x + 1.0)).unwrap());
+        let geo = Rect::from_corners(p(0.0, 0.0), p(1.0, 1.0)).unwrap();
+        let mut mem = Raster::new(5, 3, BitDepth::Sixteen, geo).unwrap();
+        mem.set_pixel(1, 1, 7).unwrap();
+        let tri = Polygon::new(vec![p(0.0, 0.0), p(1.0, 0.0), p(0.0, 1.0)]).unwrap();
+        let masked = mem.clip(&tri).unwrap();
+        assert!(masked.mask().is_some());
+        let tile = TileRef { node: 1, oid: Oid { page: 3, slot: 2 }, compressed: true };
+        let stored = StoredRaster {
+            depth: BitDepth::Eight,
+            geo,
+            width: 100,
+            height: 80,
+            tile_h: 40,
+            tile_w: 50,
+            tiles: vec![tile; 4],
+        };
+        let values = [
+            Value::Null,
+            Value::Int(-3),
+            Value::Float(2.5),
+            Value::Date(Date::from_ymd(1988, 4, 1)),
+            Value::Str("".into()),
+            Value::Str("Phoenix ∑".into()),
+            Value::from(Shape::Point(p(1.0, 2.0))),
+            Value::from(Shape::Polyline(
+                Polyline::new(vec![p(0.0, 0.0), p(1.0, 1.0), p(2.0, 0.0)]).unwrap(),
+            )),
+            Value::from(Shape::Polygon(tri.clone())),
+            Value::from(Shape::SwissCheese(
+                SwissCheese::new(Polygon::from_rect(&rect), vec![hole(2.0), hole(5.0)]).unwrap(),
+            )),
+            Value::from(Shape::SwissCheese(
+                SwissCheese::new(Polygon::from_rect(&rect), vec![]).unwrap(),
+            )),
+            Value::from(Shape::Circle(Circle::new(p(5.0, 5.0), 2.5).unwrap())),
+            Value::from(Shape::Rect(rect)),
+            Value::Raster(stored.into()),
+            Value::Raster(RasterValue::Mem(Arc::new(mem))),
+            Value::Raster(RasterValue::Mem(Arc::new(masked))),
+        ];
+        for v in values {
+            let mut buf = Vec::new();
+            v.encode(&mut buf);
+            assert_eq!(v.wire_size(), buf.len(), "{v:?}");
+        }
     }
 
     #[test]
