@@ -137,6 +137,31 @@ impl Bencher {
         }
     }
 
+    /// Like [`Bencher::iter`], but each run consumes a fresh input built
+    /// by `setup`, outside the timed span. The routine's output is dropped
+    /// inside it.
+    pub fn iter_with_setup<I, R>(
+        &mut self,
+        mut setup: impl FnMut() -> I,
+        mut routine: impl FnMut(I) -> R,
+    ) {
+        let t0 = Instant::now();
+        while t0.elapsed() < self.cfg.warm_up {
+            black_box(routine(setup()));
+        }
+        self.samples.clear();
+        let t0 = Instant::now();
+        loop {
+            let input = setup();
+            let s = Instant::now();
+            black_box(routine(input));
+            self.samples.push(s.elapsed());
+            if self.samples.len() >= self.cfg.sample_size || t0.elapsed() >= self.cfg.measurement {
+                break;
+            }
+        }
+    }
+
     fn report(&self, group: &str, id: &str, throughput: Option<Throughput>) {
         if self.samples.is_empty() {
             println!("{group}/{id}: no samples");

@@ -518,7 +518,7 @@ mod tests {
     #[test]
     fn join_output_shares_the_input_geometry() {
         // Each joining record is decoded once and `concat` copies pointers:
-        // the two rows of one left record share its shape allocation.
+        // the two rows of one left record share its shape and id allocations.
         let c = cluster(1, "sj4");
         let l = input(&[line("a", &[(-50.0, -50.0), (50.0, 50.0)])]);
         let r = input(&[
@@ -532,6 +532,12 @@ mod tests {
             panic!("shape columns")
         };
         assert!(std::sync::Arc::ptr_eq(first, second), "the left record was decoded twice");
+        // Strings are shared too: both rows point at the left record's id.
+        let (Value::Str(first), Value::Str(second)) = (&out[0].values[0], &out[1].values[0]) else {
+            panic!("id columns")
+        };
+        assert_eq!(&**first, "a");
+        assert!(std::sync::Arc::ptr_eq(first, second), "the left id was copied");
     }
 
     #[test]
