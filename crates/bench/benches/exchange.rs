@@ -40,7 +40,7 @@ fn joined_rows(drainage: &[Tuple], roads: &[Tuple]) -> Vec<Vec<Tuple>> {
             (0..ROWS_PER_NODE)
                 .map(|i| {
                     let d = &drainage[(node * ROWS_PER_NODE + i) / 9 % drainage.len()];
-                    concat(d, &roads[(i * 31 + node) % roads.len()])
+                    concat(&d.values, &roads[(i * 31 + node) % roads.len()].values)
                 })
                 .collect()
         })

@@ -22,7 +22,7 @@ use paradise_exec::metrics::QueryMetrics;
 use paradise_exec::ops::basic::sort_by_col;
 use paradise_exec::ops::closest::{closest_join, ClosestResult};
 use paradise_exec::ops::spatial_join::parallel_spatial_join;
-use paradise_exec::phase::{exchange, run_phase, run_sequential, Outbox};
+use paradise_exec::phase::{exchange, run_phase, run_sequential, Batch, Outbox};
 use paradise_exec::raster_store;
 use paradise_exec::table::unpack_oid;
 use paradise_exec::value::{Date, RasterValue, StoredRaster, Value};
@@ -91,7 +91,7 @@ pub(crate) fn collect_rows(
     db: &Paradise,
     metrics: &mut QueryMetrics,
     name: &str,
-    per_node: Vec<Vec<Tuple>>,
+    per_node: Vec<impl Into<Batch>>,
 ) -> Result<Vec<Tuple>> {
     let qc = db.cluster().coordinator_id();
     let outbox = per_node.into_iter().map(|rows| Outbox::to(qc, rows)).collect();
@@ -108,7 +108,7 @@ fn broadcast(
 ) -> Result<Vec<Vec<Tuple>>> {
     let n = db.cluster().num_nodes();
     let mut outbox: Vec<Outbox> = (0..n).map(|_| Outbox::default()).collect();
-    outbox.push(Outbox(vec![rows; n]));
+    outbox.push(Outbox(vec![Batch::from(rows); n]));
     let mut inbox = exchange(db.cluster(), metrics, name, outbox)?;
     inbox.truncate(n);
     Ok(inbox)

@@ -2,6 +2,7 @@
 
 use crate::table::index_key;
 use crate::tuple::Tuple;
+use crate::value::Value;
 use crate::Result;
 
 /// Sorts tuples by column `col` using the order-preserving index encoding
@@ -19,18 +20,17 @@ pub fn sort_by_col(mut input: Vec<Tuple>, col: usize) -> Result<Vec<Tuple>> {
     Ok(keyed.into_iter().map(|(_, t)| t).collect())
 }
 
-/// Concatenates two tuples (join output composition).
-pub fn concat(a: &Tuple, b: &Tuple) -> Tuple {
-    let mut values = Vec::with_capacity(a.values.len() + b.values.len());
-    values.extend(a.values.iter().cloned());
-    values.extend(b.values.iter().cloned());
+/// The tuple of `a`'s values followed by `b`'s (join output composition).
+pub fn concat(a: &[Value], b: &[Value]) -> Tuple {
+    let mut values = Vec::with_capacity(a.len() + b.len());
+    values.extend(a.iter().cloned());
+    values.extend(b.iter().cloned());
     Tuple::new(values)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::Value;
 
     fn t(v: i64) -> Tuple {
         Tuple::new(vec![Value::Int(v)])
@@ -47,7 +47,7 @@ mod tests {
     fn concat_tuples() {
         let a = Tuple::new(vec![Value::Int(1)]);
         let b = Tuple::new(vec![Value::Str("x".into()), Value::Int(2)]);
-        let c = concat(&a, &b);
+        let c = concat(&a.values, &b.values);
         assert_eq!(c.values.len(), 3);
         assert_eq!(c.get(2).unwrap(), &Value::Int(2));
     }

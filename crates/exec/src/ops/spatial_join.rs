@@ -35,17 +35,18 @@
 //!    duplicates — and emit `(left, right)` record-index pairs.
 //! 4. **Materialise.** The filter columns are freed; each record a pair
 //!    names is decoded once, on the pool, and the output rows are built
-//!    with [`concat()`] in pair order, on the pool too.
+//!    with [`concat()`] in pair order, on the pool too, into a [`Batch`]
+//!    that sizes each row for the exchange while it is in cache.
 //!
 //! Morsel-order merging keeps the output identical for every worker count.
 
 use crate::cluster::Cluster;
 use crate::metrics::QueryMetrics;
 use crate::ops::basic::concat;
-use crate::phase::run_phase;
+use crate::phase::{run_phase, Batch};
 use crate::table::TableDef;
 use crate::tuple::{Records, Row, Tuple};
-use crate::value::{EncodedPoints, ShapeRef};
+use crate::value::{EncodedPoints, ShapeRef, Value};
 use crate::workers::{WorkerPool, ROW_MORSEL, TILE_MORSEL};
 use crate::{ExecError, NodeId, Result};
 use paradise_geom::algorithms::segment::Segment;
@@ -107,26 +108,58 @@ impl JoinInput {
     }
 }
 
+/// The records a join's pairs name, decoded once each, their values back
+/// to back, record after record: one allocation for every record's
+/// columns, read in place by [`concat()`].
+struct Decoded {
+    values: Vec<Value>,
+    /// `values[starts[k]..starts[k + 1]]` holds the `k`-th decoded record.
+    starts: Vec<usize>,
+    /// Each record's position among the decoded ones (`u32::MAX`: not
+    /// decoded).
+    slot: Vec<u32>,
+}
+
+impl Decoded {
+    /// Record `i`'s values.
+    fn get(&self, i: u32) -> &[Value] {
+        let k = self.slot[i as usize] as usize;
+        &self.values[self.starts[k]..self.starts[k + 1]]
+    }
+}
+
 /// Decodes every record of `records` that `used` names, once each, on
-/// `pool`; the others stay `None`.
+/// `pool`.
 fn decode_used(
     pool: &WorkerPool,
     records: &Records,
     used: impl Iterator<Item = u32>,
-) -> Result<Vec<Option<Tuple>>> {
-    let mut marked = vec![false; records.len()];
+) -> Result<Decoded> {
+    let mut slot = vec![u32::MAX; records.len()];
     for i in used {
-        marked[i as usize] = true;
+        slot[i as usize] = 0;
     }
-    let ids: Vec<usize> = (0..records.len()).filter(|&i| marked[i]).collect();
-    let decoded = pool.run(ids.len(), ROW_MORSEL, |range| {
-        ids[range].iter().map(|&i| records.row(i)?.to_tuple()).collect::<Result<Vec<_>>>()
+    let ids: Vec<usize> = (0..records.len()).filter(|&i| slot[i] == 0).collect();
+    for (k, &i) in ids.iter().enumerate() {
+        slot[i] = k as u32;
+    }
+    let parts = pool.run(ids.len(), ROW_MORSEL, |range| {
+        let (mut values, mut ends) = (Vec::new(), Vec::with_capacity(range.len()));
+        for &i in &ids[range] {
+            records.row(i)?.decode_into(&mut values)?;
+            ends.push(values.len());
+        }
+        Ok::<_, ExecError>((values, ends))
     })?;
-    let mut out = vec![None; records.len()];
-    for (i, t) in ids.into_iter().zip(decoded.into_iter().flatten()) {
-        out[i] = Some(t);
+    let mut values = Vec::with_capacity(parts.iter().map(|p| p.0.len()).sum());
+    let mut starts = Vec::with_capacity(ids.len() + 1);
+    starts.push(0);
+    for (mut part, ends) in parts {
+        let base = values.len();
+        starts.extend(ends.into_iter().map(|e| base + e));
+        values.append(&mut part);
     }
-    Ok(out)
+    Ok(Decoded { values, starts, slot })
 }
 
 /// A fragment as scanned: records in storage order, each with its shape
@@ -314,7 +347,8 @@ fn sweep_tile(
 
 /// The local PBSM join of two inputs over the cluster grid, reporting only
 /// pairs whose reference tile belongs to `node`: output rows are `left ++
-/// right` tuples, in ascending reference tile, then sweep order.
+/// right` tuples, in ascending reference tile, then sweep order, as one
+/// batch for the gather.
 ///
 /// The inputs are the node's fragments of spatially-declustered (and
 /// therefore possibly replicated) tables; the join consumes them, freeing
@@ -328,7 +362,7 @@ pub fn local_tile_join(
     node: NodeId,
     left: JoinInput,
     right: JoinInput,
-) -> Result<Vec<Tuple>> {
+) -> Result<Batch> {
     let grid = cluster.grid();
     let owned: Vec<bool> =
         (0..grid.num_tiles()).map(|t| cluster.node_for_tile(t) == node).collect();
@@ -352,15 +386,11 @@ pub fn local_tile_join(
     let lrows = decode_used(pool, &left, pairs.iter().map(|p| p.0))?;
     let rrows = decode_used(pool, &right, pairs.iter().map(|p| p.1))?;
     drop((left, right));
-    fn decoded(rows: &[Option<Tuple>], i: u32) -> &Tuple {
-        rows[i as usize].as_ref().expect("every paired record is decoded")
-    }
     let rows = pool.run(pairs.len(), ROW_MORSEL, |range| {
-        let rows =
-            pairs[range].iter().map(|&(l, r)| concat(decoded(&lrows, l), decoded(&rrows, r)));
-        Ok::<_, ExecError>(rows.collect::<Vec<_>>())
+        let rows = pairs[range].iter().map(|&(l, r)| concat(lrows.get(l), rrows.get(r)));
+        Ok::<_, ExecError>(rows.collect::<Batch>())
     })?;
-    Ok(rows.into_iter().flatten().collect())
+    Ok(Batch::concat(rows))
 }
 
 /// The full parallel spatial join of two spatially-declustered tables:
@@ -372,7 +402,7 @@ pub fn parallel_spatial_join(
     lcol: usize,
     right: &TableDef,
     rcol: usize,
-) -> Result<Vec<Vec<Tuple>>> {
+) -> Result<Vec<Batch>> {
     let pool = cluster.workers();
     run_phase(cluster, metrics, "local spatial join", |node| {
         // The two scans are independent: one morsel each.
@@ -572,6 +602,7 @@ mod tests {
         let l = input(&[a.clone(), line("far", &[(100.0, 80.0), (110.0, 85.0)])]);
         let right = [line("c", &[(6.0, 4.8), (9.0, 1.0)]), line("b", &[(1.0, 3.0), (3.0, 0.6)])];
         let out = local_tile_join(&c, &c.workers(), 0, l, input(&right)).unwrap();
-        assert_eq!(out, vec![concat(&a, &right[1]), concat(&a, &right[0])]);
+        let (a, right) = (&a.values, [&right[0].values, &right[1].values]);
+        assert_eq!(out.into_tuples(), vec![concat(a, right[1]), concat(a, right[0])]);
     }
 }

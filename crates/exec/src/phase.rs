@@ -103,24 +103,96 @@ pub fn run_sequential<O>(
     Ok(out)
 }
 
+/// Tuples bound for one endpoint, with the sum of their
+/// [`Tuple::wire_size`]s kept as they are added, so charging the batch
+/// under the `Local` transport reads no tuple. An operator that builds its
+/// output as a batch sizes each tuple while it is still in cache.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Batch {
+    tuples: Vec<Tuple>,
+    wire_bytes: u64,
+}
+
+impl Batch {
+    /// Appends `t`.
+    pub fn push(&mut self, t: Tuple) {
+        self.wire_bytes += t.wire_size() as u64;
+        self.tuples.push(t);
+    }
+
+    /// The batches one after another, in order.
+    pub fn concat(batches: Vec<Batch>) -> Batch {
+        let mut out = Batch {
+            tuples: Vec::with_capacity(batches.iter().map(|b| b.len()).sum()),
+            wire_bytes: 0,
+        };
+        for mut b in batches {
+            out.tuples.append(&mut b.tuples);
+            out.wire_bytes += b.wire_bytes;
+        }
+        out
+    }
+
+    /// The summed wire size of the tuples.
+    pub fn wire_bytes(&self) -> u64 {
+        self.wire_bytes
+    }
+
+    /// The tuples, in order.
+    pub fn into_tuples(self) -> Vec<Tuple> {
+        self.tuples
+    }
+}
+
+impl std::ops::Deref for Batch {
+    type Target = [Tuple];
+
+    fn deref(&self) -> &[Tuple] {
+        &self.tuples
+    }
+}
+
+impl From<Vec<Tuple>> for Batch {
+    fn from(tuples: Vec<Tuple>) -> Batch {
+        let wire_bytes = tuples.iter().map(|t| t.wire_size() as u64).sum();
+        Batch { tuples, wire_bytes }
+    }
+}
+
+impl FromIterator<Tuple> for Batch {
+    fn from_iter<I: IntoIterator<Item = Tuple>>(iter: I) -> Batch {
+        let mut b = Batch::default();
+        for t in iter {
+            b.push(t);
+        }
+        b
+    }
+}
+
+impl RowCounted for Batch {
+    fn row_count(&self) -> Option<u64> {
+        Some(self.len() as u64)
+    }
+}
+
 /// What one endpoint sends in an [`exchange`]: `self.0[dst]` is its batch
 /// for endpoint `dst`, in emission order. Endpoints past the end of the
 /// list receive nothing from it.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct Outbox(pub Vec<Vec<Tuple>>);
+pub struct Outbox(pub Vec<Batch>);
 
 impl Outbox {
     /// One batch, all of it for endpoint `dst`.
-    pub fn to(dst: NodeId, rows: Vec<Tuple>) -> Outbox {
-        let mut batches: Vec<Vec<Tuple>> = (0..dst).map(|_| Vec::new()).collect();
-        batches.push(rows);
+    pub fn to(dst: NodeId, rows: impl Into<Batch>) -> Outbox {
+        let mut batches: Vec<Batch> = (0..dst).map(|_| Batch::default()).collect();
+        batches.push(rows.into());
         Outbox(batches)
     }
 
     /// Appends `t` to the batch for endpoint `dst`.
     pub fn push(&mut self, dst: NodeId, t: Tuple) {
         if self.0.len() <= dst {
-            self.0.resize_with(dst + 1, Vec::new);
+            self.0.resize_with(dst + 1, Batch::default);
         }
         self.0[dst].push(t);
     }
@@ -143,7 +215,7 @@ impl RowCounted for Outbox {
 ///
 /// Under [`Transport::Local`] each batch moves into its inbox whole and is
 /// charged to [`crate::cluster::NetStats`] once, with its tuple count and
-/// summed [`Tuple::wire_size`]; under `Tcp` each `(src, dst)` batch between
+/// [`Batch::wire_bytes`]; under `Tcp` each `(src, dst)` batch between
 /// distinct endpoints travels through its own flow-controlled wire stream,
 /// charged per tuple as it is sent. Both charge the tuples that cross an
 /// endpoint boundary, and only those. The exchange's wall time and traffic
@@ -153,7 +225,7 @@ pub fn exchange(
     cluster: &Cluster,
     metrics: &mut QueryMetrics,
     name: &str,
-    mut outbox: Vec<Outbox>,
+    outbox: Vec<Outbox>,
 ) -> Result<Vec<Vec<Tuple>>> {
     let t0 = Instant::now();
     let net0 = cluster.net.snapshot();
@@ -168,23 +240,31 @@ pub fn exchange(
         return Err(ExecError::Other(format!("exchange: no endpoint {endpoints}")));
     }
     let local = matches!(cluster.transport(), Transport::Local);
+    // batches[src][dst], in emission order.
+    let mut batches: Vec<Vec<Vec<Tuple>>> = Vec::with_capacity(outbox.len());
+    for (src, Outbox(per_dst)) in outbox.into_iter().enumerate() {
+        let mut tuples = Vec::with_capacity(per_dst.len());
+        for (dst, batch) in per_dst.into_iter().enumerate() {
+            if local && dst != src && !batch.is_empty() {
+                cluster.net.ship_batch(batch.wire_bytes(), batch.len() as u64);
+            }
+            tuples.push(batch.into_tuples());
+        }
+        batches.push(tuples);
+    }
     if !local {
-        ship_over_wire(cluster, &mut outbox)?;
+        ship_over_wire(cluster, &mut batches)?;
     }
     // Tuples still to arrive at each endpoint, so an inbox grows once.
     let mut pending = vec![0; endpoints];
-    for Outbox(batches) in &outbox {
-        for (dst, batch) in batches.iter().enumerate() {
+    for per_dst in &batches {
+        for (dst, batch) in per_dst.iter().enumerate() {
             pending[dst] += batch.len();
         }
     }
     let mut inbox: Vec<Vec<Tuple>> = (0..endpoints).map(|_| Vec::new()).collect();
-    for (src, Outbox(batches)) in outbox.into_iter().enumerate() {
-        for (dst, mut batch) in batches.into_iter().enumerate() {
-            if local && dst != src && !batch.is_empty() {
-                let bytes = batch.iter().map(Tuple::wire_size).sum::<usize>();
-                cluster.net.ship_batch(bytes as u64, batch.len() as u64);
-            }
+    for per_dst in batches {
+        for (dst, mut batch) in per_dst.into_iter().enumerate() {
             pending[dst] -= batch.len();
             if inbox[dst].is_empty() {
                 inbox[dst] = batch;
@@ -205,11 +285,11 @@ pub fn exchange(
 /// The `Tcp` body of [`exchange`]: sends every non-empty batch between
 /// distinct endpoints over its own stream and replaces it with what the
 /// receiver got. Same-endpoint batches stay where they are.
-fn ship_over_wire(cluster: &Cluster, outbox: &mut [Outbox]) -> Result<()> {
+fn ship_over_wire(cluster: &Cluster, batches: &mut [Vec<Vec<Tuple>>]) -> Result<()> {
     let mut senders = Vec::new();
     let mut receivers = Vec::new();
-    for (src, Outbox(batches)) in outbox.iter_mut().enumerate() {
-        for (dst, batch) in batches.iter_mut().enumerate() {
+    for (src, per_dst) in batches.iter_mut().enumerate() {
+        for (dst, batch) in per_dst.iter_mut().enumerate() {
             if dst == src || batch.is_empty() {
                 continue;
             }
@@ -240,7 +320,7 @@ fn ship_over_wire(cluster: &Cluster, outbox: &mut [Outbox]) -> Result<()> {
     let mut link_err: Option<String> = None;
     for (src, dst, mut rx) in receivers {
         while let Some(t) = rx.recv() {
-            outbox[src].0[dst].push(t);
+            batches[src][dst].push(t);
         }
         if link_err.is_none() {
             link_err = rx.link_error();
@@ -323,9 +403,9 @@ mod tests {
             &mut m,
             "route",
             vec![
-                Outbox(vec![vec![t(1)], vec![t(2)], vec![t(4)]]), // node 0: one local, two remote
-                Outbox(vec![vec![t(3)], vec![], vec![t(5)]]),     // node 1: two remote
-                Outbox::to(1, vec![t(6)]),                        // QC: a broadcast
+                Outbox(vec![vec![t(1)].into(), vec![t(2)].into(), vec![t(4)].into()]), // node 0: one local, two remote
+                Outbox(vec![vec![t(3)].into(), Batch::default(), vec![t(5)].into()]), // node 1: two remote
+                Outbox::to(1, vec![t(6)]), // QC: a broadcast
             ],
         )
         .unwrap();
@@ -407,6 +487,29 @@ mod tests {
         let d = cluster.net.since(base);
         assert_eq!((d.tuples, d.bytes), (8, crossing as u64));
         assert_eq!(m.exchanges[0].net, d);
+    }
+
+    #[test]
+    fn batches_keep_their_wire_size() {
+        let row =
+            |i: i64| Tuple::new(vec![Value::Int(i), Value::Str("x".repeat(i as usize).into())]);
+        let size = |rows: &[Tuple]| rows.iter().map(|t| t.wire_size() as u64).sum::<u64>();
+        let rows: Vec<Tuple> = (0..6).map(row).collect();
+        let from_vec = Batch::from(rows.clone());
+        let collected: Batch = rows.iter().cloned().collect();
+        let mut pushed = Batch::default();
+        rows.iter().for_each(|t| pushed.push(t.clone()));
+        for b in [&from_vec, &collected, &pushed] {
+            assert_eq!((b.len(), b.wire_bytes()), (6, size(&rows)));
+        }
+        let halves = vec![
+            Batch::from(rows[..2].to_vec()),
+            Batch::default(),
+            rows[2..].iter().cloned().collect(),
+        ];
+        let joined = Batch::concat(halves);
+        assert_eq!(joined, from_vec);
+        assert_eq!(joined.into_tuples(), rows);
     }
 
     #[test]

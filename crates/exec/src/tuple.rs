@@ -174,8 +174,19 @@ impl<'a> Row<'a> {
 
     /// Decodes every column into an owned tuple.
     pub fn to_tuple(&self) -> Result<Tuple> {
+        let mut values = Vec::with_capacity(self.len);
+        self.decode_into(&mut values)?;
+        Ok(Tuple { values })
+    }
+
+    /// Decodes every column, appending the values to `out`.
+    pub fn decode_into(&self, out: &mut Vec<Value>) -> Result<()> {
         self.materialised.set(true);
-        Tuple::decode(self.buf)
+        let mut pos = 2;
+        for _ in 0..self.len {
+            out.push(Value::decode(self.buf, &mut pos)?);
+        }
+        Ok(())
     }
 
     /// Whether [`Row::to_tuple`] was called (scans count these rows as

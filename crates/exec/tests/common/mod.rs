@@ -45,7 +45,7 @@ pub fn local_tile_join_quadratic(
                 if grid.tile_of_point(&ix.lo) == *tile
                     && ls.as_shape().unwrap().overlaps(rs.as_shape().unwrap())
                 {
-                    out.push(concat(&left[li], &right[ri]));
+                    out.push(concat(&left[li].values, &right[ri].values));
                 }
             }
         }

@@ -145,7 +145,11 @@ fn with_workers_one_reproduces_serial_engine_output() {
     let right = input(&random_segments(120, 17));
     let join_all = |pool: &WorkerPool| -> Vec<Vec<Tuple>> {
         (0..2)
-            .map(|n| local_tile_join(&cluster, pool, n, left.clone(), right.clone()).unwrap())
+            .map(|n| {
+                local_tile_join(&cluster, pool, n, left.clone(), right.clone())
+                    .unwrap()
+                    .into_tuples()
+            })
             .collect()
     };
     let serial = join_all(&WorkerPool::new(1));

@@ -15,6 +15,7 @@ mod common;
 use common::local_tile_join_quadratic;
 use paradise_exec::cluster::{Cluster, ClusterConfig};
 use paradise_exec::ops::spatial_join::{local_tile_join, parallel_spatial_join, JoinInput};
+use paradise_exec::phase::Batch;
 use paradise_exec::schema::{DataType, Field, Schema};
 use paradise_exec::value::Value;
 use paradise_exec::workers::WorkerPool;
@@ -127,7 +128,7 @@ fn columnar_join_matches_quadratic_and_brute_force() {
                 let got = join(&WorkerPool::new(workers));
                 assert_eq!(got, serial, "seed {seed} node {node}: {workers} workers");
             }
-            all.extend(serial);
+            all.extend(serial.into_tuples());
         }
         assert_eq!(ids(&all), want, "seed {seed}: nodes together");
 
@@ -138,6 +139,6 @@ fn columnar_join_matches_quadratic_and_brute_force() {
         assert!(lt.stored_count(&cluster) > left.len() as u64, "no shape was replicated");
         let mut m = QueryMetrics::default();
         let per_node = parallel_spatial_join(&cluster, &mut m, &lt, 1, &rt, 1).unwrap();
-        assert_eq!(ids(&per_node.concat()), want, "seed {seed}: parallel_spatial_join");
+        assert_eq!(ids(&Batch::concat(per_node)), want, "seed {seed}: parallel_spatial_join");
     }
 }
