@@ -255,20 +255,11 @@ pub fn exchange(
     if !local {
         ship_over_wire(cluster, &mut batches)?;
     }
-    // Tuples still to arrive at each endpoint, so an inbox grows once.
-    let mut pending = vec![0; endpoints];
-    for per_dst in &batches {
-        for (dst, batch) in per_dst.iter().enumerate() {
-            pending[dst] += batch.len();
-        }
-    }
     let mut inbox: Vec<Vec<Tuple>> = (0..endpoints).map(|_| Vec::new()).collect();
     for per_dst in batches {
         for (dst, mut batch) in per_dst.into_iter().enumerate() {
-            pending[dst] -= batch.len();
             if inbox[dst].is_empty() {
                 inbox[dst] = batch;
-                inbox[dst].reserve_exact(pending[dst]);
             } else {
                 inbox[dst].append(&mut batch);
             }
