@@ -19,7 +19,7 @@ fn bench_pullpush(c: &mut Criterion) {
         }
     }
     // Stored on node 0; node 1 is the "remote" consumer.
-    let sr = raster_store::store_raster(&cluster, 0, &img, false, 8 * 1024).unwrap();
+    let sr = raster_store::store_raster(&cluster, "tiles", 0, &img, false, 8 * 1024).unwrap();
 
     let mut g = c.benchmark_group("pull_vs_push");
     for pct in [2u32, 10, 50, 100] {

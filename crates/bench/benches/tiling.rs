@@ -29,10 +29,12 @@ fn bench_tiling(c: &mut Criterion) {
     g.throughput(Throughput::Bytes(r.byte_len() as u64));
     for tile_kb in [8usize, 32, 128] {
         g.bench_with_input(BenchmarkId::new("store", tile_kb), &r, |b, r| {
-            b.iter(|| raster_store::store_raster(&cluster, 0, r, false, tile_kb * 1024).unwrap())
+            b.iter(|| {
+                raster_store::store_raster(&cluster, "tiles", 0, r, false, tile_kb * 1024).unwrap()
+            })
         });
     }
-    let sr = raster_store::store_raster(&cluster, 0, &r, false, 32 * 1024).unwrap();
+    let sr = raster_store::store_raster(&cluster, "tiles", 0, &r, false, 32 * 1024).unwrap();
     g.bench_function("fetch_whole", |b| {
         b.iter(|| raster_store::fetch_whole(&cluster, 0, &sr).unwrap())
     });

@@ -17,7 +17,7 @@ use crate::workers::{default_workers, register_pool_metrics, WorkerPool};
 use crate::{ExecError, Result};
 use paradise_geom::{Grid, Point, Rect, TileId};
 use paradise_obs::{Counter, EventLog, MetricSample, MetricsRegistry, TraceSink};
-use paradise_storage::{BufferStats, Store};
+use paradise_storage::{BufferStats, Store, PAGE_SIZE};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -438,13 +438,7 @@ impl Cluster {
             // the owning data server reads the object and ships the bytes.
             (Transport::Tcp(t), false) => t.fetch_tile(requester, tile)?,
             // Local transport (or a pull of a tile we own): direct read.
-            _ => {
-                let file = self.nodes[owner]
-                    .store
-                    .file(crate::raster_store::TILE_FILE)
-                    .ok_or_else(|| ExecError::NotFound("tile file".into()))?;
-                file.read(tile.oid)?
-            }
+            _ => self.nodes[owner].store.read(tile.oid)?,
         };
         if owner != requester {
             self.net.pulls.fetch_add(1, Ordering::Relaxed);
@@ -516,6 +510,9 @@ fn register_node_metrics(obs: &MetricsRegistry, store: &Arc<Store>) -> [Counter;
     wal_stat!(bytes);
     let decodes = store.clone();
     obs.register_collector("rtree.decodes", move || decodes.rtree_decodes());
+    // The volume file's size: freed extents are reused before it grows.
+    let vol = store.volume().clone();
+    obs.register_collector("storage.volume_bytes", move || vol.num_pages() * PAGE_SIZE as u64);
     // The live cached-frame level, tracked with gauge deltas inside the
     // pool (no recompute-and-set race), plus the static capacity.
     obs.register_gauge("buffer.frames_cached", store.pool().frames_gauge());

@@ -7,6 +7,12 @@
 //! live on the node that owns the tuple; with *raster declustering* (§2.6)
 //! each tile goes to the node owning the grid tile under the tile's
 //! geographic center, so one image can be processed by many nodes.
+//!
+//! Tiles live in a heap file whose lifetime matches their owner's (§2.5):
+//! a table's tiles in its own tile file on each node, which dropping the
+//! table frees by extents; an operator's in a file dropped when it
+//! completes. A stored raster loaded into another table is copied
+//! ([`copy_raster`]), so a table owns every tile its rows reference.
 
 use crate::cluster::{Cluster, NodeId};
 use crate::value::{StoredRaster, TileRef};
@@ -14,19 +20,21 @@ use crate::Result;
 use paradise_array::{lzw, NdArray, PixelWindow, Raster, TilingScheme};
 use paradise_geom::{Point, Polygon};
 
-/// Name of the per-node heap file holding raster tile objects.
-pub const TILE_FILE: &str = "__raster_tiles";
+/// Prefix of every table's tile file: table `t` keeps the raster tiles of
+/// its rows in the heap file `rtiles_t` on each node holding any of them.
+pub const TILE_FILE: &str = "rtiles";
 
 /// Target tile payload. The paper uses ~128 KB tiles (§2.5.1); the
 /// scaled-down benchmark data uses smaller rasters, so the engine defaults
 /// to 32 KB and takes the target as a parameter.
 pub const DEFAULT_TILE_BYTES: usize = 32 * 1024;
 
-/// Stores `raster` as tiles. With `decluster = false` every tile lands on
-/// `home`; with `decluster = true` tiles are spread by the geographic
-/// position of each tile (§2.6).
+/// Stores `raster` as tiles in the heap file `file`. With `decluster =
+/// false` every tile lands on `home`; with `decluster = true` tiles are
+/// spread by the geographic position of each tile (§2.6).
 pub fn store_raster(
     cluster: &Cluster,
+    file: &str,
     home: NodeId,
     raster: &Raster,
     decluster: bool,
@@ -64,8 +72,7 @@ pub fn store_raster(
         };
         if compressed { &codec.compressed } else { &codec.raw }.inc();
         codec.bytes_out.add(bytes.len() as u64);
-        let file = cluster.node(owner).store.create_file(TILE_FILE)?;
-        let oid = file.insert(&bytes)?;
+        let oid = cluster.node(owner).store.create_file(file)?.insert(&bytes)?;
         tiles.push(TileRef { node: owner as u32, oid, compressed });
     }
     Ok(StoredRaster {
@@ -77,6 +84,23 @@ pub fn store_raster(
         tile_w: tile_w as u32,
         tiles,
     })
+}
+
+/// Copies a stored raster's tiles into the heap file `file`, each on the
+/// node that holds it: the stored bytes move as they are, without a
+/// decode, and keep their compression flag. Returns the copy, which
+/// references only the new tiles.
+pub(crate) fn copy_raster(
+    cluster: &Cluster,
+    file: &str,
+    sr: &StoredRaster,
+) -> Result<StoredRaster> {
+    let mut copy = sr.clone();
+    for tile in &mut copy.tiles {
+        let store = &cluster.node(tile.node as usize).store;
+        tile.oid = store.create_file(file)?.insert(&store.read(tile.oid)?)?;
+    }
+    Ok(copy)
 }
 
 /// Materialises a pixel window of a stored raster, reading **only** the
@@ -153,7 +177,7 @@ mod tests {
     fn store_and_fetch_whole_roundtrip() {
         let cluster = Cluster::create(&ClusterConfig::for_test(2, "rs1")).unwrap();
         let r = gradient(120, 80);
-        let sr = store_raster(&cluster, 0, &r, false, 2048).unwrap();
+        let sr = store_raster(&cluster, "t", 0, &r, false, 2048).unwrap();
         assert!(sr.tiles.len() > 1, "should be tiled");
         // All tiles on the home node.
         assert!(sr.tiles.iter().all(|t| t.node == 0));
@@ -166,7 +190,7 @@ mod tests {
     fn fetch_region_reads_only_needed_tiles_and_pulls_remote() {
         let cluster = Cluster::create(&ClusterConfig::for_test(2, "rs2")).unwrap();
         let r = gradient(128, 128);
-        let sr = store_raster(&cluster, 0, &r, false, 1024).unwrap();
+        let sr = store_raster(&cluster, "t", 0, &r, false, 1024).unwrap();
         let total = sr.tiles.len();
         // Local fetch of a corner region: few tiles, no pulls.
         let base = cluster.net.snapshot();
@@ -187,7 +211,7 @@ mod tests {
     fn declustered_raster_spreads_tiles() {
         let cluster = Cluster::create(&ClusterConfig::for_test(4, "rs3")).unwrap();
         let r = gradient(256, 128); // world-covering raster
-        let sr = store_raster(&cluster, 0, &r, true, 1024).unwrap();
+        let sr = store_raster(&cluster, "t", 0, &r, true, 1024).unwrap();
         let nodes: std::collections::HashSet<u32> = sr.tiles.iter().map(|t| t.node).collect();
         assert!(nodes.len() > 1, "declustered tiles should span nodes: {nodes:?}");
         // Content survives the scatter.
@@ -199,7 +223,7 @@ mod tests {
     fn clip_stored_by_polygon() {
         let cluster = Cluster::create(&ClusterConfig::for_test(1, "rs4")).unwrap();
         let r = gradient(360, 180); // 1 pixel per degree
-        let sr = store_raster(&cluster, 0, &r, false, 4096).unwrap();
+        let sr = store_raster(&cluster, "t", 0, &r, false, 4096).unwrap();
         // A rectangle roughly like the continental US (~2% of the world).
         let us = Polygon::from_rect(
             &Rect::from_corners(Point::new(-125.0, 25.0), Point::new(-67.0, 49.0)).unwrap(),
@@ -219,7 +243,7 @@ mod tests {
     fn pixel_region_math() {
         let cluster = Cluster::create(&ClusterConfig::for_test(1, "rs5")).unwrap();
         let r = gradient(360, 180);
-        let sr = store_raster(&cluster, 0, &r, false, 1 << 20).unwrap();
+        let sr = store_raster(&cluster, "t", 0, &r, false, 1 << 20).unwrap();
         // Whole world.
         let whole = PixelWindow { row0: 0, row1: 180, col0: 0, col1: 360 };
         let pixel_window = |r: &Rect| PixelWindow::covering(&sr.geo, 360, 180, r);
@@ -246,7 +270,7 @@ mod tests {
                 r.set_pixel(col, row, x >> 24).unwrap();
             }
         }
-        let sr = store_raster(&cluster, 0, &r, false, 1024).unwrap();
+        let sr = store_raster(&cluster, "t", 0, &r, false, 1024).unwrap();
         let compressed = sr.tiles.iter().filter(|t| t.compressed).count();
         assert!(compressed > 0, "smooth tiles should compress");
         assert!(compressed < sr.tiles.len(), "noisy tiles should stay raw");
@@ -267,7 +291,7 @@ mod tests {
                 smooth.set_pixel(col, row, 20_000 + 40 * row as u32).unwrap();
             }
         }
-        let sr = store_raster(&cluster, 0, &smooth, false, 1024).unwrap();
+        let sr = store_raster(&cluster, "t", 0, &smooth, false, 1024).unwrap();
         let n = sr.tiles.len() as u64;
         let [compressed, raw, bytes_in, bytes_out] = counts();
         assert_eq!((compressed, raw), (n, 0));
@@ -284,7 +308,7 @@ mod tests {
                 noisy.set_pixel(col, row, v as u32).unwrap();
             }
         }
-        let sr = store_raster(&cluster, 0, &noisy, false, 1024).unwrap();
+        let sr = store_raster(&cluster, "t", 0, &noisy, false, 1024).unwrap();
         let m = sr.tiles.len() as u64;
         assert!(sr.tiles.iter().all(|t| !t.compressed));
         let after = counts();

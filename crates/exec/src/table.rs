@@ -7,7 +7,7 @@ use crate::schema::Schema;
 use crate::tuple::{Row, Tuple};
 use crate::value::{RasterValue, Value};
 use crate::{ExecError, Result};
-use paradise_storage::{HeapFile, Oid, RTree, Store};
+use paradise_storage::{Oid, RTree};
 
 /// Load statistics (replication factor is the §2.7.1 tradeoff).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -72,24 +72,23 @@ impl TableDef {
         format!("rtidx_{}_{col}", self.name)
     }
 
-    /// Heap-file name, on every node holding any, of the list of raster
-    /// tiles this table's loads stored there (one object id per record):
-    /// the tiles [`TableDef::drop_table`] frees.
-    fn tiles_file(&self) -> String {
-        format!("tiles_{}", self.name)
+    /// Heap-file name, on every node holding any, of the raster tiles
+    /// this table's rows reference.
+    pub fn tile_file(&self) -> String {
+        format!("{}_{}", raster_store::TILE_FILE, self.name)
     }
 
-    /// Loads tuples, routing each to its destination node(s) and
-    /// materialising in-memory raster attributes as stored tiles on the
-    /// destination. Those tiles belong to this table; a raster that
-    /// arrives already stored keeps pointing at its owner's tiles.
+    /// Loads tuples, routing each to its destination node(s). A raster
+    /// attribute's tiles go into this table's tile file: an in-memory
+    /// raster is tiled on the destination, a stored one is copied tile by
+    /// tile, so the table owns every tile its rows reference.
     pub fn load(
         &self,
         cluster: &Cluster,
         tuples: impl IntoIterator<Item = Tuple>,
     ) -> Result<LoadStats> {
         let mut stats = LoadStats::default();
-        let tiles_file = self.tiles_file();
+        let tile_file = self.tile_file();
         // Ensure fragments exist on every node.
         for n in cluster.nodes() {
             n.store.create_file(&self.fragment_file())?;
@@ -100,20 +99,21 @@ impl TableDef {
             for &dest in &dests {
                 let mut stored = tuple.clone();
                 for v in &mut stored.values {
-                    if let Value::Raster(RasterValue::Mem(r)) = v {
-                        let sr = raster_store::store_raster(
+                    let Value::Raster(raster) = v else { continue };
+                    let sr = match raster {
+                        RasterValue::Mem(r) => raster_store::store_raster(
                             cluster,
+                            &tile_file,
                             dest,
                             r,
                             self.decluster_rasters,
                             self.tile_bytes,
-                        )?;
-                        for tile in &sr.tiles {
-                            let store = &cluster.node(tile.node as usize).store;
-                            store.create_file(&tiles_file)?.insert(&tile.oid.to_bytes())?;
+                        )?,
+                        RasterValue::Stored(sr) => {
+                            raster_store::copy_raster(cluster, &tile_file, sr)?
                         }
-                        *v = Value::Raster(sr.into());
-                    }
+                    };
+                    *v = Value::Raster(sr.into());
                 }
                 let bytes = stored.encode();
                 stats.bytes += bytes.len() as u64;
@@ -255,40 +255,24 @@ impl TableDef {
         Ok(tree)
     }
 
-    /// Drops the table's fragments and indexes everywhere, and frees the
-    /// raster tiles its loads stored.
+    /// Drops the table's fragments, tile files and indexes everywhere,
+    /// returning their extents to each node's volume.
     pub fn drop_table(&self, cluster: &Cluster) -> Result<()> {
+        // Exact names: table `a` must not take table `a_b`'s indexes along.
+        let cols = 0..self.schema.fields().len();
+        let names: Vec<String> = [self.fragment_file(), self.tile_file()]
+            .into_iter()
+            .chain(cols.flat_map(|c| [self.btree_index_file(c), self.rtree_index_file(c)]))
+            .collect();
         // Every entry is dropped even when dropping an earlier one fails.
         let mut dropped = Ok(());
         for n in cluster.nodes() {
-            if let Some(owned) = n.store.file(&self.tiles_file()) {
-                dropped = dropped.and(free_tiles(&n.store, &owned));
-            }
-            for name in n.store.names() {
-                if name == self.fragment_file()
-                    || name == self.tiles_file()
-                    || name.starts_with(&format!("idx_{}_", self.name))
-                    || name.starts_with(&format!("rtidx_{}_", self.name))
-                {
-                    dropped = dropped.and(n.store.drop_entry(&name).map_err(ExecError::from));
-                }
+            for name in &names {
+                dropped = dropped.and(n.store.drop_entry(name).map_err(ExecError::from));
             }
         }
         dropped
     }
-}
-
-/// Deletes from `store`'s raster tile file every tile `owned` lists. A
-/// tile's LOB pages, if any, stay allocated until the tile file itself is
-/// freed (extent-granularity reclamation).
-fn free_tiles(store: &Store, owned: &HeapFile) -> Result<()> {
-    let tiles = store
-        .file(raster_store::TILE_FILE)
-        .ok_or_else(|| ExecError::NotFound(raster_store::TILE_FILE.into()))?;
-    owned.for_each(|_, bytes| {
-        let oid = Oid::from_bytes(bytes).ok_or(ExecError::Codec("bad tile object id"))?;
-        Ok::<_, ExecError>(tiles.delete(oid)?)
-    })
 }
 
 /// Packs an OID into the `u64` payload of an index entry (page numbers stay
@@ -557,6 +541,22 @@ mod tests {
         for node in 0..2 {
             assert!(t.btree_probe(&c, node, 3, &Value::Str("x".into())).is_err());
         }
+    }
+
+    #[test]
+    fn drop_table_leaves_tables_sharing_its_name_prefix() {
+        let c = cluster(1, "t8");
+        let [a, a_b] =
+            ["pp", "pp_2"].map(|n| TableDef::new(n, cities_schema(), Decluster::RoundRobin));
+        for t in [&a, &a_b] {
+            t.load(&c, (0..10).map(|i| city(i, 0.0, 0.0, "x"))).unwrap();
+            t.build_btree_index(&c, 3).unwrap();
+            t.build_rtree_index(&c, 2).unwrap();
+        }
+        a.drop_table(&c).unwrap();
+        assert_eq!(a_b.btree_probe(&c, 0, 3, &Value::Str("x".into())).unwrap().len(), 10);
+        assert_eq!(a_b.rtree_index(&c, 0, 2).unwrap().len(), 10);
+        assert_eq!(c.node(0).store.names().len(), 3, "pp_2's fragment and two indexes");
     }
 
     #[test]

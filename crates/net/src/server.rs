@@ -14,7 +14,6 @@
 use crate::conn::NetConfig;
 use crate::flow::Inbox;
 use crate::frame::{read_frame, write_frame, Frame, ReadOutcome};
-use paradise_exec::raster_store::TILE_FILE;
 use paradise_exec::{ExecError, Result, Tuple};
 use paradise_obs::MetricsRegistry;
 use paradise_storage::{Oid, Store};
@@ -230,14 +229,14 @@ fn serve_stream(
     }
 }
 
-/// Answers one tile pull from the node's raster tile file. The raw stored
-/// bytes cross the wire; decompression stays with the requester (§2.5.2).
+/// Answers one tile pull from the node's store, by object id. The raw
+/// stored bytes cross the wire; decompression stays with the requester
+/// (§2.5.2).
 fn serve_pull(conn: &mut TcpStream, store: Option<&Store>, oid_bytes: &[u8; 10]) -> Result<()> {
     let reply = (|| -> Result<Frame> {
         let store = store.ok_or_else(|| ExecError::NotFound("no store on this endpoint".into()))?;
         let oid = Oid::from_bytes(oid_bytes).ok_or(ExecError::Codec("bad oid in PullTile"))?;
-        let file = store.file(TILE_FILE).ok_or_else(|| ExecError::NotFound("tile file".into()))?;
-        Ok(Frame::TileData(file.read(oid)?))
+        Ok(Frame::TileData(store.read(oid)?))
     })();
     match reply {
         Ok(frame) => write_frame(conn, &frame).map(|_| ()),

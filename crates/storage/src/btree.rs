@@ -246,29 +246,6 @@ impl BTree {
         }
     }
 
-    /// Removes one `(key, value)` pair. Returns whether a pair was removed.
-    /// No rebalancing is performed.
-    pub fn delete(&self, key: &[u8], value: u64) -> Result<bool> {
-        let _w = self.write_lock.lock();
-        let pid = self.find_leaf(key)?;
-        let mut p = pid;
-        loop {
-            let mut node = self.read_node(p)?;
-            if let Some(at) =
-                node.entries.iter().position(|(k, v)| k.as_slice() == key && *v == value)
-            {
-                node.entries.remove(at);
-                self.write_node(p, &node, false)?;
-                return Ok(true);
-            }
-            if node.entries.last().is_some_and(|(k, _)| k.as_slice() > key) || node.extra == NO_PAGE
-            {
-                return Ok(false);
-            }
-            p = node.extra;
-        }
-    }
-
     /// Bulk-loads `pairs` (must be sorted by key) into an empty tree,
     /// packing leaves tightly — the fast path the benchmark's Q1 index
     /// build uses (cf. \[DeWi94\] bulk loading).
@@ -408,18 +385,6 @@ mod tests {
         let all = t.get_all(b"dup").unwrap();
         assert_eq!(all.len(), 100);
         assert_eq!(all, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn delete_removes_one_pair() {
-        let t = tree("f.vol");
-        t.insert(b"k", 1).unwrap();
-        t.insert(b"k", 2).unwrap();
-        assert!(t.delete(b"k", 1).unwrap());
-        assert_eq!(t.get_all(b"k").unwrap(), vec![2]);
-        assert!(!t.delete(b"k", 99).unwrap());
-        assert!(t.delete(b"k", 2).unwrap());
-        assert_eq!(t.get(b"k").unwrap(), None);
     }
 
     #[test]

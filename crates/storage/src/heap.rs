@@ -126,26 +126,7 @@ impl HeapFile {
     /// Reads the object at `oid`: an inline object is copied once, under
     /// the page latch; a LOB is read after the latch is released.
     pub fn read(&self, oid: Oid) -> Result<Vec<u8>> {
-        let first = {
-            let g = self.pool.get(oid.page)?;
-            let page = g.read();
-            match body(page_record(&page, oid)?, oid)? {
-                Body::Inline(obj) => return Ok(obj.to_vec()),
-                Body::Lob(first) => first,
-            }
-        };
-        lob::read_lob(&self.pool, first)
-    }
-
-    /// Deletes the object at `oid`. LOB spill pages are reclaimed when the
-    /// whole file is freed (extent-granularity reclamation, §2.5.2).
-    pub fn delete(&self, oid: Oid) -> Result<()> {
-        let g = self.pool.get(oid.page)?;
-        let mut page = g.write();
-        page.delete(oid.slot)
-            .map_err(|_| StorageError::BadSlot { page: oid.page, slot: oid.slot })?;
-        self.chain.lock().count -= 1;
-        Ok(())
+        read(&self.pool, oid)
     }
 
     /// Calls `f(oid, object)` for every live object, in chain order, lending
@@ -210,6 +191,20 @@ impl HeapFile {
     pub fn allocator(&self) -> &ExtentAllocator {
         &self.alloc
     }
+}
+
+/// Reads the object at `oid` through `pool` ([`HeapFile::read`]): the page
+/// and slot find it, whichever file owns them.
+pub(crate) fn read(pool: &BufferPool, oid: Oid) -> Result<Vec<u8>> {
+    let first = {
+        let g = pool.get(oid.page)?;
+        let page = g.read();
+        match body(page_record(&page, oid)?, oid)? {
+            Body::Inline(obj) => return Ok(obj.to_vec()),
+            Body::Lob(first) => first,
+        }
+    };
+    lob::read_lob(pool, first)
 }
 
 /// Where a heap record keeps its object.
@@ -278,20 +273,6 @@ mod tests {
         let big: Vec<u8> = (0..100_000).map(|i| (i % 253) as u8).collect();
         let oid = f.insert(&big).unwrap();
         assert_eq!(f.read(oid).unwrap(), big);
-    }
-
-    #[test]
-    fn delete_hides_record() {
-        let f = file("e.vol");
-        let a = f.insert(b"a").unwrap();
-        let b = f.insert(b"b").unwrap();
-        f.delete(a).unwrap();
-        assert!(f.read(a).is_err());
-        assert_eq!(f.read(b).unwrap(), b"b");
-        assert_eq!(f.count(), 1);
-        let scanned = f.scan().unwrap();
-        assert_eq!(scanned.len(), 1);
-        assert_eq!(scanned[0].1, b"b");
     }
 
     #[test]

@@ -165,6 +165,12 @@ impl Store {
         }
     }
 
+    /// Reads the object at `oid`, whichever heap file holds it: a raster
+    /// tile is found by its object id alone.
+    pub fn read(&self, oid: Oid) -> Result<Vec<u8>> {
+        crate::heap::read(&self.pool, oid)
+    }
+
     /// Creates (or returns the existing) named B+-tree.
     pub fn create_btree(&self, name: &str) -> Result<Arc<BTree>> {
         let mut entries = self.entries.lock();
@@ -491,6 +497,16 @@ mod tests {
         let mut names = store.names();
         names.sort();
         assert_eq!(names, vec!["a", "c"]);
+    }
+
+    #[test]
+    fn read_finds_an_object_by_oid_alone() {
+        let store = Store::create(base("s10"), 64).unwrap();
+        let small = store.create_file("a").unwrap().insert(b"in a").unwrap();
+        let big = vec![5u8; 20_000];
+        let lob = store.create_file("b").unwrap().insert(&big).unwrap();
+        assert_eq!(store.read(small).unwrap(), b"in a");
+        assert_eq!(store.read(lob).unwrap(), big, "a LOB is followed to its chain");
     }
 
     #[test]

@@ -35,7 +35,7 @@ fn main() {
     println!("image: {}x{} = {} KB raw", img.width(), img.height(), img.byte_len() / 1024);
 
     // Store on node 0 as ~8 KB tiles.
-    let sr = raster_store::store_raster(&cluster, 0, &img, false, 8 * 1024).unwrap();
+    let sr = raster_store::store_raster(&cluster, "tiles", 0, &img, false, 8 * 1024).unwrap();
     let compressed = sr.tiles.iter().filter(|t| t.compressed).count();
     println!(
         "stored as {} tiles ({} LZW-compressed, {} raw) of {}x{} pixels",
@@ -73,7 +73,7 @@ fn main() {
 
     // Decluster the raster's tiles across nodes (paper §2.6): now every
     // node owns a share and a whole-image operation parallelises.
-    let decl = raster_store::store_raster(&cluster, 0, &img, true, 8 * 1024).unwrap();
+    let decl = raster_store::store_raster(&cluster, "tiles", 0, &img, true, 8 * 1024).unwrap();
     let mut per_node = [0usize; 4];
     for t in decl.tiles.iter() {
         per_node[t.node as usize] += 1;

@@ -58,6 +58,14 @@ fn catalog_metrics_is_node_labelled_and_filters_with_like() {
         .any(|t| str_col(t, 0) == "buffer.capacity" && str_col(t, 1) == "0" && int_col(t, 2) > 0));
     // …and the QC group carries the cluster-wide ones.
     assert!(r.rows.iter().any(|t| str_col(t, 0) == "net.bytes" && str_col(t, 1) == "qc"));
+    // The volume gauge is registered once per node, not for the QC.
+    let at: Vec<String> = r
+        .rows
+        .iter()
+        .filter(|t| str_col(t, 0) == "storage.volume_bytes")
+        .map(|t| str_col(t, 1))
+        .collect();
+    assert_eq!(at, vec!["0", "1"], "storage.volume_bytes");
     // The load-time tile codec counters are registered once, for the QC.
     for name in ["array.tiles_compressed", "array.tiles_raw", "array.tile_bytes_in"] {
         let at: Vec<String> =
@@ -78,6 +86,32 @@ fn catalog_metrics_is_node_labelled_and_filters_with_like() {
     let text: String = r.rows.iter().map(|t| str_col(t, 0) + "\n").collect();
     assert!(text.contains("CatalogScan paradise.metrics"), "{text}");
     assert!(text.contains("stats pull per node"), "{text}");
+}
+
+#[test]
+fn volume_gauge_grows_across_a_load() {
+    let mut db = build_db(ParadiseConfig::new(fresh_dir("vol"), 2).with_grid_tiles(64));
+    let volume_bytes = |db: &Paradise| -> Vec<i64> {
+        let r = db
+            .sql("select * from paradise.metrics where name like 'storage.volume_bytes'")
+            .expect("catalog query");
+        r.rows.iter().map(|t| int_col(t, 2)).collect()
+    };
+    let before = volume_bytes(&db);
+    assert_eq!(before.len(), 2, "one gauge per node");
+    // 400 rows of 1 KB: 200 KB per node, more than the free extents hold.
+    db.define_table(TableDef::new(
+        "wide",
+        Schema::new(vec![Field::new("s", DataType::Str)]),
+        Decluster::RoundRobin,
+    ));
+    let row = |i: usize| Tuple::new(vec![Value::Str(format!("{i:01024}").into())]);
+    db.load_table("wide", (0..400).map(row)).expect("load");
+    db.commit().expect("commit");
+    let after = volume_bytes(&db);
+    for (b, a) in before.iter().zip(&after) {
+        assert!(a > b, "volume did not grow: {before:?} -> {after:?}");
+    }
 }
 
 #[test]
@@ -212,6 +246,10 @@ fn metrics_endpoint_serves_prometheus_text() {
     assert!(body.contains("paradise_net_bytes_total{node=\"qc\"}"), "{body}");
     assert!(body.contains("paradise_array_tiles_compressed_total{node=\"qc\"} 0"), "{body}");
     assert!(body.contains("paradise_array_tiles_raw_total{node=\"qc\"} 0"), "{body}");
+    for node in ["0", "1"] {
+        let volume = format!("paradise_storage_volume_bytes_total{{node=\"{node}\"}} ");
+        assert!(body.contains(&volume), "{body}");
+    }
     // Every exposition line is either a comment or name{labels} value.
     for line in body.lines().filter(|l| !l.is_empty() && !l.starts_with('#')) {
         assert!(line.contains("{node=\""), "unlabelled sample: {line}");

@@ -176,7 +176,7 @@ fn stored_rasters_read_back_like_the_in_memory_raster() {
             }
         }
         let target = rng.gen_range(16usize..2048);
-        let sr = store_raster(&cluster, 0, &raster, false, target).unwrap();
+        let sr = store_raster(&cluster, "tiles", 0, &raster, false, target).unwrap();
         let scheme = TilingScheme::new(&[h, w], depth.elem_type(), target).unwrap();
         assert_eq!(sr.tiles.len(), scheme.num_tiles(), "case {case}");
         for _ in 0..4 {
