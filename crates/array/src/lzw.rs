@@ -271,21 +271,30 @@ pub fn maybe_decompress(bytes: &[u8], compressed: bool) -> Result<Vec<u8>> {
     }
 }
 
-/// [`maybe_compress`] over a batch of tiles on a worker pool, one tile per
-/// morsel (a tile is already thousands of bytes of codec work). Outputs
-/// are returned in input order regardless of the pool size — the codec is
-/// a pure per-tile function, so the batch is trivially deterministic.
+/// [`maybe_compress`] over a batch of tiles, one morsel per tile on `exec`
+/// (a tile is already thousands of bytes of codec work). Outputs are
+/// returned in input order whichever thread compressed each tile — the
+/// codec is a pure per-tile function, so the batch is deterministic.
 pub fn maybe_compress_batch(
-    pool: &paradise_util::workers::WorkerPool,
+    exec: &paradise_util::workers::Executor,
     tiles: Vec<Vec<u8>>,
 ) -> Vec<(Vec<u8>, bool)> {
-    // BLOB_MORSEL is 1: each morsel range holds exactly one tile.
-    let packed = pool.run(tiles.len(), paradise_util::workers::BLOB_MORSEL, |r| {
-        let tile = &tiles[r.start];
-        Ok::<_, std::convert::Infallible>(compress_within(tile, savings_budget(tile.len())))
+    let tiles = std::sync::Arc::new(tiles);
+    let shared = tiles.clone();
+    let packed = exec.run(tiles.len(), move |i| {
+        let tile = &shared[i];
+        compress_within(tile, savings_budget(tile.len()))
     });
-    let packed = packed.unwrap_or_else(|e| match e {});
-    tiles.into_iter().zip(packed).map(|(raw, p)| p.map_or((raw, false), |p| (p, true))).collect()
+    // The executor has dropped the morsel closure: the tiles are ours again.
+    let tiles = std::sync::Arc::try_unwrap(tiles).expect("morsels hold no tile");
+    tiles
+        .into_iter()
+        .zip(packed)
+        .map(|(raw, p)| match p.out {
+            Ok(p) => p.map_or((raw, false), |p| (p, true)),
+            Err(panic) => panic!("LZW morsel panicked: {panic}"),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -522,9 +531,9 @@ mod tests {
         let tiles: Vec<Vec<u8>> =
             (0..9).map(|i| mixed_bytes(&mut rng, 4096, f64::from(i) / 8.0)).collect();
         let expect: Vec<_> = tiles.iter().map(|t| reference_maybe_compress(t)).collect();
-        for workers in [1, 2, 3] {
-            let pool = paradise_util::workers::WorkerPool::new(workers);
-            assert_eq!(maybe_compress_batch(&pool, tiles.clone()), expect, "{workers} workers");
+        for helpers in [0, 1, 2] {
+            let exec = paradise_util::workers::Executor::new(helpers).unwrap();
+            assert_eq!(maybe_compress_batch(&exec, tiles.clone()), expect, "{helpers} helpers");
         }
     }
 

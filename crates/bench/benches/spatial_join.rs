@@ -2,12 +2,10 @@
 //! indexed nested loops with an R*-tree vs naive nested loops, on two sets
 //! of polyline bounding boxes with exact refinement.
 //!
-//! The PBSM tile join is the engine's columnar kernel over encoded
-//! records ([`JoinInput`], built once outside the timed loop as a fragment
-//! scan builds it; each iteration joins a copy). It runs twice, on a 1-thread and a 2-thread
-//! [`WorkerPool`] (`pbsm_tile/1t/n`, `pbsm_tile/2t/n`): their ratio is the
-//! real wall-clock speedup of the morsel-parallel sweep, refine and decode
-//! on the host the bench runs on.
+//! The PBSM tile join (`pbsm_tile/n`) is the engine's columnar kernel over
+//! encoded records ([`JoinInput`], built once outside the timed loop as a
+//! fragment scan builds it; each iteration joins a copy), run as the
+//! engine runs it inside one node's fragment: a plain loop on one thread.
 
 use paradise_bench::harness::{BenchmarkId, Criterion};
 use paradise_bench::{criterion_group, criterion_main};
@@ -15,7 +13,6 @@ use paradise_exec::cluster::{Cluster, ClusterConfig};
 use paradise_exec::ops::spatial_join::{local_tile_join, JoinInput};
 use paradise_exec::tuple::Tuple;
 use paradise_exec::value::Value;
-use paradise_exec::workers::WorkerPool;
 use paradise_geom::{Point, Polyline, Shape};
 use paradise_storage::RTree;
 
@@ -46,18 +43,12 @@ fn bench_spatial_join(c: &mut Criterion) {
     for n in [500usize, 2000] {
         let left = lines(n, 7);
         let right = lines(n, 1234);
-        // PBSM-style tile join (single node owns every tile), serial and
-        // on two real threads.
+        // PBSM-style tile join (single node owns every tile).
         let (left_in, right_in) =
             (JoinInput::from_tuples(&left, 1).unwrap(), JoinInput::from_tuples(&right, 1).unwrap());
-        for threads in [1usize, 2] {
-            let pool = WorkerPool::new(threads);
-            g.bench_with_input(BenchmarkId::new(format!("pbsm_tile/{threads}t"), n), &n, |b, _| {
-                b.iter(|| {
-                    local_tile_join(&cluster, &pool, 0, left_in.clone(), right_in.clone()).unwrap()
-                })
-            });
-        }
+        g.bench_with_input(BenchmarkId::new("pbsm_tile", n), &n, |b, _| {
+            b.iter(|| local_tile_join(&cluster, 0, left_in.clone(), right_in.clone()).unwrap())
+        });
         // Indexed nested loops: bulk-load an R*-tree on the right side,
         // probe with every left bbox, refine exactly.
         g.bench_with_input(BenchmarkId::new("indexed_nl", n), &n, |b, _| {

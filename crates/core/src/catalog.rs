@@ -142,8 +142,9 @@ pub fn scan(db: &Paradise, table: CatalogTable, m: &mut QueryMetrics) -> Result<
     let cluster = db.cluster();
     match table {
         CatalogTable::Metrics => {
-            let per_node = run_phase(cluster, m, "catalog scan", |node| {
-                Ok(metric_rows(&node.to_string(), &cluster.node_samples(node)?))
+            let c = cluster.clone();
+            let per_node = run_phase(cluster, m, "catalog scan", move |node| {
+                Ok(metric_rows(&node.to_string(), &c.node_samples(node)?))
             })?;
             let mut rows: Vec<Tuple> = per_node.into_iter().flatten().collect();
             run_sequential(m, || {
@@ -153,8 +154,9 @@ pub fn scan(db: &Paradise, table: CatalogTable, m: &mut QueryMetrics) -> Result<
             Ok(rows)
         }
         CatalogTable::BufferPool => {
-            let per_node = run_phase(cluster, m, "catalog scan", |node| {
-                Ok(vec![buffer_pool_row(&node.to_string(), &cluster.node_samples(node)?)])
+            let c = cluster.clone();
+            let per_node = run_phase(cluster, m, "catalog scan", move |node| {
+                Ok(vec![buffer_pool_row(&node.to_string(), &c.node_samples(node)?)])
             })?;
             Ok(per_node.into_iter().flatten().collect())
         }

@@ -7,7 +7,6 @@ use paradise_exec::metrics::QueryMetrics;
 use paradise_exec::{ExecError, TableDef, Tuple};
 use paradise_geom::{Point, Rect};
 use paradise_obs::{render_prometheus, MetricsExporter, MetricsRegistry, RenderFn};
-use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -201,8 +200,7 @@ pub struct QueryResult {
 pub struct Paradise {
     // Declared before `cluster` so the exporter thread shuts down first.
     exporter: Option<MetricsExporter>,
-    cluster: Cluster,
-    tables: HashMap<String, TableDef>,
+    cluster: Arc<Cluster>,
     history: QueryHistory,
     trace_path: Option<PathBuf>,
 }
@@ -254,17 +252,12 @@ impl Paradise {
         };
         let history = QueryHistory::new(cfg.history_capacity);
         history.set_slow_threshold(cfg.slow_query_threshold);
-        Ok(Paradise {
-            exporter,
-            cluster,
-            tables: HashMap::new(),
-            history,
-            trace_path: cfg.trace_path,
-        })
+        Ok(Paradise { exporter, cluster: Arc::new(cluster), history, trace_path: cfg.trace_path })
     }
 
-    /// The underlying cluster.
-    pub fn cluster(&self) -> &Cluster {
+    /// The underlying cluster. Query plans clone the handle into the
+    /// node fragments they run on the cluster's executor.
+    pub fn cluster(&self) -> &Arc<Cluster> {
         &self.cluster
     }
 
@@ -290,21 +283,26 @@ impl Paradise {
         self.exporter.as_ref().map(|e| e.addr())
     }
 
-    /// Registers a table definition (DDL).
+    /// Registers a table definition (DDL), replacing any table of the
+    /// same name.
     pub fn define_table(&mut self, def: TableDef) {
-        self.tables.insert(def.name.clone(), def);
+        self.cluster.define_table(def);
     }
 
-    /// Looks up a table definition.
-    pub fn table(&self, name: &str) -> Result<&TableDef> {
-        self.tables.get(name).ok_or_else(|| ExecError::NotFound(format!("table {name}")))
+    /// Looks up a table definition. A dropped table is not found.
+    pub fn table(&self, name: &str) -> Result<Arc<TableDef>> {
+        self.cluster.table(name)
     }
 
-    /// Defined table names.
+    /// Defined table names, sorted.
     pub fn table_names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.tables.keys().cloned().collect();
-        v.sort();
-        v
+        self.cluster.table_names()
+    }
+
+    /// Drops a table: its fragments, tile files and indexes on every node,
+    /// and its definition ([`TableDef::drop_table`]).
+    pub fn drop_table(&self, name: &str) -> Result<()> {
+        self.table(name)?.drop_table(&self.cluster)
     }
 
     /// Loads tuples into a defined table (part of benchmark Q1).
@@ -371,5 +369,39 @@ mod tests {
         assert_eq!(db.table_names(), vec!["t"]);
         db.commit().unwrap();
         db.flush_caches().unwrap();
+    }
+
+    #[test]
+    fn dropped_tables_leave_the_catalog() {
+        let mut db = Paradise::create(ParadiseConfig::new(tmp("drop"), 2)).unwrap();
+        let def = || {
+            TableDef::new(
+                "t",
+                Schema::new(vec![Field::new("x", DataType::Int)]),
+                Decluster::RoundRobin,
+            )
+        };
+        let rows = || (0..10).map(|i| Tuple::new(vec![Value::Int(i)]));
+        for drop_by_name in [true, false] {
+            db.define_table(def());
+            db.load_table("t", rows()).unwrap();
+            db.commit().unwrap();
+            assert_eq!(db.sql("select x from t").unwrap().rows.len(), 10);
+            if drop_by_name {
+                db.drop_table("t").unwrap();
+            } else {
+                db.table("t").unwrap().drop_table(db.cluster()).unwrap();
+            }
+            db.commit().unwrap();
+            assert!(db.table("t").is_err(), "dropped table still defined");
+            assert!(db.table_names().is_empty());
+            let err = db.sql("select x from t").unwrap_err().to_string();
+            assert!(err.contains("table t"), "{err}");
+            assert!(db.drop_table("t").is_err(), "dropped twice");
+        }
+        // The name can be defined again.
+        db.define_table(def());
+        db.load_table("t", rows()).unwrap();
+        assert_eq!(db.sql("select x from t").unwrap().rows.len(), 10);
     }
 }

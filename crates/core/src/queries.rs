@@ -17,7 +17,7 @@
 use crate::db::{Paradise, QueryResult};
 use crate::Result;
 use paradise_array::{PixelWindow, Raster};
-use paradise_exec::cluster::NetSnapshot;
+use paradise_exec::cluster::{Cluster, NetSnapshot};
 use paradise_exec::metrics::QueryMetrics;
 use paradise_exec::ops::basic::sort_by_col;
 use paradise_exec::ops::closest::{closest_join, ClosestResult};
@@ -128,15 +128,15 @@ pub fn q2(db: &Paradise, channel: i64, clip: &Polygon) -> Result<QueryResult> {
     let t0 = Instant::now();
     let mut m = QueryMetrics::default();
     let net0 = db.cluster().net.snapshot();
-    let raster = db.table("raster")?;
-    let per_node = run_phase(db.cluster(), &mut m, "scan + clip rasters", |node| {
+    let (cluster, raster, clip) = (db.cluster().clone(), db.table("raster")?, clip.clone());
+    let per_node = run_phase(db.cluster(), &mut m, "scan + clip rasters", move |node| {
         let mut rows = Vec::new();
-        raster.scan_fragment(db.cluster(), node, |_, row| {
+        raster.scan_fragment(&cluster, node, |_, row| {
             if row.int(RASTER_CHANNEL)? != channel {
                 return Ok(());
             }
             let sr = stored_raster(row, RASTER_DATA)?;
-            if let Some((clipped, _)) = raster_store::clip_stored(db.cluster(), node, &sr, clip)? {
+            if let Some((clipped, _)) = raster_store::clip_stored(&cluster, node, &sr, &clip)? {
                 rows.push(Tuple::new(vec![
                     row.get(RASTER_DATE)?,
                     Value::Raster(RasterValue::Mem(Arc::new(clipped))),
@@ -169,12 +169,12 @@ pub fn q3(
     let t0 = Instant::now();
     let mut m = QueryMetrics::default();
     let net0 = db.cluster().net.snapshot();
-    let raster = db.table("raster")?;
+    let (cluster, raster) = (db.cluster().clone(), db.table("raster")?);
 
     // Locate the matching rasters (metadata only — cheap).
-    let located = run_phase(db.cluster(), &mut m, "locate rasters", |node| {
+    let located = run_phase(db.cluster(), &mut m, "locate rasters", move |node| {
         let mut srs: Vec<Arc<StoredRaster>> = Vec::new();
-        raster.scan_fragment(db.cluster(), node, |_, row| {
+        raster.scan_fragment(&cluster, node, |_, row| {
             if row.date(RASTER_DATE)? == date {
                 srs.push(stored_raster(row, RASTER_DATA)?);
             }
@@ -182,7 +182,7 @@ pub fn q3(
         })?;
         Ok(srs)
     })?;
-    let srs: Vec<Arc<StoredRaster>> = located.into_iter().flatten().collect();
+    let srs: Arc<Vec<Arc<StoredRaster>>> = Arc::new(located.into_iter().flatten().collect());
     if srs.is_empty() {
         return Ok(finish(db, net0, m, &["average"], Vec::new(), t0));
     }
@@ -191,7 +191,7 @@ pub fn q3(
         // The paper's plan: one average operator pulls everything to p0.
         run_sequential(&mut m, || {
             let mut clipped = Vec::with_capacity(srs.len());
-            for sr in &srs {
+            for sr in srs.iter() {
                 if let Some((c, _)) = raster_store::clip_stored(db.cluster(), 0, sr, clip)? {
                     clipped.push(c);
                 }
@@ -205,21 +205,22 @@ pub fn q3(
         // pastes the pieces — its work is proportional to the pixels
         // contributed, independent of the node count. A piece is one tuple:
         // `row0, col0, rows, cols`, then `rows × cols` pixels, all `Int`.
-        let sr0 = &srs[0];
+        let sr0 = srs[0].clone();
         let (w0, h0) = (sr0.width as usize, sr0.height as usize);
         let Some(win) = PixelWindow::covering(&sr0.geo, w0, h0, &clip.bbox()) else {
             return Ok(finish(db, net0, m, &["average"], Vec::new(), t0));
         };
         let [h, w] = win.shape();
-        let partials = run_phase(db.cluster(), &mut m, "local partial sums", |node| {
+        let cluster = db.cluster().clone();
+        let partials = run_phase(db.cluster(), &mut m, "local partial sums", move |node| {
             let mut out: Vec<Tuple> = Vec::new();
-            for sr in &srs {
+            for sr in srs.iter() {
                 for piece in sr.scheme()?.pieces(&win.lo(), &win.shape())? {
                     let tile_ref = &sr.tiles[piece.tile];
                     if tile_ref.node as usize != node {
                         continue; // another node owns this tile
                     }
-                    let bytes = db.cluster().fetch_tile(node, tile_ref)?;
+                    let bytes = cluster.fetch_tile(node, tile_ref)?;
                     let tile = paradise_array::NdArray::new(
                         piece.tile_shape.clone(),
                         sr.depth.elem_type(),
@@ -282,15 +283,16 @@ pub fn q4(
     let t0 = Instant::now();
     let mut m = QueryMetrics::default();
     let net0 = db.cluster().net.snapshot();
-    let raster = db.table("raster")?;
-    let per_node = run_phase(db.cluster(), &mut m, "select + clip + lower_res", |node| {
+    let (cluster, raster, clip) = (db.cluster().clone(), db.table("raster")?, clip.clone());
+    let schema = raster.schema.clone();
+    let per_node = run_phase(db.cluster(), &mut m, "select + clip + lower_res", move |node| {
         let mut rows = Vec::new();
-        raster.scan_fragment(db.cluster(), node, |_, row| {
+        raster.scan_fragment(&cluster, node, |_, row| {
             if row.date(RASTER_DATE)? != date || row.int(RASTER_CHANNEL)? != channel {
                 return Ok(());
             }
             let sr = stored_raster(row, RASTER_DATA)?;
-            if let Some((clipped, _)) = raster_store::clip_stored(db.cluster(), node, &sr, clip)? {
+            if let Some((clipped, _)) = raster_store::clip_stored(&cluster, node, &sr, &clip)? {
                 let low = clipped.lower_res(factor)?;
                 rows.push(Tuple::new(vec![
                     Value::Date(date),
@@ -306,7 +308,7 @@ pub fn q4(
     // Copy-on-insert into a permanent result relation, then clean it up.
     let result_table = paradise_exec::TableDef::new(
         &db.cluster().fresh_temp_name("q4_result"),
-        db.table("raster")?.schema.clone(),
+        schema,
         paradise_exec::Decluster::RoundRobin,
     );
     let loaded = run_sequential(&mut m, || {
@@ -323,9 +325,9 @@ pub fn q5(db: &Paradise, name: &str) -> Result<QueryResult> {
     let t0 = Instant::now();
     let mut m = QueryMetrics::default();
     let net0 = db.cluster().net.snapshot();
-    let pp = db.table("populatedPlaces")?;
-    let per_node = run_phase(db.cluster(), &mut m, "index probe", |node| {
-        pp.btree_probe(db.cluster(), node, PP_NAME, &Value::Str(name.into()))
+    let (cluster, pp, name) = (db.cluster().clone(), db.table("populatedPlaces")?, name.into());
+    let per_node = run_phase(db.cluster(), &mut m, "index probe", move |node| {
+        pp.btree_probe(&cluster, node, PP_NAME, &Value::Str(Arc::clone(&name)))
     })?;
     let rows = collect_rows(db, &mut m, "gather", per_node)?;
     Ok(finish(db, net0, m, &["id", "containing_face", "type", "location", "name"], rows, t0))
@@ -335,15 +337,15 @@ pub fn q5(db: &Paradise, name: &str) -> Result<QueryResult> {
 /// replica participates on the node owning the tile of `probe ∩ bbox`'s
 /// lower-left corner.
 fn owns_ref_point(
-    db: &Paradise,
+    cluster: &Cluster,
     node: NodeId,
     a: &paradise_geom::Rect,
     b: &paradise_geom::Rect,
 ) -> bool {
     match a.intersection(b) {
         Some(ix) => {
-            let tile = db.cluster().grid().tile_of_point(&ix.lo);
-            db.cluster().node_for_tile(tile) == node
+            let tile = cluster.grid().tile_of_point(&ix.lo);
+            cluster.node_for_tile(tile) == node
         }
         None => false,
     }
@@ -356,19 +358,21 @@ pub fn q6(db: &Paradise, region: &Polygon) -> Result<QueryResult> {
     let t0 = Instant::now();
     let mut m = QueryMetrics::default();
     let net0 = db.cluster().net.snapshot();
-    let lc = db.table("landCover")?;
+    let (cluster, lc) = (db.cluster().clone(), db.table("landCover")?);
+    let schema = lc.schema.clone();
     let bbox = region.bbox();
-    let per_node = run_phase(db.cluster(), &mut m, "spatial index selection", |node| {
-        let idx = lc.rtree_index(db.cluster(), node, LC_SHAPE)?;
+    let region = Shape::Polygon(region.clone());
+    let per_node = run_phase(db.cluster(), &mut m, "spatial index selection", move |node| {
+        let idx = lc.rtree_index(&cluster, node, LC_SHAPE)?;
         let mut rows = Vec::new();
         for (rect, packed) in idx.search(&bbox) {
             // Replicated polygons: only the reference-point owner reports.
-            if !owns_ref_point(db, node, &rect, &bbox) {
+            if !owns_ref_point(&cluster, node, &rect, &bbox) {
                 continue;
             }
-            let t = lc.read_tuple(db.cluster(), node, unpack_oid(packed))?;
+            let t = lc.read_tuple(&cluster, node, unpack_oid(packed))?;
             let shape = t.get(LC_SHAPE)?.as_shape()?;
-            if shape.overlaps(&Shape::Polygon(region.clone())) {
+            if shape.overlaps(&region) {
                 rows.push(t);
             }
         }
@@ -378,7 +382,7 @@ pub fn q6(db: &Paradise, region: &Polygon) -> Result<QueryResult> {
     // Insert into a permanent relation (then drop — benchmark hygiene).
     let result_table = paradise_exec::TableDef::new(
         &db.cluster().fresh_temp_name("q6_result"),
-        lc.schema.clone(),
+        schema,
         paradise_exec::Decluster::RoundRobin,
     );
     let loaded = run_sequential(&mut m, || {
@@ -396,17 +400,17 @@ pub fn q7(db: &Paradise, center: Point, radius: f64, max_area: f64) -> Result<Qu
     let t0 = Instant::now();
     let mut m = QueryMetrics::default();
     let net0 = db.cluster().net.snapshot();
-    let lc = db.table("landCover")?;
+    let (cluster, lc) = (db.cluster().clone(), db.table("landCover")?);
     let circle = Circle::new(center, radius).map_err(ExecError::Geom)?;
     let bbox = circle.bbox();
-    let per_node = run_phase(db.cluster(), &mut m, "circle selection", |node| {
-        let idx = lc.rtree_index(db.cluster(), node, LC_SHAPE)?;
+    let per_node = run_phase(db.cluster(), &mut m, "circle selection", move |node| {
+        let idx = lc.rtree_index(&cluster, node, LC_SHAPE)?;
         let mut rows = Vec::new();
         for (rect, packed) in idx.search(&bbox) {
-            if !owns_ref_point(db, node, &rect, &bbox) {
+            if !owns_ref_point(&cluster, node, &rect, &bbox) {
                 continue;
             }
-            let t = lc.read_tuple(db.cluster(), node, unpack_oid(packed))?;
+            let t = lc.read_tuple(&cluster, node, unpack_oid(packed))?;
             let Shape::Polygon(poly) = t.get(LC_SHAPE)?.as_shape()? else {
                 continue;
             };
@@ -427,11 +431,12 @@ pub fn q8(db: &Paradise, city_name: &str, box_len: f64) -> Result<QueryResult> {
     let t0 = Instant::now();
     let mut m = QueryMetrics::default();
     let net0 = db.cluster().net.snapshot();
-    let pp = db.table("populatedPlaces")?;
-    let lc = db.table("landCover")?;
+    let (cluster, pp, lc) =
+        (db.cluster().clone(), db.table("populatedPlaces")?, db.table("landCover")?);
     // Outer: the named cities (tiny), via the name index.
-    let cities = run_phase(db.cluster(), &mut m, "select cities", |node| {
-        pp.btree_probe(db.cluster(), node, PP_NAME, &Value::Str(city_name.into()))
+    let (c, name) = (cluster.clone(), city_name.into());
+    let cities = run_phase(db.cluster(), &mut m, "select cities", move |node| {
+        pp.btree_probe(&c, node, PP_NAME, &Value::Str(Arc::clone(&name)))
     })?;
     let cities = collect_rows(db, &mut m, "gather cities", cities)?;
     let boxes: Vec<Tuple> = run_sequential(&mut m, || {
@@ -446,19 +451,19 @@ pub fn q8(db: &Paradise, city_name: &str, box_len: f64) -> Result<QueryResult> {
         }
         Ok(out)
     })?;
-    let boxes = broadcast(db, &mut m, "broadcast boxes", boxes)?;
-    let per_node = run_phase(db.cluster(), &mut m, "indexed NL spatial join", |node| {
-        let idx = lc.rtree_index(db.cluster(), node, LC_SHAPE)?;
+    let boxes = Arc::new(broadcast(db, &mut m, "broadcast boxes", boxes)?);
+    let per_node = run_phase(db.cluster(), &mut m, "indexed NL spatial join", move |node| {
+        let idx = lc.rtree_index(&cluster, node, LC_SHAPE)?;
         let mut rows = Vec::new();
         for t in &boxes[node] {
             let Shape::Rect(b) = t.get(0)?.as_shape()? else {
                 return Err(ExecError::Type { expected: "box", got: "shape".into() });
             };
             for (rect, packed) in idx.search(b) {
-                if !owns_ref_point(db, node, &rect, b) {
+                if !owns_ref_point(&cluster, node, &rect, b) {
                     continue;
                 }
-                let t = lc.read_tuple(db.cluster(), node, unpack_oid(packed))?;
+                let t = lc.read_tuple(&cluster, node, unpack_oid(packed))?;
                 let shape = t.get(LC_SHAPE)?.as_shape()?;
                 if shape.overlaps(&Shape::Rect(*b)) {
                     rows.push(Tuple::new(vec![t.get(LC_SHAPE)?.clone(), t.get(LC_TYPE)?.clone()]));
@@ -479,10 +484,10 @@ fn broadcast_oil_polygons(
     m: &mut QueryMetrics,
     oil_type: i64,
 ) -> Result<Vec<Vec<Tuple>>> {
-    let lc = db.table("landCover")?;
-    let per_node = run_phase(db.cluster(), m, "select oil fields", |node| {
+    let (cluster, lc) = (db.cluster().clone(), db.table("landCover")?);
+    let per_node = run_phase(db.cluster(), m, "select oil fields", move |node| {
         let mut out = Vec::new();
-        lc.scan_fragment(db.cluster(), node, |_, row| {
+        lc.scan_fragment(&cluster, node, |_, row| {
             if row.int(LC_TYPE)? != oil_type {
                 return Ok(());
             }
@@ -538,11 +543,11 @@ fn q9_q14_impl(
     let t0 = Instant::now();
     let mut m = QueryMetrics::default();
     let net0 = db.cluster().net.snapshot();
-    let raster = db.table("raster")?;
-    let polys = broadcast_oil_polygons(db, &mut m, oil_type)?;
-    let per_node = run_phase(db.cluster(), &mut m, "clip rasters by polygons", |node| {
+    let (cluster, raster) = (db.cluster().clone(), db.table("raster")?);
+    let polys = Arc::new(broadcast_oil_polygons(db, &mut m, oil_type)?);
+    let per_node = run_phase(db.cluster(), &mut m, "clip rasters by polygons", move |node| {
         let mut rows = Vec::new();
-        raster.scan_fragment(db.cluster(), node, |_, row| {
+        raster.scan_fragment(&cluster, node, |_, row| {
             if row.int(RASTER_CHANNEL)? != channel {
                 return Ok(());
             }
@@ -555,7 +560,7 @@ fn q9_q14_impl(
                 let Shape::Polygon(p) = shape.as_shape()? else {
                     return Err(ExecError::Type { expected: "polygon", got: "shape".into() });
                 };
-                if let Some((clipped, _)) = raster_store::clip_stored(db.cluster(), node, &sr, p)? {
+                if let Some((clipped, _)) = raster_store::clip_stored(&cluster, node, &sr, p)? {
                     rows.push(Tuple::new(vec![
                         shape.clone(),
                         Value::Raster(RasterValue::Mem(Arc::new(clipped))),
@@ -578,16 +583,16 @@ pub fn q10(db: &Paradise, clip: &Polygon, threshold: f64) -> Result<QueryResult>
     let t0 = Instant::now();
     let mut m = QueryMetrics::default();
     let net0 = db.cluster().net.snapshot();
-    let raster = db.table("raster")?;
+    let (cluster, raster, clip) = (db.cluster().clone(), db.table("raster")?, clip.clone());
     let op_file = db.cluster().fresh_temp_name("q10_op");
-    let per_node = run_phase(db.cluster(), &mut m, "clip + average predicate", |node| {
+    let file_name = op_file.clone();
+    let per_node = run_phase(db.cluster(), &mut m, "clip + average predicate", move |node| {
         // Operator-scoped large-object file for the clipped rasters.
-        let file = db.cluster().node(node).store.create_file(&op_file)?;
+        let file = cluster.node(node).store.create_file(&file_name)?;
         let mut rows = Vec::new();
-        raster.scan_fragment(db.cluster(), node, |_, row| {
+        raster.scan_fragment(&cluster, node, |_, row| {
             let sr = stored_raster(row, RASTER_DATA)?;
-            let Some((clipped, _)) = raster_store::clip_stored(db.cluster(), node, &sr, clip)?
-            else {
+            let Some((clipped, _)) = raster_store::clip_stored(&cluster, node, &sr, &clip)? else {
                 return Ok(());
             };
             // Materialise the predicate's large attribute into the
@@ -624,16 +629,16 @@ pub fn q11(db: &Paradise, point: Point) -> Result<QueryResult> {
     let t0 = Instant::now();
     let mut m = QueryMetrics::default();
     let net0 = db.cluster().net.snapshot();
-    let roads = db.table("roads")?;
+    let (cluster, roads) = (db.cluster().clone(), db.table("roads")?);
     // Phase 1: local "closest" aggregate per road type; each partial leaves
     // for the QC as the road tuple plus its `Float` distance. Each row is
     // tested on its type and in-place shape distance; only a row that beats
     // its type's best so far (strict `<`: the first in scan order wins a
     // tie) is decoded.
-    let partials = run_phase(db.cluster(), &mut m, "local closest per type", |node| {
+    let partials = run_phase(db.cluster(), &mut m, "local closest per type", move |node| {
         let mut best: std::collections::BTreeMap<i64, (f64, Tuple)> =
             std::collections::BTreeMap::new();
-        roads.scan_fragment(db.cluster(), node, |_, row| {
+        roads.scan_fragment(&cluster, node, |_, row| {
             let ty = row.int(LINE_TYPE)?;
             let d = row.shape(LINE_SHAPE)?.distance_to_point(&point);
             let replace = best.get(&ty).is_none_or(|(bd, _)| d < *bd);
@@ -684,12 +689,12 @@ pub fn q12(db: &Paradise, large_city_type: i64, use_semi_join: bool) -> Result<Q
     let t0 = Instant::now();
     let mut m = QueryMetrics::default();
     let net0 = db.cluster().net.snapshot();
-    let pp = db.table("populatedPlaces")?;
+    let (cluster, pp) = (db.cluster().clone(), db.table("populatedPlaces")?);
     let drainage = db.table("drainage")?;
     // Select the large cities from the (spatially declustered) places.
-    let cities = run_phase(db.cluster(), &mut m, "select large cities", |node| {
+    let cities = run_phase(db.cluster(), &mut m, "select large cities", move |node| {
         let mut out = Vec::new();
-        pp.scan_fragment(db.cluster(), node, |_, row| {
+        pp.scan_fragment(&cluster, node, |_, row| {
             if row.int(PP_TYPE)? == large_city_type {
                 out.push(row.to_tuple()?);
             }

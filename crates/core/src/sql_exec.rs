@@ -914,7 +914,8 @@ fn explain_analyze(db: &Paradise, plan: &Plan) -> Result<QueryResult> {
                 if let Some(rows) = p.rows_out() {
                     ann.push(format!("rows={rows}"));
                 }
-                ann.push(format!("busy={:.2?}", p.critical()));
+                ann.push(format!("busy={:.2?} (model)", p.critical()));
+                ann.push(format!("wall={:.2?} (measured)", p.wall));
                 if p.morsels > 0 {
                     ann.push(format!("morsels={}", p.morsels));
                 }
@@ -1149,10 +1150,12 @@ fn generic_scan(db: &Paradise, stmt: &SelectStmt) -> Result<QueryResult> {
     let table = db.table(&stmt.tables[0])?;
     let eval = RowEval::bind(stmt, &table.schema)?;
     let mut m = QueryMetrics::default();
-    let per_node = run_phase(db.cluster(), &mut m, "scan + filter + project", |node| {
+    let (cluster, scanned, owned) = (db.cluster().clone(), table.clone(), stmt.clone());
+    let per_node = run_phase(db.cluster(), &mut m, "scan + filter + project", move |node| {
+        let (table, eval) = (&scanned, RowEval::bind(&owned, &scanned.schema)?);
         let mut rows = Vec::new();
-        table.scan_fragment(db.cluster(), node, |_, row| {
-            if table.decluster.is_home(db.cluster(), node, row)? && eval.accepts(row)? {
+        table.scan_fragment(&cluster, node, |_, row| {
+            if table.decluster.is_home(&cluster, node, row)? && eval.accepts(row)? {
                 rows.push(eval.project(&row.to_tuple()?)?);
             }
             Ok(())

@@ -12,15 +12,17 @@
 //! read.
 
 use crate::stream::{self, RemoteRx, RemoteTx, TupleRx, TupleTx};
+use crate::table::TableDef;
 use crate::value::TileRef;
-use crate::workers::{default_workers, register_pool_metrics, WorkerPool};
+use crate::workers::{register_pool_metrics, Executor};
 use crate::{ExecError, Result};
 use paradise_geom::{Grid, Point, Rect, TileId};
 use paradise_obs::{Counter, EventLog, MetricSample, MetricsRegistry, TraceSink};
 use paradise_storage::{BufferStats, Store, PAGE_SIZE};
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Index of a node within the cluster.
 pub type NodeId = usize;
@@ -241,10 +243,12 @@ pub struct Cluster {
     events: Arc<EventLog>,
     streams_opened: Counter,
     tile_codec: TileCodecStats,
-    /// Intra-node worker pool for morsel-parallel kernels
-    /// ([`crate::workers`]), shared by every node in the simulated cluster
-    /// and sized from the host's available parallelism.
-    workers: Arc<WorkerPool>,
+    /// The query coordinator's catalog: every defined table, by name.
+    tables: Mutex<HashMap<String, Arc<TableDef>>>,
+    /// The executor every phase's node fragments run on
+    /// ([`crate::workers`]): long-lived helper threads, started here and
+    /// joined when the cluster drops.
+    workers: Arc<Executor>,
 }
 
 impl Cluster {
@@ -271,7 +275,10 @@ impl Cluster {
         trace.set_lane_name(nodes.len() as u32, "QC");
         let streams_opened = obs.counter("exec.streams_opened");
         let tile_codec = TileCodecStats::register(&obs);
-        let workers = Arc::new(WorkerPool::new(default_workers()));
+        let workers = Arc::new(
+            Executor::for_host()
+                .map_err(|e| ExecError::Other(format!("starting executor threads: {e}")))?,
+        );
         register_pool_metrics(&obs, &workers);
         Ok(Cluster {
             nodes,
@@ -285,14 +292,44 @@ impl Cluster {
             events: Arc::new(EventLog::new()),
             streams_opened,
             tile_codec,
+            tables: Mutex::default(),
             workers,
         })
     }
 
-    /// The intra-node worker pool every kernel on this cluster runs
-    /// through (cheap `Arc` clone).
-    pub fn workers(&self) -> Arc<WorkerPool> {
-        self.workers.clone()
+    /// The executor the cluster's node fragments run on.
+    pub fn workers(&self) -> &Executor {
+        &self.workers
+    }
+
+    /// Registers a table definition in the catalog, replacing any table of
+    /// the same name.
+    pub fn define_table(&self, def: TableDef) {
+        self.catalog().insert(def.name.clone(), Arc::new(def));
+    }
+
+    /// Looks up a defined table.
+    pub fn table(&self, name: &str) -> Result<Arc<TableDef>> {
+        self.catalog()
+            .get(name)
+            .cloned()
+            .ok_or_else(|| ExecError::NotFound(format!("table {name}")))
+    }
+
+    /// The defined tables' names, sorted.
+    pub fn table_names(&self) -> Vec<String> {
+        let mut v: Vec<String> = self.catalog().keys().cloned().collect();
+        v.sort();
+        v
+    }
+
+    /// Removes a table from the catalog ([`TableDef::drop_table`]).
+    pub(crate) fn forget_table(&self, name: &str) {
+        self.catalog().remove(name);
+    }
+
+    fn catalog(&self) -> std::sync::MutexGuard<'_, HashMap<String, Arc<TableDef>>> {
+        self.tables.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The load-time tile codec counters.

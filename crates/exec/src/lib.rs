@@ -11,10 +11,11 @@
 //! ## Timing model
 //!
 //! Nodes are simulated within one process. Operators run under the
-//! *measured phase driver* ([`phase`]), which executes each node's fragment
-//! work sequentially while recording per-node busy time; a query's
-//! simulated parallel time is `Σ_phases max_node(busy) + sequential time`,
-//! the shared-nothing cost model of the paper. Between phases, tuples cross
+//! *measured phase driver* ([`phase`]), which runs the nodes' fragments
+//! concurrently on the cluster's executor ([`workers`]) while recording
+//! per-node busy time and each phase's wall time; a query's simulated
+//! parallel time is `Σ_phases max_node(busy) + sequential time`, the
+//! shared-nothing cost model of the paper. Between phases, tuples cross
 //! node boundaries only through [`phase::exchange`] (over flow-controlled
 //! [`stream`]s), which, with remote tile pulls, accounts all network
 //! traffic.

@@ -11,8 +11,13 @@ use std::time::Duration;
 pub struct PhaseTimes {
     /// Phase label (e.g. "scan+select", "repartition", "local join").
     pub name: String,
-    /// Busy time of each node during the phase.
+    /// Busy time of each node during the phase: its fragment's run time,
+    /// the input of the paper model ([`PhaseTimes::critical`]).
     pub node_busy: Vec<Duration>,
+    /// The phase's measured wall time on the coordinator, from handing out
+    /// the fragments to the last one finishing. Fragments overlap on the
+    /// executor, so this is not the sum of the busy times.
+    pub wall: Duration,
     /// Per-node output cardinality, when the phase output is row-shaped
     /// (`None` for opaque outputs like pre-built indexes).
     pub node_rows: Option<Vec<u64>>,
@@ -20,11 +25,12 @@ pub struct PhaseTimes {
     pub net: NetSnapshot,
     /// Buffer-pool activity (summed over all nodes) while the phase ran.
     pub buffer: BufferStats,
-    /// Worker-pool morsels executed by this phase's kernels
-    /// ([`crate::workers`]); `0` when the phase ran no pool-driven kernel.
+    /// Fragments of this phase that an executor helper thread ran
+    /// ([`crate::workers`]), concurrently with the coordinator's thread;
+    /// the others ran on the coordinator's thread.
     pub morsels: u64,
-    /// Busy time summed across pool workers during the phase (a subset of
-    /// the node busy time: the part spent inside morsel kernels).
+    /// Busy time of those helper-run fragments: the part of
+    /// [`PhaseTimes::total_work`] that ran off the coordinator's thread.
     pub worker_busy: Duration,
 }
 
@@ -130,9 +136,10 @@ fn dur_cell(d: Duration, width: usize) -> String {
     format!("{:>width$}", format!("{d:.2?}"))
 }
 
-/// The per-query report: a phases table (rows, busy critical path, total
-/// work, net traffic, buffer hit rate), the measured exchanges (tuples,
-/// wall time, net traffic), the sequential remainder, and the
+/// The per-query report: a phases table (rows, the modelled busy critical
+/// path, total work, the measured wall time `wall(meas)`, net traffic,
+/// buffer hit rate), the measured exchanges (tuples, wall time, net
+/// traffic), the sequential remainder, and the
 /// simulated/wall/utilisation summary. This is the single formatting path
 /// for examples, the bench tables, and `EXPLAIN ANALYZE`.
 impl std::fmt::Display for QueryMetrics {
@@ -148,8 +155,8 @@ impl std::fmt::Display for QueryMetrics {
             .max(5);
         writeln!(
             f,
-            "{:<name_w$} {:>9} {:>10} {:>10} {:>10} {:>14}",
-            "phase", "rows", "busy(max)", "work", "net KB", "buf hit/miss"
+            "{:<name_w$} {:>9} {:>10} {:>10} {:>10} {:>10} {:>14}",
+            "phase", "rows", "busy(max)", "work", "wall(meas)", "net KB", "buf hit/miss"
         )?;
         for p in &self.phases {
             let rows = match p.rows_out() {
@@ -158,11 +165,12 @@ impl std::fmt::Display for QueryMetrics {
             };
             writeln!(
                 f,
-                "{:<name_w$} {:>9} {} {} {:>10.1} {:>9}/{:<4}",
+                "{:<name_w$} {:>9} {} {} {} {:>10.1} {:>9}/{:<4}",
                 p.name,
                 rows,
                 dur_cell(p.critical(), 10),
                 dur_cell(p.total_work(), 10),
+                dur_cell(p.wall, 10),
                 p.net.bytes as f64 / 1024.0,
                 p.buffer.hits,
                 p.buffer.misses,
@@ -171,11 +179,12 @@ impl std::fmt::Display for QueryMetrics {
         for x in &self.exchanges {
             writeln!(
                 f,
-                "{:<name_w$} {:>9} {} {:>10} {:>10.1}",
+                "{:<name_w$} {:>9} {:>10} {:>10} {} {:>10.1}",
                 exchange_label(x),
                 x.net.tuples,
-                dur_cell(x.wall, 10),
                 "-",
+                "-",
+                dur_cell(x.wall, 10),
                 x.net.bytes as f64 / 1024.0,
             )?;
         }
@@ -247,6 +256,7 @@ mod tests {
             name: "scan + clip".into(),
             node_busy: vec![ms(10), ms(30)],
             node_rows: Some(vec![5, 7]),
+            wall: ms(25),
             net: NetSnapshot { bytes: 2048, tuples: 12, ..Default::default() },
             buffer: BufferStats { hits: 90, misses: 10, ..Default::default() },
             ..Default::default()
@@ -262,6 +272,10 @@ mod tests {
         m.pulls = 2;
         let text = m.to_string();
         assert!(text.contains("scan + clip"), "{text}");
+        let header = text.lines().next().expect("header");
+        assert!(header.contains("busy(max)") && header.contains("wall(meas)"), "{text}");
+        let scan = text.lines().find(|l| l.starts_with("scan + clip")).expect("phase line");
+        assert!(scan.contains("30.00ms") && scan.contains("25.00ms"), "busy and wall: {text}");
         assert!(text.contains("12"), "{text}");
         assert!(text.contains("90"), "{text}");
         let gather = text.lines().find(|l| l.starts_with("gather")).expect("exchange line");

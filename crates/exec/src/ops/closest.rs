@@ -10,6 +10,7 @@ use crate::value::Value;
 use crate::{ExecError, Result};
 use paradise_geom::{Circle, Point, Rect};
 use paradise_storage::RTree;
+use std::sync::Arc;
 
 /// Finds the entry of `rtree` closest to `point` by *exact* shape distance
 /// (`dist(payload)`), using the paper's expanding-circle probe: start with
@@ -137,106 +138,93 @@ pub struct ClosestResult {
 /// ("this operator represents a sequential portion of the query execution,
 /// and hurts the speedup and scaleup somewhat").
 pub fn closest_join(
-    cluster: &Cluster,
+    cluster: &Arc<Cluster>,
     metrics: &mut QueryMetrics,
-    inner: &TableDef,
+    inner: Arc<TableDef>,
     inner_col: usize,
     outer_pts: Vec<Vec<Tuple>>,
     outer_col: usize,
     use_semi_join: bool,
 ) -> Result<Vec<ClosestResult>> {
-    let n = cluster.num_nodes();
-
     // Step 3: per-node on-the-fly index over the inner fragments. The scan
     // reads only each row's bounding box and keeps the encoded record (a
     // record's index is its R*-tree payload);
     // candidates' distances are computed in place, and only matches are
     // decoded.
-    let mut frags: Vec<Records> = Vec::with_capacity(n);
-    let mut trees: Vec<RTree> = Vec::with_capacity(n);
-    {
-        let mut built = run_phase(cluster, metrics, "build local index", |node| {
+    let inner_arity = inner.schema.len();
+    let c = cluster.clone();
+    let built: Arc<Vec<(Records, RTree)>> =
+        Arc::new(run_phase(cluster, metrics, "build local index", move |node| {
             let mut frag = Records::default();
             let mut entries: Vec<(Rect, u64)> = Vec::new();
-            inner.scan_fragment(cluster, node, |_, row| {
+            inner.scan_fragment(&c, node, |_, row| {
                 entries.push((row.shape(inner_col)?.bbox(), entries.len() as u64));
                 frag.push(row.as_bytes());
                 Ok(())
             })?;
             let mut tree = RTree::bulk_load(entries);
-            tree.set_visit_counter(cluster.obs().counter("rtree.node_visits"));
+            tree.set_visit_counter(c.obs().counter("rtree.node_visits"));
             Ok((frag, tree))
-        })?;
-        for (frag, tree) in built.drain(..) {
-            frags.push(frag);
-            trees.push(tree);
-        }
-    }
+        })?);
 
     // Step 4a: spatial semi-join routes each point (Figure 3.1 lower half).
-    let outbox = {
-        let (trees, frags) = (&trees, &frags);
-        let mut outer_iter = outer_pts.into_iter();
-        run_phase(cluster, metrics, "spatial semi-join", move |node| {
-            let pts = outer_iter.next().expect("one batch per node");
-            let mut msgs = Outbox::default();
-            for t in pts {
-                let p = t.get(outer_col)?.as_shape()?.as_point().ok_or(crate::ExecError::Type {
-                    expected: "point",
-                    got: "non-point shape".into(),
+    let (c, local) = (cluster.clone(), built.clone());
+    let outer_pts = Arc::new(outer_pts);
+    let outbox = run_phase(cluster, metrics, "spatial semi-join", move |node| {
+        let (frag, tree) = &local[node];
+        let mut msgs = Outbox::default();
+        for t in &outer_pts[node] {
+            let p = t.get(outer_col)?.as_shape()?.as_point().ok_or(crate::ExecError::Type {
+                expected: "point",
+                got: "non-point shape".into(),
+            })?;
+            let local = use_semi_join
+                && semi_join_is_local(&c, tree, &p, |payload| {
+                    distance(frag, payload, inner_col, &p)
                 })?;
-                let local = use_semi_join
-                    && semi_join_is_local(cluster, &trees[node], &p, |payload| {
-                        distance(&frags[node], payload, inner_col, &p)
-                    })?;
-                if local {
-                    msgs.push(node, t);
-                } else {
-                    // Replicate to every node: the closest feature could be
-                    // anywhere (Figure 2.5's Madison case).
-                    for dest in 0..cluster.num_nodes() {
-                        msgs.push(dest, t.clone());
-                    }
+            if local {
+                msgs.push(node, t.clone());
+            } else {
+                // Replicate to every node: the closest feature could be
+                // anywhere (Figure 2.5's Madison case).
+                for dest in 0..c.num_nodes() {
+                    msgs.push(dest, t.clone());
                 }
             }
-            Ok(msgs)
-        })?
-    };
-    let inbox = exchange(cluster, metrics, "route to nodes", outbox)?;
+        }
+        Ok(msgs)
+    })?;
+    let inbox = Arc::new(exchange(cluster, metrics, "route to nodes", outbox)?);
 
     // Step 4b: join-with-aggregate per node (expanding circle probes). Each
     // match leaves for the QC as one (outer, inner, distance) row.
     let qc = cluster.coordinator_id();
-    let per_node: Vec<Outbox> = {
-        let (trees, frags) = (&trees, &frags);
-        let mut inbox_iter = inbox.into_iter();
-        run_phase(cluster, metrics, "join with aggregate", move |node| {
-            let pts = inbox_iter.next().expect("one inbox per node");
-            let mut out = Vec::new();
-            for t in pts {
-                let p = t.get(outer_col)?.as_shape()?.as_point().expect("checked");
-                let found = expanding_circle_closest(
-                    &trees[node],
-                    &p,
-                    &cluster.grid().universe(),
-                    |payload| distance(&frags[node], payload, inner_col, &p),
-                    || (0..frags[node].len() as u64).collect(),
-                )?;
-                if let Some((payload, d)) = found {
-                    let mut row = t.values;
-                    row.extend(frags[node].row(payload as usize)?.to_tuple()?.values);
-                    row.push(Value::Float(d));
-                    out.push(Tuple::new(row));
-                }
+    let c = cluster.clone();
+    let per_node = run_phase(cluster, metrics, "join with aggregate", move |node| {
+        let (frag, tree) = &built[node];
+        let mut out = Vec::new();
+        for t in &inbox[node] {
+            let p = t.get(outer_col)?.as_shape()?.as_point().expect("checked");
+            let found = expanding_circle_closest(
+                tree,
+                &p,
+                &c.grid().universe(),
+                |payload| distance(frag, payload, inner_col, &p),
+                || (0..frag.len() as u64).collect(),
+            )?;
+            if let Some((payload, d)) = found {
+                let mut row = t.values.clone();
+                row.extend(frag.row(payload as usize)?.to_tuple()?.values);
+                row.push(Value::Float(d));
+                out.push(Tuple::new(row));
             }
-            Ok(Outbox::to(qc, out))
-        })?
-    };
+        }
+        Ok(Outbox::to(qc, out))
+    })?;
 
     let rows = exchange(cluster, metrics, "gather", per_node)?.swap_remove(qc);
 
     // Final sequential global aggregate: min distance per outer point.
-    let inner_arity = inner.schema.len();
     run_sequential(metrics, || {
         use std::collections::HashMap;
         let mut best: HashMap<Vec<u8>, ClosestResult> = HashMap::new();
@@ -275,19 +263,19 @@ mod tests {
     use crate::value::Value;
     use paradise_geom::{Polyline, Shape};
 
-    fn cluster(n: usize, tag: &str) -> Cluster {
-        Cluster::create(&ClusterConfig::for_test(n, tag)).unwrap()
+    fn cluster(n: usize, tag: &str) -> Arc<Cluster> {
+        Arc::new(Cluster::create(&ClusterConfig::for_test(n, tag)).unwrap())
     }
 
-    fn seg_table(name: &str) -> TableDef {
-        TableDef::new(
+    fn seg_table(name: &str) -> Arc<TableDef> {
+        Arc::new(TableDef::new(
             name,
             Schema::new(vec![
                 Field::new("id", DataType::Str),
                 Field::new("shape", DataType::Polyline),
             ]),
             Decluster::Spatial { col: 1 },
-        )
+        ))
     }
 
     fn seg(id: &str, x0: f64, y0: f64, x1: f64, y1: f64) -> Tuple {
@@ -414,7 +402,7 @@ mod tests {
         }
 
         let mut m = QueryMetrics::default();
-        let results = closest_join(&c, &mut m, &drainage, 1, outer, 1, true).unwrap();
+        let results = closest_join(&c, &mut m, drainage, 1, outer, 1, true).unwrap();
         assert_eq!(results.len(), 4);
         for r in &results {
             let p = r.outer.get(1).unwrap().as_shape().unwrap().as_point().unwrap();
@@ -452,12 +440,12 @@ mod tests {
 
         let mut m1 = QueryMetrics::default();
         let b1 = c.net.snapshot();
-        let with = closest_join(&c, &mut m1, &drainage, 1, outer.clone(), 1, true).unwrap();
+        let with = closest_join(&c, &mut m1, drainage.clone(), 1, outer.clone(), 1, true).unwrap();
         let traffic_with = c.net.since(b1).tuples;
 
         let mut m2 = QueryMetrics::default();
         let b2 = c.net.snapshot();
-        let without = closest_join(&c, &mut m2, &drainage, 1, outer, 1, false).unwrap();
+        let without = closest_join(&c, &mut m2, drainage, 1, outer, 1, false).unwrap();
         let traffic_without = c.net.since(b2).tuples;
 
         assert_eq!(with.len(), without.len());

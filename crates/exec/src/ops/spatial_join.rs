@@ -16,8 +16,7 @@
 //! Inside one node the join runs over columns, not decoded tuples:
 //!
 //! 1. **Scan.** Each input fragment is scanned once without decoding
-//!    ([`JoinInput`]; the two fragments are one pool morsel each): the
-//!    encoded records are kept back to back in *sweep order* (bbox `lo.x`,
+//!    ([`JoinInput`]): the encoded records are kept back to back in *sweep order* (bbox `lo.x`,
 //!    ties by scan order), beside a column of shape bounding boxes read in
 //!    place ([`ShapeRef`]) and, for polylines, each record's segment boxes,
 //!    computed once per record.
@@ -28,17 +27,17 @@
 //!    plane sweep that enumerates every x-overlapping pair exactly once,
 //!    then checks y-overlap, the reference-point rule and the exact test:
 //!    [`chains_cross`], the kernel of `Polyline::crosses`, reading the
-//!    vertices in place and the precomputed segment boxes. Tiles run as
-//!    [`TILE_MORSEL`]-sized morsels on the worker pool ([`crate::workers`])
-//!    in sorted tile order — **the reference-point rule is evaluated per
-//!    tile, never per morsel**, so morsel boundaries cannot re-introduce
-//!    duplicates — and emit `(left, right)` record-index pairs.
+//!    vertices in place and the precomputed segment boxes. Tiles run in
+//!    sorted tile order — **the reference-point rule is evaluated per
+//!    tile** — and emit `(left, right)` record-index pairs.
 //! 4. **Materialise.** The filter columns are freed; each record a pair
-//!    names is decoded once, on the pool, and the output rows are built
-//!    with [`concat()`] in pair order, on the pool too, into a [`Batch`]
-//!    that sizes each row for the exchange while it is in cache.
+//!    names is decoded once, and the output rows are built with
+//!    [`concat()`] in pair order into a [`Batch`] that sizes each row for
+//!    the exchange while it is in cache.
 //!
-//! Morsel-order merging keeps the output identical for every worker count.
+//! Every step is a plain loop on the thread running the node's fragment:
+//! the nodes' fragments are what runs concurrently
+//! ([`crate::phase::run_phase`]).
 
 use crate::cluster::Cluster;
 use crate::metrics::QueryMetrics;
@@ -47,12 +46,12 @@ use crate::phase::{run_phase, Batch};
 use crate::table::TableDef;
 use crate::tuple::{Records, Row, Tuple};
 use crate::value::{EncodedPoints, ShapeRef, Value};
-use crate::workers::{WorkerPool, ROW_MORSEL, TILE_MORSEL};
-use crate::{ExecError, NodeId, Result};
+use crate::{NodeId, Result};
 use paradise_geom::algorithms::segment::Segment;
 use paradise_geom::polyline::{chains_cross, SegmentChain};
 use paradise_geom::{Grid, Rect, Shape, TileId};
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 /// One node's fragment of a join input, as columns: the encoded records in
 /// sweep order (by shape bbox `lo.x`, ties by scan order), each record's
@@ -128,36 +127,19 @@ impl Decoded {
     }
 }
 
-/// Decodes every record of `records` that `used` names, once each, on
-/// `pool`.
-fn decode_used(
-    pool: &WorkerPool,
-    records: &Records,
-    used: impl Iterator<Item = u32>,
-) -> Result<Decoded> {
+/// Decodes every record of `records` that `used` names, once each.
+fn decode_used(records: &Records, used: impl Iterator<Item = u32>) -> Result<Decoded> {
     let mut slot = vec![u32::MAX; records.len()];
     for i in used {
         slot[i as usize] = 0;
     }
-    let ids: Vec<usize> = (0..records.len()).filter(|&i| slot[i] == 0).collect();
-    for (k, &i) in ids.iter().enumerate() {
-        slot[i] = k as u32;
-    }
-    let parts = pool.run(ids.len(), ROW_MORSEL, |range| {
-        let (mut values, mut ends) = (Vec::new(), Vec::with_capacity(range.len()));
-        for &i in &ids[range] {
+    let (mut values, mut starts) = (Vec::new(), vec![0]);
+    for (i, s) in slot.iter_mut().enumerate() {
+        if *s == 0 {
+            *s = (starts.len() - 1) as u32;
             records.row(i)?.decode_into(&mut values)?;
-            ends.push(values.len());
+            starts.push(values.len());
         }
-        Ok::<_, ExecError>((values, ends))
-    })?;
-    let mut values = Vec::with_capacity(parts.iter().map(|p| p.0.len()).sum());
-    let mut starts = Vec::with_capacity(ids.len() + 1);
-    starts.push(0);
-    for (mut part, ends) in parts {
-        let base = values.len();
-        starts.extend(ends.into_iter().map(|e| base + e));
-        values.append(&mut part);
     }
     Ok(Decoded { values, starts, slot })
 }
@@ -352,13 +334,9 @@ fn sweep_tile(
 ///
 /// The inputs are the node's fragments of spatially-declustered (and
 /// therefore possibly replicated) tables; the join consumes them, freeing
-/// their filter columns before it decodes. Tiles run as
-/// [`TILE_MORSEL`]-sized morsels and materialisation as
-/// [`ROW_MORSEL`]-sized ones on `pool`, merged in morsel order, so the
-/// result is identical for every worker count.
+/// their filter columns before it decodes.
 pub fn local_tile_join(
     cluster: &Cluster,
-    pool: &WorkerPool,
     node: NodeId,
     left: JoinInput,
     right: JoinInput,
@@ -368,53 +346,40 @@ pub fn local_tile_join(
         (0..grid.num_tiles()).map(|t| cluster.node_for_tile(t) == node).collect();
     let (lbuckets, rbuckets) =
         (Buckets::new(grid, &owned, &left.boxes), Buckets::new(grid, &owned, &right.boxes));
-    let tiles: Vec<TileId> = (0..grid.num_tiles())
-        .filter(|&t| !lbuckets.tile(t).is_empty() && !rbuckets.tile(t).is_empty())
-        .collect();
-    let pairs = pool
-        .run(tiles.len(), TILE_MORSEL, |range| {
-            let mut out = Vec::new();
-            for &t in &tiles[range] {
-                let lists = (lbuckets.tile(t), rbuckets.tile(t));
-                sweep_tile(grid, t, lists, &left, &right, &mut out)?;
-            }
-            Ok::<_, ExecError>(out)
-        })?
-        .concat();
+    let mut pairs = Vec::new();
+    for t in 0..grid.num_tiles() {
+        let lists = (lbuckets.tile(t), rbuckets.tile(t));
+        if !lists.0.is_empty() && !lists.1.is_empty() {
+            sweep_tile(grid, t, lists, &left, &right, &mut pairs)?;
+        }
+    }
     // Only the records are read from here on.
     let (left, right) = (left.into_records(), right.into_records());
-    let lrows = decode_used(pool, &left, pairs.iter().map(|p| p.0))?;
-    let rrows = decode_used(pool, &right, pairs.iter().map(|p| p.1))?;
+    let lrows = decode_used(&left, pairs.iter().map(|p| p.0))?;
+    let rrows = decode_used(&right, pairs.iter().map(|p| p.1))?;
     drop((left, right));
-    let rows = pool.run(pairs.len(), ROW_MORSEL, |range| {
-        let rows = pairs[range].iter().map(|&(l, r)| concat(lrows.get(l), rrows.get(r)));
-        Ok::<_, ExecError>(rows.collect::<Batch>())
-    })?;
-    Ok(Batch::concat(rows))
+    let mut rows = Batch::with_capacity(pairs.len());
+    for &(l, r) in &pairs {
+        rows.push(concat(lrows.get(l), rrows.get(r)));
+    }
+    Ok(rows)
 }
 
 /// The full parallel spatial join of two spatially-declustered tables:
 /// every node joins its own fragments (phase 2 only — co-located inputs).
 pub fn parallel_spatial_join(
-    cluster: &Cluster,
+    cluster: &Arc<Cluster>,
     metrics: &mut QueryMetrics,
-    left: &TableDef,
+    left: Arc<TableDef>,
     lcol: usize,
-    right: &TableDef,
+    right: Arc<TableDef>,
     rcol: usize,
 ) -> Result<Vec<Batch>> {
-    let pool = cluster.workers();
-    run_phase(cluster, metrics, "local spatial join", |node| {
-        // The two scans are independent: one morsel each.
-        let sides = [(left, lcol), (right, rcol)];
-        let [l, r]: [JoinInput; 2] = pool
-            .run(2, 1, |side| {
-                let (table, col) = sides[side.start];
-                JoinInput::scan(table, cluster, node, col)
-            })?
-            .try_into()
-            .expect("one input per side");
-        local_tile_join(cluster, &pool, node, l, r)
+    let c = cluster.clone();
+    run_phase(cluster, metrics, "local spatial join", move |node| {
+        let l = JoinInput::scan(&left, &c, node, lcol)?;
+        let r = JoinInput::scan(&right, &c, node, rcol)?;
+        local_tile_join(&c, node, l, r)
     })
 }
 
@@ -427,19 +392,19 @@ mod tests {
     use crate::value::Value;
     use paradise_geom::{Point, Polygon, Polyline};
 
-    fn cluster(n: usize, tag: &str) -> Cluster {
-        Cluster::create(&ClusterConfig::for_test(n, tag)).unwrap()
+    fn cluster(n: usize, tag: &str) -> Arc<Cluster> {
+        Arc::new(Cluster::create(&ClusterConfig::for_test(n, tag)).unwrap())
     }
 
-    fn line_table(name: &str) -> TableDef {
-        TableDef::new(
+    fn line_table(name: &str) -> Arc<TableDef> {
+        Arc::new(TableDef::new(
             name,
             Schema::new(vec![
                 Field::new("id", DataType::Str),
                 Field::new("shape", DataType::Polyline),
             ]),
             Decluster::Spatial { col: 1 },
-        )
+        ))
     }
 
     fn line(id: &str, pts: &[(f64, f64)]) -> Tuple {
@@ -489,7 +454,7 @@ mod tests {
         // Both tuples are replicated to several nodes.
         assert!(rivers.stored_count(&c) > 1);
         let mut m = QueryMetrics::default();
-        let per_node = parallel_spatial_join(&c, &mut m, &rivers, 1, &roads, 1).unwrap();
+        let per_node = parallel_spatial_join(&c, &mut m, rivers, 1, roads, 1).unwrap();
         let total: usize = per_node.iter().map(|v| v.len()).sum();
         assert_eq!(total, 1, "duplicates must be eliminated");
     }
@@ -519,7 +484,7 @@ mod tests {
         drainage.load(&c, dr.clone()).unwrap();
         roads.load(&c, rd.clone()).unwrap();
         let mut m = QueryMetrics::default();
-        let per_node = parallel_spatial_join(&c, &mut m, &drainage, 1, &roads, 1).unwrap();
+        let per_node = parallel_spatial_join(&c, &mut m, drainage, 1, roads, 1).unwrap();
         let total: usize = per_node.iter().map(|v| v.len()).sum();
         assert_eq!(total, brute(&dr, &rd));
         assert!(total > 0, "test should produce some crossings");
@@ -535,7 +500,7 @@ mod tests {
         let mut owners = Vec::new();
         let mut total = 0;
         for node in 0..4 {
-            let out = local_tile_join(&c, &c.workers(), node, l.clone(), r.clone()).unwrap();
+            let out = local_tile_join(&c, node, l.clone(), r.clone()).unwrap();
             if !out.is_empty() {
                 owners.push(node);
             }
@@ -555,7 +520,7 @@ mod tests {
             line("b", &[(-50.0, 50.0), (50.0, -50.0)]),
             line("c", &[(-40.0, 10.0), (40.0, -10.0)]),
         ]);
-        let out = local_tile_join(&c, &c.workers(), 0, l, r).unwrap();
+        let out = local_tile_join(&c, 0, l, r).unwrap();
         assert_eq!(out.len(), 2);
         let (Value::Shape(first), Value::Shape(second)) = (&out[0].values[1], &out[1].values[1])
         else {
@@ -587,7 +552,7 @@ mod tests {
             line("inside", &[(1.0, 1.0), (2.0, 2.0)]),
             line("outside", &[(5.0, 0.5), (6.0, 3.5)]),
         ];
-        let got = local_tile_join(&c, &c.workers(), 0, l, input(&right)).unwrap();
+        let got = local_tile_join(&c, 0, l, input(&right)).unwrap();
         let ids: Vec<&str> = got.iter().map(|t| t.get(2).unwrap().as_str().unwrap()).collect();
         assert_eq!(ids, ["through", "inside"]);
     }
@@ -601,7 +566,7 @@ mod tests {
         let a = line("a", &[(0.5, 0.5), (10.0, 5.0)]);
         let l = input(&[a.clone(), line("far", &[(100.0, 80.0), (110.0, 85.0)])]);
         let right = [line("c", &[(6.0, 4.8), (9.0, 1.0)]), line("b", &[(1.0, 3.0), (3.0, 0.6)])];
-        let out = local_tile_join(&c, &c.workers(), 0, l, input(&right)).unwrap();
+        let out = local_tile_join(&c, 0, l, input(&right)).unwrap();
         let (a, right) = (&a.values, [&right[0].values, &right[1].values]);
         assert_eq!(out.into_tuples(), vec![concat(a, right[1]), concat(a, right[0])]);
     }

@@ -4,10 +4,15 @@
 //! its fragment independently (shared-nothing); between phases
 //! [`exchange`] moves tuples between endpoints (repartitioning, broadcast
 //! from the query coordinator, collection at the coordinator). The
-//! driver executes node fragments one after another on the host, measuring
-//! each node's busy time; [`crate::metrics::QueryMetrics::simulated_time`]
-//! then reconstructs the parallel execution time as the per-phase critical
-//! path — the paper's cost model with one CPU per node.
+//! driver runs a phase's node fragments concurrently on the cluster's
+//! executor ([`crate::workers`]), one fragment per thread at a time, and
+//! measures each node's busy time and the phase's wall time;
+//! [`crate::metrics::QueryMetrics::simulated_time`] then reconstructs the
+//! parallel execution time as the per-phase critical path — the paper's
+//! cost model with one CPU per node.
+//!
+//! A fragment is owned work: it captures `Arc` handles (the cluster, table
+//! definitions) and owned parameters, and returns its output.
 
 use crate::cluster::{Cluster, Transport};
 use crate::metrics::{ExchangeTimes, PhaseTimes, QueryMetrics};
@@ -44,49 +49,59 @@ impl RowCounted for usize {}
 impl RowCounted for () {}
 impl<A, B> RowCounted for (A, B) {}
 
-/// Runs one parallel phase: `work(node_id)` for every node, recording
-/// per-node busy time into `metrics` under `name`, together with the
-/// phase's output cardinality, the cross-node traffic and the (summed)
-/// buffer-pool activity charged while it ran. Each node's fragment also
-/// runs under a trace span on that node's lane, so `EXPLAIN ANALYZE`
-/// renders one Chrome-trace track per node. Returns each node's output.
-pub fn run_phase<O: RowCounted>(
+/// Runs one parallel phase: `work(node_id)` for every node, concurrently
+/// on the cluster's executor, recording into `metrics` under `name` each
+/// node's busy time, the phase's measured wall time, its output
+/// cardinality, the cross-node traffic and the (summed) buffer-pool
+/// activity charged while it ran. Each node's fragment is also recorded
+/// as a trace span on that node's lane, so `EXPLAIN ANALYZE` renders one
+/// Chrome-trace track per node. Returns each node's output, in node
+/// order; when fragments fail, the lowest node's error is returned, and a
+/// fragment that panics fails the phase with an error.
+pub fn run_phase<O, F>(
     cluster: &Cluster,
     metrics: &mut QueryMetrics,
     name: &str,
-    mut work: impl FnMut(NodeId) -> Result<O>,
-) -> Result<Vec<O>> {
+    work: F,
+) -> Result<Vec<O>>
+where
+    O: RowCounted + Send + 'static,
+    F: Fn(NodeId) -> Result<O> + Send + Sync + 'static,
+{
     cluster.events().emit("phase.start", &[("phase", name.into())]);
     let net0 = cluster.net.snapshot();
     let buf0 = cluster.buffer_stats_total();
-    let pool = cluster.workers();
-    let pool0 = pool.snapshot();
-    let mut busy = Vec::with_capacity(cluster.num_nodes());
-    let mut outs = Vec::with_capacity(cluster.num_nodes());
-    let mut rows = Vec::with_capacity(cluster.num_nodes());
-    let mut countable = true;
-    for id in 0..cluster.num_nodes() {
-        let span = cluster.trace().span(name, id as u32);
-        let t0 = Instant::now();
-        let out = work(id)?;
-        busy.push(t0.elapsed());
-        drop(span);
-        match out.row_count() {
-            Some(n) => rows.push(n),
-            None => countable = false,
+    let t0 = Instant::now();
+    let done = cluster.workers().run(cluster.num_nodes(), work);
+    let wall = t0.elapsed();
+    let mut phase = PhaseTimes {
+        name: name.to_string(),
+        node_busy: Vec::with_capacity(done.len()),
+        wall,
+        ..Default::default()
+    };
+    let mut outs = Vec::with_capacity(done.len());
+    let mut rows = Some(Vec::with_capacity(done.len()));
+    for (id, d) in done.into_iter().enumerate() {
+        cluster.trace().record(name, id as u32, d.start, d.busy);
+        phase.node_busy.push(d.busy);
+        if d.on_helper {
+            phase.morsels += 1;
+            phase.worker_busy += d.busy;
         }
+        let out = d.out.map_err(|panic| {
+            ExecError::Other(format!("phase {name}: node {id}'s fragment panicked: {panic}"))
+        })??;
+        rows = rows.zip(out.row_count()).map(|(mut rows, n)| {
+            rows.push(n);
+            rows
+        });
         outs.push(out);
     }
-    let pool_delta = pool.snapshot().since(&pool0);
-    metrics.push_phase_record(PhaseTimes {
-        name: name.to_string(),
-        node_busy: busy,
-        node_rows: countable.then_some(rows),
-        net: cluster.net.since(net0),
-        buffer: cluster.buffer_stats_total().since(buf0),
-        morsels: pool_delta.morsels,
-        worker_busy: std::time::Duration::from_nanos(pool_delta.busy_ns),
-    });
+    phase.node_rows = rows;
+    phase.net = cluster.net.since(net0);
+    phase.buffer = cluster.buffer_stats_total().since(buf0);
+    metrics.push_phase_record(phase);
     Ok(outs)
 }
 
@@ -114,6 +129,11 @@ pub struct Batch {
 }
 
 impl Batch {
+    /// An empty batch with room for `n` tuples.
+    pub fn with_capacity(n: usize) -> Batch {
+        Batch { tuples: Vec::with_capacity(n), wire_bytes: 0 }
+    }
+
     /// Appends `t`.
     pub fn push(&mut self, t: Tuple) {
         self.wire_bytes += t.wire_size() as u64;
@@ -345,6 +365,7 @@ mod tests {
         let cluster = Cluster::create(&ClusterConfig::for_test(3, "phase")).unwrap();
         let mut m = QueryMetrics::default();
         let outs = run_phase(&cluster, &mut m, "square", |id| Ok(id * id)).unwrap();
+        assert!(m.phases[0].wall >= m.phases[0].critical(), "wall spans every fragment");
         assert_eq!(outs, vec![0, 1, 4]);
         assert_eq!(m.phases.len(), 1);
         assert_eq!(m.phases[0].node_busy.len(), 3);
@@ -355,12 +376,14 @@ mod tests {
 
     #[test]
     fn phases_capture_rows_net_and_spans() {
-        let cluster = Cluster::create(&ClusterConfig::for_test(2, "phase-obs")).unwrap();
+        let cluster =
+            std::sync::Arc::new(Cluster::create(&ClusterConfig::for_test(2, "phase-obs")).unwrap());
         cluster.trace().set_enabled(true);
         let mut m = QueryMetrics::default();
-        let outs = run_phase(&cluster, &mut m, "emit", |id| {
+        let c = cluster.clone();
+        let outs = run_phase(&cluster, &mut m, "emit", move |id| {
             if id == 1 {
-                cluster.net.ship(128);
+                c.net.ship(128);
             }
             Ok(vec![Tuple::new(vec![Value::Int(id as i64)]); id + 1])
         })

@@ -12,7 +12,7 @@
 //! a table's tiles in its own tile file on each node, which dropping the
 //! table frees by extents; an operator's in a file dropped when it
 //! completes. A stored raster loaded into another table is copied
-//! ([`copy_raster`]), so a table owns every tile its rows reference.
+//! (`copy_raster`), so a table owns every tile its rows reference.
 
 use crate::cluster::{Cluster, NodeId};
 use crate::value::{StoredRaster, TileRef};
@@ -44,8 +44,9 @@ pub fn store_raster(
     let scheme = TilingScheme::new(&dims, raster.depth().elem_type(), tile_bytes)?;
     let (tile_h, tile_w) = (scheme.tile_shape()[0], scheme.tile_shape()[1]);
     // Cut the raster into tile payloads, then LZW-encode the whole batch on
-    // the worker pool — the codec dominates store cost. Payloads move
-    // through the codec: a tile stored raw is the buffer cut here.
+    // the cluster's executor, one morsel per tile — the codec dominates store
+    // cost. Payloads move through the codec: a tile stored raw is the
+    // buffer cut here.
     let mut payloads = Vec::with_capacity(scheme.num_tiles());
     for i in 0..scheme.num_tiles() {
         let (lo, shape) = scheme.tile_region(i);
@@ -53,9 +54,10 @@ pub fn store_raster(
     }
     let codec = cluster.tile_codec();
     codec.bytes_in.add(payloads.iter().map(|p| p.len() as u64).sum());
-    let encoded = lzw::maybe_compress_batch(&cluster.workers(), payloads);
+    let encoded = lzw::maybe_compress_batch(cluster.workers(), payloads);
     // Inserts stay serial, in tile order: object ids are handed out in
-    // insertion order, so the mapping table is identical for any pool size.
+    // insertion order, so the mapping table is identical for any thread
+    // count.
     let mut tiles = Vec::with_capacity(scheme.num_tiles());
     for (i, (bytes, compressed)) in encoded.into_iter().enumerate() {
         let (lo, shape) = scheme.tile_region(i);

@@ -256,8 +256,10 @@ impl TableDef {
     }
 
     /// Drops the table's fragments, tile files and indexes everywhere,
-    /// returning their extents to each node's volume.
+    /// returning their extents to each node's volume, and removes the
+    /// table from the cluster's catalog.
     pub fn drop_table(&self, cluster: &Cluster) -> Result<()> {
+        cluster.forget_table(&self.name);
         // Exact names: table `a` must not take table `a_b`'s indexes along.
         let cols = 0..self.schema.fields().len();
         let names: Vec<String> = [self.fragment_file(), self.tile_file()]

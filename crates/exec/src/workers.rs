@@ -1,55 +1,46 @@
-//! Intra-node worker pool: morsel-driven parallelism inside one data
-//! server.
+//! The cluster's executor: the one pool of threads in the engine.
 //!
-//! The cluster parallelises *across* nodes (§2.2, §2.7 of the paper); this
-//! module parallelises *inside* each node's operator kernels in the style
-//! of "Parallel In-Memory Evaluation of Spatial Joins" (Tsitsigkos &
-//! Mamoulis): inputs are cut into fixed-size morsels, claimed dynamically
-//! by real scoped threads, and merged back **in morsel order** so results
-//! are byte-identical for every pool size (see [`WorkerPool`] for the full
-//! determinism rule). Each cluster owns one pool sized from the host's
-//! available parallelism ([`default_workers`]); kernels take it as an
-//! explicit `&WorkerPool` argument.
+//! Each cluster owns one [`Executor`] ([`crate::Cluster::workers`]),
+//! started with the cluster and sized from the host's available
+//! parallelism: [`default_workers`]` - 1` long-lived helper threads plus
+//! the thread that runs the query. It has two clients (DESIGN.md §10):
 //!
-//! Exactly two clients run through the pool, the two that measured faster
-//! on it than as plain loops (DESIGN.md §10):
-//!
-//! - the PBSM join, [`crate::ops::spatial_join::parallel_spatial_join`]:
-//!   its two fragment scans (one morsel each), the plane-sweep filter and
-//!   refine (morsel = [`TILE_MORSEL`] sorted tiles) and the decoding and
-//!   row building of its matches (morsel = [`ROW_MORSEL`] rows),
+//! - the measured phase driver, [`crate::phase::run_phase`]: every phase's
+//!   node fragments run on it concurrently, one morsel per node and one
+//!   fragment per thread at a time, the way the paper's data servers run
+//!   theirs;
 //! - LZW compression of a raster's tiles at load, in
-//!   [`crate::raster_store::store_raster`] (morsel = [`BLOB_MORSEL`] tile).
+//!   [`crate::raster_store::store_raster`], one morsel per tile.
 //!
-//! Every other kernel — region reads and their LZW decompression, generic
-//! scans, Q7's refinement — is a plain loop on the calling thread: each
-//! [`WorkerPool::run`] spawns scoped OS threads, which cost those kernels
-//! more than they saved.
+//! Inside a fragment every kernel — the PBSM sweep, region reads, generic
+//! scans — is a plain loop on the thread running the fragment, so the host
+//! is never oversubscribed.
 //!
-//! Per-run busy time and morsel counts accumulate in the pool's counters;
-//! [`register_pool_metrics`] publishes them into the cluster's obs
-//! registry and the measured phase driver snapshots them per phase so
-//! `EXPLAIN ANALYZE` can annotate operators with `morsels=`.
+//! [`register_pool_metrics`] publishes the executor's counters into the
+//! cluster's obs registry; the phase driver records each phase's helper
+//! share in [`crate::metrics::PhaseTimes`].
 
 use std::sync::Arc;
 
 use paradise_obs::MetricsRegistry;
-pub use paradise_util::workers::{
-    default_workers, PoolSnapshot, WorkerPool, BLOB_MORSEL, ROW_MORSEL, TILE_MORSEL,
-};
+pub use paradise_util::workers::{default_workers, Done, Executor, PoolSnapshot};
 
-/// Publishes the pool's counters into a metrics registry as lazy
-/// collectors: `exec.worker.pool_size`, `exec.worker.runs`,
-/// `exec.worker.morsels`, and `exec.worker.busy_ns`.
-pub fn register_pool_metrics(obs: &MetricsRegistry, pool: &Arc<WorkerPool>) {
-    let p = pool.clone();
-    obs.register_collector("exec.worker.pool_size", move || p.workers() as u64);
-    let p = pool.clone();
-    obs.register_collector("exec.worker.runs", move || p.snapshot().runs);
-    let p = pool.clone();
-    obs.register_collector("exec.worker.morsels", move || p.snapshot().morsels);
-    let p = pool.clone();
-    obs.register_collector("exec.worker.busy_ns", move || p.snapshot().busy_ns);
+/// Publishes the executor's counters into a metrics registry as lazy
+/// collectors: `exec.worker.pool_size` (threads, the caller's included),
+/// `exec.worker.runs` (batches), `exec.worker.morsels`,
+/// `exec.worker.helper_morsels` and `exec.worker.busy_ns`. The collectors
+/// hold the executor weakly: a registry that outlives its cluster keeps no
+/// helper thread alive, and reads 0 from then on.
+pub fn register_pool_metrics(obs: &MetricsRegistry, exec: &Arc<Executor>) {
+    let read = |f: fn(&Executor) -> u64| {
+        let e = Arc::downgrade(exec);
+        move || e.upgrade().map_or(0, |e| f(&e))
+    };
+    obs.register_collector("exec.worker.pool_size", read(|e| e.workers() as u64));
+    obs.register_collector("exec.worker.runs", read(|e| e.snapshot().runs));
+    obs.register_collector("exec.worker.morsels", read(|e| e.snapshot().morsels));
+    obs.register_collector("exec.worker.helper_morsels", read(|e| e.snapshot().helper_morsels));
+    obs.register_collector("exec.worker.busy_ns", read(|e| e.snapshot().busy_ns));
 }
 
 #[cfg(test)]
@@ -58,16 +49,18 @@ mod tests {
 
     #[test]
     fn collectors_read_the_pool() {
-        let pool = Arc::new(WorkerPool::new(3));
+        let exec = Arc::new(Executor::new(2).unwrap());
         let obs = MetricsRegistry::new();
-        register_pool_metrics(&obs, &pool);
+        register_pool_metrics(&obs, &exec);
         let sample = |name: &str| {
             obs.samples().into_iter().find(|s| s.name == name).map(|s| s.value).unwrap()
         };
         assert_eq!(sample("exec.worker.pool_size"), 3);
         assert_eq!(sample("exec.worker.morsels"), 0);
-        pool.run(10, 1, |_| Ok::<_, ()>(())).unwrap();
+        exec.run(10, |_| ());
         assert_eq!(sample("exec.worker.morsels"), 10);
         assert_eq!(sample("exec.worker.runs"), 1);
+        drop(exec);
+        assert_eq!(sample("exec.worker.pool_size"), 0, "the registry kept the executor");
     }
 }

@@ -4,8 +4,7 @@
 //! chains replicated over many tiles and nodes.
 //!
 //! - Per node, the columnar join (`local_tile_join` over encoded records)
-//!   returns the same rows as the quadratic per-tile reference, and the
-//!   same rows in the same order on pools of 1, 2 and 3 workers.
+//!   returns the same rows as the quadratic per-tile reference.
 //! - Over the whole cluster, `parallel_spatial_join` on spatially
 //!   declustered tables reports every pair brute-force `Shape::overlaps`
 //!   finds, exactly once.
@@ -18,10 +17,10 @@ use paradise_exec::ops::spatial_join::{local_tile_join, parallel_spatial_join, J
 use paradise_exec::phase::Batch;
 use paradise_exec::schema::{DataType, Field, Schema};
 use paradise_exec::value::Value;
-use paradise_exec::workers::WorkerPool;
 use paradise_exec::{Decluster, QueryMetrics, TableDef, Tuple};
 use paradise_geom::{Point, Polyline, Shape};
 use paradise_util::Rng;
+use std::sync::Arc;
 
 const NODES: usize = 3;
 
@@ -94,17 +93,17 @@ fn brute_force(left: &[Tuple], right: &[Tuple]) -> Vec<(String, String)> {
     out
 }
 
-fn line_table(name: &str) -> TableDef {
-    TableDef::new(
+fn line_table(name: &str) -> Arc<TableDef> {
+    Arc::new(TableDef::new(
         name,
         Schema::new(vec![Field::new("id", DataType::Str), Field::new("shape", DataType::Polyline)]),
         Decluster::Spatial { col: 1 },
-    )
+    ))
 }
 
 #[test]
 fn columnar_join_matches_quadratic_and_brute_force() {
-    let cluster = Cluster::create(&ClusterConfig::for_test(NODES, "pbsm-diff")).unwrap();
+    let cluster = Arc::new(Cluster::create(&ClusterConfig::for_test(NODES, "pbsm-diff")).unwrap());
     for seed in [1u64, 2, 3] {
         let mut rng = Rng::seed_from_u64(seed);
         let left = chains(90, "l", &mut rng);
@@ -119,16 +118,9 @@ fn columnar_join_matches_quadratic_and_brute_force() {
         let mut all = Vec::new();
         for node in 0..NODES {
             let quadratic = local_tile_join_quadratic(&cluster, node, &left, 1, &right, 1);
-            let join = |pool: &WorkerPool| {
-                local_tile_join(&cluster, pool, node, left_in.clone(), right_in.clone()).unwrap()
-            };
-            let serial = join(&WorkerPool::new(1));
-            assert_eq!(ids(&serial), ids(&quadratic), "seed {seed} node {node}");
-            for workers in [2, 3] {
-                let got = join(&WorkerPool::new(workers));
-                assert_eq!(got, serial, "seed {seed} node {node}: {workers} workers");
-            }
-            all.extend(serial.into_tuples());
+            let got = local_tile_join(&cluster, node, left_in.clone(), right_in.clone()).unwrap();
+            assert_eq!(ids(&got), ids(&quadratic), "seed {seed} node {node}");
+            all.extend(got.into_tuples());
         }
         assert_eq!(ids(&all), want, "seed {seed}: nodes together");
 
@@ -138,7 +130,7 @@ fn columnar_join_matches_quadratic_and_brute_force() {
         rt.load(&cluster, right.clone()).unwrap();
         assert!(lt.stored_count(&cluster) > left.len() as u64, "no shape was replicated");
         let mut m = QueryMetrics::default();
-        let per_node = parallel_spatial_join(&cluster, &mut m, &lt, 1, &rt, 1).unwrap();
+        let per_node = parallel_spatial_join(&cluster, &mut m, lt, 1, rt, 1).unwrap();
         assert_eq!(ids(&Batch::concat(per_node)), want, "seed {seed}: parallel_spatial_join");
     }
 }

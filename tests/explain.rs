@@ -4,7 +4,8 @@
 
 use paradise::{match_plan, Paradise, ParadiseConfig, QueryResult};
 use paradise_datagen::tables::{
-    land_cover_table, populated_places_table, raster_table, World, WorldSpec,
+    drainage_table, land_cover_table, populated_places_table, raster_table, roads_table, World,
+    WorldSpec,
 };
 use paradise_sql::parse_statement;
 use std::path::PathBuf;
@@ -120,6 +121,33 @@ fn explain_analyze_q6_counts_index_work() {
     // ran.
     let visits1 = db.obs().get("rtree.node_visits").unwrap_or(0);
     assert!(visits1 > visits0, "rtree.node_visits did not move: {visits0} -> {visits1}");
+}
+
+#[test]
+fn explain_analyze_q13_reports_measured_wall_beside_modelled_busy() {
+    let mut db =
+        Paradise::create(ParadiseConfig::new(fresh_dir("q13"), 4).with_grid_tiles(256)).unwrap();
+    let world = World::generate(WorldSpec::tiny(7));
+    db.define_table(drainage_table());
+    db.define_table(roads_table());
+    db.load_table("drainage", world.drainage.iter().cloned()).expect("load drainage");
+    db.load_table("roads", world.roads.iter().cloned()).expect("load roads");
+    let sql = "select * from drainage, roads where drainage.shape overlaps roads.shape";
+    let r = db.sql(&format!("explain analyze {sql}")).expect("explain analyze q13");
+    let lines = plan_lines(&r);
+    let join = lines.iter().find(|l| l.contains("PBSMJoin")).expect("join line");
+    assert!(join.contains("busy=") && join.contains("(model)"), "{join:?}");
+    assert!(join.contains("wall=") && join.contains("(measured)"), "{join:?}");
+    // The phase's wall time spans every fragment, so it is at least the
+    // slowest node's busy time; with fragments overlapping it stays below
+    // the summed work plus the dispatch around it.
+    let phase = r.metrics.phases.iter().find(|p| p.name == "local spatial join").unwrap();
+    assert_eq!(phase.node_busy.len(), 4);
+    assert!(phase.wall >= phase.critical(), "wall {:?} < busy {:?}", phase.wall, phase.critical());
+    assert!(phase.wall > std::time::Duration::ZERO);
+    // The metrics table prints it too, in its own measured column.
+    let header = lines.iter().find(|l| l.starts_with("phase")).expect("metrics header");
+    assert!(header.contains("wall(meas)"), "{header:?}");
 }
 
 #[test]

@@ -67,7 +67,7 @@ fn dropping_a_copy_of_stored_rasters_keeps_their_tiles() {
     let clipped = db.sql(Q2).unwrap().rows;
     assert!(!clipped.is_empty());
     let source = db.table("raster").unwrap();
-    let before = table_tiles(&db, source);
+    let before = table_tiles(&db, &source);
 
     // The copy's rows hold stored rasters; loading copies their tiles,
     // node by node, into the copy's own tile files.
@@ -76,11 +76,11 @@ fn dropping_a_copy_of_stored_rasters_keeps_their_tiles() {
         .flat_map(|node| source.fragment_tuples(db.cluster(), node).unwrap())
         .collect();
     copy.load(db.cluster(), rows).unwrap();
-    assert_eq!(table_tiles(&db, source), before, "the source's tile files changed");
+    assert_eq!(table_tiles(&db, &source), before, "the source's tile files changed");
     assert_eq!(table_tiles(&db, &copy), before, "one copied object per source tile");
     copy.drop_table(db.cluster()).unwrap();
 
-    assert_eq!(table_tiles(&db, source), before);
+    assert_eq!(table_tiles(&db, &source), before);
     assert_eq!(db.sql(Q2).unwrap().rows, clipped, "the source's clips changed");
 }
 
